@@ -64,10 +64,6 @@ class Graph:
     def neighbors(self, v: int) -> VertexSet:
         return VertexSet(self.n, self.row(v))
 
-    @property
-    def adj(self) -> tuple[VertexSet, ...]:
-        return tuple(VertexSet(self.n, r) for r in self.rows)
-
     def closed_row(self, v: int) -> int:
         return self.row(v) | (1 << v)
 
@@ -152,18 +148,6 @@ def from_pair_mask(n: int, mask: int, name: str | None = None) -> Graph:
     if mask >> bit:
         raise OutOfRange(f"pair mask has bits beyond the {bit} pairs of K_{n}")
     return Graph(n, rows, name)
-
-
-def pair_mask_of(g: Graph) -> int:
-    """Inverse of :func:`from_pair_mask`."""
-    mask = 0
-    bit = 0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.has_edge(i, j):
-                mask |= 1 << bit
-            bit += 1
-    return mask
 
 
 def read_edge_list(text: str, name: str | None = None) -> Graph:
@@ -460,18 +444,25 @@ def distance_matrix(g: Graph) -> list[list]:
     return [bfs_distances(g, v) for v in range(g.n)]
 
 
+def components(g: Graph) -> list[int]:
+    """Connected components as vertex bitmasks, ordered by lowest vertex."""
+    remaining = (1 << g.n) - 1
+    comps = []
+    while remaining:
+        seen = frontier = remaining & -remaining
+        while frontier:
+            reached = 0
+            for v in bits_of(frontier):
+                reached |= g.rows[v]
+            frontier = reached & ~seen
+            seen |= frontier
+        comps.append(seen)
+        remaining &= ~seen
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        reached = 0
-        for v in bits_of(frontier):
-            reached |= g.rows[v]
-        frontier = reached & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(components(g)) <= 1
 
 
 def diameter(g: Graph):

@@ -100,15 +100,14 @@ def solve_table(
         budget = default_budget()
     start = time.perf_counter()
     forced = forced_set(table, k).mask
-    size, witness, nodes = kernel.solve_min_multicover(
+    size, witness, nodes, greedy_size = kernel.solve_min_multicover(
         table.pair_masks, k, table.n, forced, budget
     )
-    greedy = kernel.greedy_cover(table.pair_masks, k, table.n, forced)
     millis = (time.perf_counter() - start) * 1000.0
     stats = SolveStats(
         nodes=nodes,
         forced_size=forced.bit_count(),
-        greedy_size=greedy.bit_count(),
+        greedy_size=greedy_size,
         millis=millis,
     )
     return SolveResult(k, size, VertexSet(table.n, witness), stats=stats)

@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     complement,
     complete,
+    components,
     diameter,
     from_graph6,
     from_pair_mask,
@@ -406,34 +407,13 @@ def _check_cone_isolated_dichotomy(g: Graph) -> list:
     lc = adim_ladder(join(complete(1), g))
     if all(lc[k] == lh[k] for k in range(len(lc))):
         return []
-    comps = _components(g)
+    comps = components(g)
     if len(comps) == 1:
         return []
     if len(comps) == 2 and min(c.bit_count() for c in comps) == 1:
         return []
     shape = sorted(c.bit_count() for c in comps)
     return [(0, f"components={shape}", "connected or one isolated vertex")]
-
-
-def _components(g: Graph) -> list[int]:
-    remaining = (1 << g.n) - 1
-    comps = []
-    while remaining:
-        seed = remaining & -remaining
-        seen = seed
-        frontier = seed
-        while frontier:
-            reached = 0
-            v = frontier
-            while v:
-                low = v & -v
-                reached |= g.rows[low.bit_length() - 1]
-                v ^= low
-            frontier = reached & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
-    return comps
 
 
 def _check_cone_conjecture_all_k(g: Graph) -> list:

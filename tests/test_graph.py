@@ -16,6 +16,7 @@ from adimlab.graph import (
     complement,
     complete,
     complete_bipartite,
+    components,
     cycle,
     diameter,
     disjoint_union,
@@ -115,6 +116,14 @@ def test_disjoint_union_keeps_components():
     assert bfs_distances(g, 0)[1] == math.inf
     assert diameter(g) == math.inf
     assert not is_connected(g)
+    assert components(g) == [0b01, 0b10]
+    assert components(complete(1)) == [1]
+    assert is_connected(complete(1))
+    assert components(path(4)) == [0b1111]
+    assert is_connected(path(4))
+    two = disjoint_union(path(2), cycle(3))
+    assert components(two) == [0b00011, 0b11100]
+    assert not is_connected(two)
 
 
 def test_bfs_distances_path_and_errors():

@@ -1,96 +1,26 @@
-"""The compiled kernel must be bit-for-bit interchangeable with the fallback."""
-
-import random
+"""The multicover kernel on inputs the solver-level tests do not reach."""
 
 import pytest
 
-from adimlab import _cover_py, kernel
+from adimlab import kernel
 from adimlab.errors import BudgetExhausted
 from adimlab.graph import path
 from adimlab.metric import build_table
 
-from conftest import random_graph
 
-compiled = pytest.mark.skipif(
-    not kernel.HAVE_COMPILED, reason="compiled kernel not built"
-)
-
-
-def _instances(count, max_n=9, seed=1234):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        g = random_graph(rng, rng.randint(2, max_n))
-        masks = list(build_table(g, 2).pair_masks)
-        top = min(m.bit_count() for m in masks)
-        out.append((masks, rng.randint(1, top), g.n))
-    return out
-
-
-@compiled
-def test_solve_parity():
-    from adimlab import _coverc
-
-    for masks, k, n in _instances(250):
-        py = _cover_py.solve_min_multicover(masks, k, n, 0, None)
-        cy = _coverc.solve_min_multicover(masks, k, n, 0, None)
-        # the searches are exact mirrors, so even node counts must agree
-        assert py == cy
-
-
-@compiled
-def test_enumeration_parity():
-    from adimlab import _coverc
-
-    for masks, k, n in _instances(120, seed=77):
-        size = _cover_py.solve_min_multicover(masks, k, n, 0, None)[0]
-        py = _cover_py.enumerate_min_covers(masks, k, n, size, 0, None, None)
-        cy = _coverc.enumerate_min_covers(masks, k, n, size, 0, None, None)
-        assert py[0] == cy[0]
-        assert py[2] == cy[2]
-
-
-@compiled
-def test_ladder_parity():
-    from adimlab import _coverc
-
-    for masks, _, n in _instances(200, seed=31):
-        assert _cover_py.cover_ladder(masks, n) == _coverc.cover_ladder(masks, n)
-
-
-@compiled
-def test_greedy_parity():
-    from adimlab import _coverc
-
-    for masks, k, n in _instances(200, seed=5):
-        assert _cover_py.greedy_cover(masks, k, n, 0) == _coverc.greedy_cover(
-            masks, k, n, 0
-        )
-
-
-@compiled
-def test_budget_parity():
-    from adimlab import _coverc
-
-    masks = list(build_table(path(10), 2).pair_masks)
-    for impl in (_cover_py, _coverc):
-        with pytest.raises(BudgetExhausted):
-            impl.solve_min_multicover(masks, 2, 10, 0, 2)
-
-
-def test_dispatch_prefers_compiled_and_falls_back():
-    name = kernel.implementation_name(10)
-    assert name == ("compiled" if kernel.HAVE_COMPILED else "python")
-    assert kernel._impl(100) is _cover_py  # beyond the 64-bit fast path
+def test_budget_exhausted_raises():
+    masks = build_table(path(10), 2).pair_masks
+    with pytest.raises(BudgetExhausted):
+        kernel.solve_min_multicover(masks, 2, 10, 0, 2)
 
 
 def test_python_kernel_large_universe():
-    # pure fallback must handle n > 64 via big ints
+    # masks are plain ints, so n > 64 works through big ints
     masks = [(1 << 64) | (1 << 65), (1 << 65) | (1 << 66), (1 << 64) | (1 << 66)]
-    size, witness, _ = _cover_py.solve_min_multicover(masks, 1, 67, 0, None)
+    size, witness, _, _ = kernel.solve_min_multicover(masks, 1, 67, 0, None)
     assert size == 2
     assert all((witness & m).bit_count() >= 1 for m in masks)
     g = path(70)
-    big = list(build_table(g, 2).pair_masks)
-    greedy = _cover_py.greedy_cover(big, 1, 70, 0)
+    big = build_table(g, 2).pair_masks
+    greedy = kernel.greedy_cover(big, 1, 70, 0)
     assert all((greedy & m).bit_count() >= 1 for m in big)

@@ -136,6 +136,11 @@ def test_enumerate_bases_order_and_cap():
     assert lists == sorted(lists)
     with pytest.raises(BasisCountExceeded):
         enumerate_bases(cycle(6), 2, limit=1)
+    # C6 has exactly six minimum 1-generators: a limit of six holds them all
+    six = enumerate_bases(cycle(6), 1, limit=6)
+    assert len(six) == 6 and six == enumerate_bases(cycle(6), 1)
+    with pytest.raises(BasisCountExceeded):
+        enumerate_bases(cycle(6), 1, limit=5)
 
 
 def test_enumerate_matches_brute_force_enumeration():
