@@ -94,10 +94,15 @@ def load_graph(args) -> Graph:
         return from_graph6(args.g6)
     with open(args.file, "r", encoding="ascii") as fh:
         text = fh.read()
-    first = text.strip().splitlines()[0] if text.strip() else ""
-    if first and first.split()[0].isdigit():
+    records = [line.strip() for line in text.splitlines() if line.strip()]
+    if records and records[0].split()[0].isdigit():
         return read_edge_list(text)
-    return from_graph6(first)
+    if len(records) > 1:
+        raise AdimlabError(
+            f"{args.file} holds {len(records)} graph6 records; "
+            "this command takes one graph"
+        )
+    return from_graph6(records[0] if records else "")
 
 
 def parse_k_range(raw: str) -> list[int]:

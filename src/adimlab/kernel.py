@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, KTooLarge
 
 
 def implementation_name() -> str:
@@ -34,7 +34,7 @@ def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
             return chosen
         v = max(range(n), key=lambda i: (scores[i], -i))
         if scores[v] == 0:
-            raise ValueError("infeasible cover instance: some mask has < k bits")
+            raise KTooLarge("infeasible cover instance: some mask has < k bits")
         chosen |= 1 << v
         for p, m in enumerate(masks):
             if residual[p] > 0 and (m >> v) & 1:

@@ -5,15 +5,25 @@ vertices appears exactly once, edge-mask order) or a stream of graph6
 records.  Sweeps re-check one statement per graph and report violations;
 a violation would be a counterexample, so reports carry full witness data
 and can be streamed as NDJSON while the sweep is still running.
+
+Every sweep theorem is invariant under isomorphism, so an internal corpus
+is swept one isomorphism class at a time: the checker runs once on the
+class's least labeled mask and the class counts with its orbit size.  Only
+a failing class is expanded into its labeled members, each checked and
+reported under its own graph6, so reports equal those of a labeled sweep.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, permutations
 from multiprocessing import Pool
+from operator import or_
 from typing import NamedTuple
 
 from .errors import TooLarge, UnknownTheorem
@@ -42,16 +52,73 @@ from .solver import adim_ladder, dim_ladder
 ENUMERATION_MAX_N = 7
 
 
-def enumerate_all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices exactly once, edge-mask order."""
+def _check_order(n: int) -> None:
     if n > ENUMERATION_MAX_N:
         raise TooLarge(
             f"labeled enumeration is capped at n <= {ENUMERATION_MAX_N}, got {n}"
         )
     if n < 0:
         raise TooLarge("n must be non-negative")
+
+
+def enumerate_all_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled graph on n vertices exactly once, edge-mask order."""
+    _check_order(n)
     for mask in range(1 << (n * (n - 1) // 2)):
         yield from_pair_mask(n, mask)
+
+
+def _relabel_tables(n: int) -> tuple[int, list[list[array]]]:
+    """``(width, tables)``: a pair mask is cut into at most three chunks of
+    ``width`` bits, and ``tables[c][v][i]`` is the image of value v of
+    chunk c under the i-th vertex permutation of n; the image of a whole
+    mask is the OR of its chunks' images.  Three chunks cost two ORs per
+    image and, at n = 7, 3 * 2^7 arrays of 5040 entries (15 MB)."""
+    pairs = list(combinations(range(n), 2))
+    bit = {pair: b for b, pair in enumerate(pairs)}
+    perms = list(permutations(range(n)))
+    width = max(1, -(-len(pairs) // 3))
+    tables = []
+    for lo in range(0, max(len(pairs), 1), width):
+        table = [array("L", [0]) * len(perms)]
+        for v in range(1, 1 << min(width, len(pairs) - lo)):
+            if v & (v - 1):
+                table.append(array("L", map(or_, table[v & -v], table[v & (v - 1)])))
+            else:
+                i, j = pairs[lo + v.bit_length() - 1]
+                images = (1 << bit[min(p[i], p[j]), max(p[i], p[j])] for p in perms)
+                table.append(array("L", images))
+        tables.append(table)
+    return width, tables
+
+
+def _orbit(relabel: tuple[int, list[list[array]]], mask: int) -> set[int]:
+    """Every labeled pair mask isomorphic to ``mask``."""
+    width, tables = relabel
+    low = (1 << width) - 1
+    images = tables[0][mask & low]
+    for c in range(1, len(tables)):
+        images = map(or_, images, tables[c][(mask >> (c * width)) & low])
+    return set(images)
+
+
+def _classes(n: int) -> list[tuple[int, int]]:
+    """(rep_mask, orbit_size) per isomorphism class of graphs on n vertices,
+    in mask order; the representative is the least labeled mask of its
+    orbit.  Walks the masks once, marking each orbit when its first member
+    comes up."""
+    _check_order(n)
+    relabel = _relabel_tables(n)
+    seen = bytearray(1 << (n * (n - 1) // 2))
+    out = []
+    rep = 0
+    while rep >= 0:
+        orbit = _orbit(relabel, rep)
+        for mask in orbit:
+            seen[mask] = 1
+        out.append((rep, len(orbit)))
+        rep = seen.find(0, rep + 1)
+    return out
 
 
 def _rooted_code(g: Graph, root: int, parent: int) -> str:
@@ -416,8 +483,9 @@ def _check_cone_isolated_dichotomy(g: Graph) -> list:
     return [(0, f"components={shape}", "connected or one isolated vertex")]
 
 
-def _check_cone_conjecture_all_k(g: Graph) -> list:
-    return check_cone_slack(g, range(1, 5))
+def _cone_slack_at(ks: tuple[int, ...], g: Graph) -> list:
+    """``check_cone_slack`` bound to a k range, picklable for pool workers."""
+    return check_cone_slack(g, ks)
 
 
 def check_cone_slack(h: Graph, k_range: Iterable[int]) -> list:
@@ -449,7 +517,7 @@ THEOREMS: dict[str, Check] = {
     "adim3-eq-4": _check_adim3_eq_4,
     "adim4-eq-5": _check_adim4_eq_5,
     "K1T-trees": _check_k1t_trees,
-    "cone-conjecture": _check_cone_conjecture_all_k,
+    "cone-conjecture": partial(_cone_slack_at, (1, 2, 3, 4)),
 }
 
 # these quantify over pairs of graphs and are dispatched separately
@@ -484,61 +552,89 @@ _PAIR_CHECKS = {
 }
 
 
-def _run_checker(
+def _labeled_violations(checker: Check, g: Graph) -> list[Violation]:
+    triples = checker(g)
+    if not triples:
+        return []
+    g6 = to_graph6(g)
+    return [Violation(g6, k, observed, expected) for k, observed, expected in triples]
+
+
+def _check_classes(
     checker: Check,
-    graphs: Iterable[Graph],
-    report: SweepReport,
-    on_violation: Callable[[Violation], None] | None,
-) -> None:
-    for g in graphs:
-        report.checked += 1
-        triples = checker(g)
-        if triples:
-            g6 = to_graph6(g)
-            for k, observed, expected in triples:
-                v = Violation(g6, k, observed, expected)
-                report.violations.append(v)
-                if on_violation:
-                    on_violation(v)
-
-
-def _shard_args(corpus: Corpus, jobs: int) -> list[tuple]:
-    shards = []
-    for n in range(corpus.min_n, corpus.max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        parts = min(total, max(1, jobs * 4))
-        step = (total + parts - 1) // parts
-        for lo in range(0, total, step):
-            shards.append((n, lo, min(lo + step, total)))
-    return shards
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(theorem: str, connected: bool, min_degree: int) -> None:
-    _WORKER_STATE["checker"] = THEOREMS[theorem]
-    _WORKER_STATE["connected"] = connected
-    _WORKER_STATE["min_degree"] = min_degree
-
-
-def _run_shard(shard: tuple) -> tuple[int, list[Violation]]:
-    n, lo, hi = shard
-    checker = _WORKER_STATE["checker"]
-    connected = _WORKER_STATE["connected"]
-    min_degree = _WORKER_STATE["min_degree"]
+    corpus: Corpus,
+    classes: list[tuple[int, int, int]],
+    emit: Callable[[Violation], None],
+) -> int:
+    """Check each (n, rep_mask, orbit_size) class once on its representative
+    and return the orbit-weighted count.  A failing representative's orbit
+    is expanded and every labeled member is checked and emitted under its
+    own graph6, so violations name the graphs a labeled sweep would."""
     checked = 0
+    relabel: dict[int, tuple] = {}
+    for n, rep, size in classes:
+        g = from_pair_mask(n, rep)
+        if not corpus._accept(g):
+            continue
+        checked += size
+        if not checker(g):
+            continue
+        if n not in relabel:
+            relabel[n] = _relabel_tables(n)
+        for mask in sorted(_orbit(relabel[n], rep)):
+            for v in _labeled_violations(checker, from_pair_mask(n, mask)):
+                emit(v)
+    return checked
+
+
+def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
+    checker, corpus, classes = shard
     violations: list[Violation] = []
-    for mask in range(lo, hi):
-        g = from_pair_mask(n, mask)
-        if min_degree and g.min_degree() < min_degree:
-            continue
-        if connected and not is_connected(g):
-            continue
-        checked += 1
-        for k, observed, expected in checker(g):
-            violations.append(Violation(to_graph6(g), k, observed, expected))
-    return checked, violations
+    return _check_classes(checker, corpus, classes, violations.append), violations
+
+
+def _sweep(
+    theorem: str,
+    checker: Check,
+    corpus: Corpus,
+    jobs: int,
+    on_violation: Callable[[Violation], None] | None,
+) -> SweepReport:
+    """The one sweep path.  Internal corpora go class by class, serially or
+    over ``jobs * 4`` interleaved slices of the class list in a pool;
+    graph6 corpora go graph by graph."""
+    report = SweepReport(theorem)
+    start = time.perf_counter()
+
+    def emit(v: Violation) -> None:
+        report.violations.append(v)
+        if on_violation:
+            on_violation(v)
+
+    if corpus.graph6_lines is not None:
+        for g in corpus:
+            report.checked += 1
+            for v in _labeled_violations(checker, g):
+                emit(v)
+    else:
+        classes = [
+            (n, rep, size)
+            for n in range(corpus.min_n, corpus.max_n + 1)
+            for rep, size in _classes(n)
+        ]
+        if jobs > 1:
+            parts = jobs * 4
+            shards = [(checker, corpus, classes[i::parts]) for i in range(parts)]
+            with Pool(jobs) as pool:
+                for checked, violations in pool.imap_unordered(_sweep_shard, shards):
+                    report.checked += checked
+                    for v in violations:
+                        emit(v)
+        else:
+            report.checked = _check_classes(checker, corpus, classes, emit)
+    report.violations.sort(key=lambda v: (v.graph6, v.k))
+    report.elapsed = time.perf_counter() - start
+    return report
 
 
 def sweep_theorem(
@@ -553,27 +649,7 @@ def sweep_theorem(
     if theorem_id not in THEOREMS:
         known = sorted(THEOREMS) + list(PAIR_THEOREMS)
         raise UnknownTheorem(f"{theorem_id!r}; known ids: {', '.join(known)}")
-    report = SweepReport(theorem_id)
-    start = time.perf_counter()
-    if jobs > 1 and corpus.graph6_lines is None:
-        with Pool(
-            jobs,
-            initializer=_init_worker,
-            initargs=(theorem_id, corpus.connected, corpus.min_degree),
-        ) as pool:
-            for checked, violations in pool.imap_unordered(
-                _run_shard, _shard_args(corpus, jobs)
-            ):
-                report.checked += checked
-                report.violations.extend(violations)
-                if on_violation:
-                    for v in violations:
-                        on_violation(v)
-    else:
-        _run_checker(THEOREMS[theorem_id], corpus, report, on_violation)
-    report.violations.sort(key=lambda v: (v.graph6, v.k))
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _sweep(theorem_id, THEOREMS[theorem_id], corpus, jobs, on_violation)
 
 
 def _sweep_pairs(corpus: Corpus, theorem_id: str) -> SweepReport:
@@ -602,20 +678,5 @@ def check_cone_conjecture(
     """Re-run the cone conjecture over the corpus: for every H and feasible
     k, the cone dimension never exceeds adim_k(H) + k.  Any violation is a
     publishable counterexample, so it carries the full witness."""
-    ks = tuple(k_range)
-    report = SweepReport("cone-conjecture")
-    start = time.perf_counter()
-    if jobs > 1 and corpus.graph6_lines is None and ks == (1, 2, 3, 4):
-        inner = sweep_theorem(corpus, "cone-conjecture", jobs, on_violation)
-        inner.elapsed = time.perf_counter() - start
-        return inner
-    for h in corpus:
-        report.checked += 1
-        for k, observed, expected in check_cone_slack(h, ks):
-            v = Violation(to_graph6(h), k, observed, expected)
-            report.violations.append(v)
-            if on_violation:
-                on_violation(v)
-    report.violations.sort(key=lambda v: (v.graph6, v.k))
-    report.elapsed = time.perf_counter() - start
-    return report
+    checker = partial(_cone_slack_at, tuple(k_range))
+    return _sweep("cone-conjecture", checker, corpus, jobs, on_violation)

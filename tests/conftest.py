@@ -1,7 +1,5 @@
-import os
 import random
 
-import pytest
 from hypothesis import strategies as st
 
 from adimlab.graph import Graph, from_pair_mask
@@ -16,9 +14,3 @@ def graphs(draw, min_n=1, max_n=8):
     n = draw(st.integers(min_n, max_n))
     mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     return from_pair_mask(n, mask)
-
-
-nightly = pytest.mark.skipif(
-    not os.environ.get("ADIMLAB_NIGHTLY"),
-    reason="nightly profile only (set ADIMLAB_NIGHTLY=1)",
-)

@@ -156,6 +156,12 @@ def test_g6_literal_and_files(tmp_path, capsys):
     code, out, _ = run(capsys, "info", "--file", str(g6_file), "--format", "json")
     assert code == 0 and json.loads(out)["n"] == 5
 
+    # a single-graph command refuses a file with more records than it reads
+    g6_file.write_text(to_graph6(cycle(5)) + "\n\n" + to_graph6(path(4)) + "\n")
+    code, out, err = run(capsys, "info", "--file", str(g6_file))
+    assert code == 2 and out == ""
+    assert "2 graph6 records" in err and "Traceback" not in err
+
 
 def test_output_file_and_csv(tmp_path, capsys):
     out_file = tmp_path / "res.csv"

@@ -3,7 +3,7 @@
 import pytest
 
 from adimlab import kernel
-from adimlab.errors import BudgetExhausted
+from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge
 from adimlab.graph import path
 from adimlab.metric import build_table
 
@@ -12,6 +12,13 @@ def test_budget_exhausted_raises():
     masks = build_table(path(10), 2).pair_masks
     with pytest.raises(BudgetExhausted):
         kernel.solve_min_multicover(masks, 2, 10, 0, 2)
+
+
+def test_greedy_cover_infeasible_raises_typed_error():
+    # the second mask has 1 bit, so no vertex set hits it twice
+    with pytest.raises(KTooLarge) as info:
+        kernel.greedy_cover([0b011, 0b100], 2, 3, 0)
+    assert isinstance(info.value, AdimlabError)
 
 
 def test_python_kernel_large_universe():

@@ -1,7 +1,11 @@
 import json
+from collections import Counter
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+from adimlab import verify
 from adimlab.errors import TooLarge, UnknownTheorem
 from adimlab.graph import (
     complete,
@@ -13,17 +17,17 @@ from adimlab.graph import (
 )
 from adimlab.solver import adim_ladder
 from adimlab.verify import (
+    THEOREMS,
     Corpus,
     SweepReport,
     Violation,
+    _classes,
     check_cone_conjecture,
     check_cone_slack,
     enumerate_all_graphs,
     enumerate_trees,
     sweep_theorem,
 )
-
-from conftest import nightly
 
 
 def test_enumeration_counts():
@@ -192,7 +196,6 @@ def test_report_ndjson_writer(tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["graph6"] == "A_"
 
 
-@nightly
 def test_nightly_order7_sweeps():
     for theorem in ("k-plus-2", "adim1-ge-3", "adim3-eq-4", "adim4-eq-5"):
         report = sweep_theorem(Corpus(min_n=7, max_n=7), theorem, jobs=4)
@@ -200,9 +203,97 @@ def test_nightly_order7_sweeps():
         assert report.checked == 1 << 21
 
 
-@nightly
 def test_nightly_order6_dichotomy():
     report = sweep_theorem(
         Corpus(min_n=2, max_n=6), "cone-isolated-dichotomy", jobs=4
     )
     assert report.passed
+
+
+# -- isomorphism-class sweeps ------------------------------------------------
+
+
+def _orbit_by_relabeling(n, mask):
+    """Pair masks of every relabeling of the graph with this pair mask."""
+    pairs = list(combinations(range(n), 2))
+    bit = {pair: b for b, pair in enumerate(pairs)}
+    edges = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+    return {
+        sum(1 << bit[min(p[i], p[j]), max(p[i], p[j])] for i, j in edges)
+        for p in permutations(range(n))
+    }
+
+
+def test_class_walk_counts_and_representatives():
+    walks = [_classes(n) for n in range(8)]
+    # A000088: graphs on n unlabeled vertices
+    assert [len(w) for w in walks] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    for n, walk in enumerate(walks):
+        assert sum(size for _, size in walk) == 2 ** comb(n, 2)
+        assert [r for r, _ in walk] == sorted(r for r, _ in walk)
+    for n, walk in enumerate(walks[:7]):
+        for rep, size in walk:
+            orbit = _orbit_by_relabeling(n, rep)
+            assert min(orbit) == rep and len(orbit) == size
+
+
+def _labeled_reference(checker, corpus):
+    """What a sweep must report: the checker on every labeled graph."""
+    checked, violations = 0, []
+    for g in corpus:
+        checked += 1
+        g6 = to_graph6(g)
+        violations += [Violation(g6, *t) for t in checker(g)]
+    violations.sort(key=lambda v: (v.graph6, v.k))
+    return checked, violations
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_class_sweep_matches_labeled_reference(theorem):
+    corpus = Corpus(min_n=2, max_n=5)
+    report = sweep_theorem(corpus, theorem)
+    assert (report.checked, report.violations) == _labeled_reference(
+        THEOREMS[theorem], corpus
+    )
+
+
+def _edge_count_mod3(g):
+    m = g.edge_count()
+    return [(2, m, "!= 0 mod 3"), (1, m, "!= 0 mod 3")] if m % 3 == 0 else []
+
+
+@pytest.mark.parametrize(
+    "jobs, corpus",
+    [
+        (1, Corpus(min_n=2, max_n=6)),
+        (2, Corpus(min_n=2, max_n=6)),
+        (2, Corpus(min_n=2, max_n=6, connected=True, min_degree=2)),
+    ],
+    ids=["serial", "pool", "pool-filtered"],
+)
+def test_class_sweep_reports_every_labeled_violation(monkeypatch, jobs, corpus):
+    monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
+    checked, violations = _labeled_reference(_edge_count_mod3, corpus)
+    streamed = []
+    report = sweep_theorem(corpus, "edges-mod-3", jobs, streamed.append)
+    assert report.checked == checked
+    assert report.violations == violations and len(violations) > 1000
+    assert Counter(streamed) == Counter(violations)
+
+
+def test_conjecture_pool_for_any_k_range(monkeypatch):
+    built = []
+    real_pool = verify.Pool
+
+    def recording_pool(processes, *args, **kwargs):
+        built.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "Pool", recording_pool)
+    corpus = Corpus(min_n=2, max_n=5)
+    serial = check_cone_conjecture(corpus, range(1, 3))
+    assert built == []
+    pooled = check_cone_conjecture(corpus, range(1, 3), jobs=2)
+    assert built == [2]
+    assert pooled.checked == serial.checked == 1098
+    assert pooled.violations == serial.violations
