@@ -41,7 +41,12 @@ from .graph import (
     twin_partition,
     wheel,
 )
-from .metric import adjacency_dimensionality, build_table, dimensionality
+from .metric import (
+    adjacency_dimensionality,
+    build_table,
+    dimensionality,
+    metric_level,
+)
 from .solver import enumerate_bases, solve_table
 
 _GENERATORS = {
@@ -183,9 +188,7 @@ def cmd_compute(args) -> int:
 
 def cmd_dim(args) -> int:
     g = load_graph(args)
-    if not is_connected(g):
-        raise AdimlabError("the full metric needs a connected graph")
-    rows = _solve_levels(args, g, max(1, int(diameter(g))))
+    rows = _solve_levels(args, g, metric_level(g))
     _emit_results(args, rows, ["k", "dimension", "witness", "nodes", "millis"])
     return 0
 
@@ -193,17 +196,18 @@ def cmd_dim(args) -> int:
 def cmd_info(args) -> int:
     g = load_graph(args)
     part = twin_partition(g)
+    connected = is_connected(g)
     info = {
         "n": g.n,
         "m": g.edge_count(),
         "graph6": to_graph6(g),
         "degrees": {"min": g.min_degree(), "max": g.max_degree()},
-        "connected": is_connected(g),
-        "diameter": (int(diameter(g)) if is_connected(g) else None),
+        "connected": connected,
+        "diameter": (int(diameter(g)) if connected else None),
         "dimensionality": adjacency_dimensionality(g) if g.n >= 2 else None,
         "metric_dimensionality": (
-            dimensionality(build_table(g, max(1, int(diameter(g)))))
-            if g.n >= 2 and is_connected(g)
+            dimensionality(build_table(g, metric_level(g)))
+            if g.n >= 2 and connected
             else None
         ),
         "twin_classes": [

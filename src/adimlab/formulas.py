@@ -251,9 +251,10 @@ def adim2_upper_cone(h: Graph, basis_cap: int | None = None) -> ConeBound:
     degree n-2 vertex both outside all 2-bases)."""
     if h.n < 2:
         raise TooSmall("the bound needs a nontrivial graph")
-    base = solve_adim(h, 2).dimension
+    bases = enumerate_bases(h, 2, basis_cap)
+    base = len(bases[0])
     in_some_basis = 0
-    for basis in enumerate_bases(h, 2, basis_cap):
+    for basis in bases:
         in_some_basis |= basis.mask
     degrees = h.degrees()
     for x in range(h.n):

@@ -490,15 +490,6 @@ class TwinPartition:
     def __setattr__(self, *_):
         raise AttributeError("TwinPartition is immutable")
 
-    def class_of(self, v: int) -> VertexSet:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise OutOfRange(f"vertex {v} not covered")
-
-    def has_nontrivial_class(self) -> bool:
-        return any(kind != SINGLETON for kind in self.kinds)
-
     def all_vertices_in_nontrivial_classes(self) -> bool:
         return all(kind != SINGLETON for kind in self.kinds)
 

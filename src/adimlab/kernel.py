@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .bitset import bits_of
 from .errors import BudgetExhausted, KTooLarge
 
 
@@ -28,7 +29,7 @@ def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
         for m, r in zip(masks, residual):
             if r > 0:
                 deficient = True
-                for v in _bits(m & ~chosen):
+                for v in bits_of(m & ~chosen):
                     scores[v] += 1
         if not deficient:
             return chosen
@@ -39,13 +40,6 @@ def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
         for p, m in enumerate(masks):
             if residual[p] > 0 and (m >> v) & 1:
                 residual[p] -= 1
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Search:
@@ -121,9 +115,9 @@ class _Search:
         scores = [0] * self.n
         for p, r in enumerate(residual):
             if r > 0:
-                for v in _bits(masks[p] & candidates):
+                for v in bits_of(masks[p] & candidates):
                     scores[v] += 1
-        v = max(_bits(candidates), key=lambda i: (scores[i], -i))
+        v = max(bits_of(candidates), key=lambda i: (scores[i], -i))
         bit = 1 << v
         new_res = [
             r - 1 if r > 0 and (masks[p] >> v) & 1 else r
@@ -176,6 +170,19 @@ class _Search:
         return out
 
 
+def _minimum(masks, k, n, forced, budget):
+    """A search whose ``best_size`` is the minimum cover size: the greedy
+    incumbent, then branch and bound.  Returns (search, greedy_size)."""
+    search = _Search(masks, k, n, budget)
+    incumbent = greedy_cover(masks, k, n, forced)
+    search.best_size = incumbent.bit_count()
+    search.best_mask = incumbent
+    residual = [max(0, k - (forced & m).bit_count()) for m in masks]
+    full = (1 << n) - 1
+    search.branch_bound(forced, forced.bit_count(), full & ~forced, residual)
+    return search, incumbent.bit_count()
+
+
 def solve_min_multicover(masks, k, n, forced=0, budget=None):
     """Exact minimum multicover.
 
@@ -186,31 +193,25 @@ def solve_min_multicover(masks, k, n, forced=0, budget=None):
     """
     if not masks:
         return 0, 0, 0, 0
-    search = _Search(masks, k, n, budget)
-    incumbent = greedy_cover(masks, k, n, forced)
-    search.best_size = incumbent.bit_count()
-    search.best_mask = incumbent
-    residual = [max(0, k - (forced & m).bit_count()) for m in masks]
-    full = (1 << n) - 1
-    search.branch_bound(forced, forced.bit_count(), full & ~forced, residual)
-    size = search.best_size
-    witnesses = search.lex_covers(size, forced, 1)
-    return size, witnesses[0], search.nodes, incumbent.bit_count()
+    search, greedy_size = _minimum(masks, k, n, forced, budget)
+    witnesses = search.lex_covers(search.best_size, forced, 1)
+    return search.best_size, witnesses[0], search.nodes, greedy_size
 
 
-def enumerate_min_covers(masks, k, n, size, forced=0, limit=None, budget=None):
-    """All covers of exactly the (minimum) ``size`` in lexicographic order.
+def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None):
+    """All minimum covers in lexicographic order, found in one search: the
+    minimum size first, then the lex pass over covers of that size.
 
     Returns (covers, nodes, truncated); with a ``limit``, at most that many
     covers are returned and ``truncated`` reports whether more exist.
     """
     if not masks:
-        return [0] if size == 0 else [], 0, False
-    search = _Search(masks, k, n, budget)
-    if limit is None:
-        return search.lex_covers(size, forced, 1 << 62), search.nodes, False
-    covers = search.lex_covers(size, forced, limit + 1)
-    return covers[:limit], search.nodes, len(covers) > limit
+        return [0], 0, False
+    search, _ = _minimum(masks, k, n, forced, budget)
+    cap = 1 << 62 if limit is None else limit + 1
+    covers = search.lex_covers(search.best_size, forced, cap)
+    truncated = limit is not None and len(covers) > limit
+    return covers[:limit], search.nodes, truncated
 
 
 def cover_ladder(masks, n):

@@ -11,8 +11,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bitset import VertexSet
-from .errors import BadParameter, KTooLarge, OutOfRange, SamePair, TooSmall
-from .graph import Graph, bfs_distances, distance_matrix
+from .errors import (
+    BadParameter,
+    Disconnected,
+    KTooLarge,
+    OutOfRange,
+    SamePair,
+    TooSmall,
+)
+from .graph import Graph, bfs_distances, diameter, distance_matrix, is_connected
 
 _TABLE_CACHE_SIZE = 1024
 
@@ -152,6 +159,14 @@ def _build_masks(g: Graph, t: int) -> list[int]:
                         m |= 1 << z
                 masks.append(m)
     return masks
+
+
+def metric_level(g: Graph) -> int:
+    """Truncation level at which the truncated metric is the full
+    shortest-path metric: the diameter, at least 1."""
+    if not is_connected(g):
+        raise Disconnected("the full shortest-path metric needs a connected graph")
+    return max(1, int(diameter(g)))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

@@ -19,12 +19,17 @@ from .bitset import VertexSet
 from .errors import (
     BasisCountExceeded,
     CapExceeded,
-    Disconnected,
     KExceedsDimensionality,
     TooSmall,
 )
-from .graph import Graph, diameter, is_connected
-from .metric import DistinguishTable, build_table, dimensionality, forced_set
+from .graph import Graph
+from .metric import (
+    DistinguishTable,
+    build_table,
+    dimensionality,
+    forced_set,
+    metric_level,
+)
 
 BUDGET_ENV = "ADIMLAB_BUDGET"
 
@@ -40,7 +45,6 @@ def default_budget() -> int | None:
 @dataclass(frozen=True)
 class SolveStats:
     nodes: int = 0
-    forced_size: int = 0
     greedy_size: int = 0
     millis: float = 0.0
 
@@ -104,12 +108,7 @@ def solve_table(
         table.pair_masks, k, table.n, forced, budget
     )
     millis = (time.perf_counter() - start) * 1000.0
-    stats = SolveStats(
-        nodes=nodes,
-        forced_size=forced.bit_count(),
-        greedy_size=greedy_size,
-        millis=millis,
-    )
+    stats = SolveStats(nodes=nodes, greedy_size=greedy_size, millis=millis)
     return SolveResult(k, size, VertexSet(table.n, witness), stats=stats)
 
 
@@ -120,11 +119,7 @@ def solve_adim(g: Graph, k: int, budget: int | None = None) -> SolveResult:
 
 def solve_dim(g: Graph, k: int, budget: int | None = None) -> SolveResult:
     """Exact k-metric dimension via the level t = diameter table."""
-    if not is_connected(g):
-        raise Disconnected("the full shortest-path metric needs a connected graph")
-    if g.n < 2:
-        raise TooSmall(f"need at least 2 vertices, got {g.n}")
-    return solve_table(build_table(g, max(1, int(diameter(g)))), k, budget)
+    return solve_table(build_table(g, metric_level(g)), k, budget)
 
 
 def enumerate_bases(
@@ -134,14 +129,17 @@ def enumerate_bases(
     budget: int | None = None,
     t: int = 2,
 ) -> list[VertexSet]:
-    """All minimum k-generators in ascending lexicographic order."""
+    """All minimum k-generators in ascending lexicographic order, from one
+    kernel search; the node budget bounds the whole call."""
     table = build_table(g, t)
-    result = solve_table(table, k, budget)
+    _check_k(table, k)
+    if budget is None:
+        budget = default_budget()
     forced = forced_set(table, k).mask
     covers, _, truncated = kernel.enumerate_min_covers(
-        table.pair_masks, k, table.n, result.dimension, forced, limit, budget
+        table.pair_masks, k, table.n, forced, limit, budget
     )
-    if truncated and limit is not None:
+    if truncated:
         raise BasisCountExceeded(
             f"more than {limit} minimum {k}-generators; raise the limit"
         )
@@ -151,15 +149,9 @@ def enumerate_bases(
 def solve_adim_full(g: Graph, k: int, budget: int | None = None) -> SolveResult:
     """solve_adim plus the complete basis list and uniqueness flag."""
     bases = enumerate_bases(g, k, None, budget)
-    table = build_table(g, 2)
     first = bases[0]
     return SolveResult(
-        k,
-        len(first),
-        first,
-        all_bases=tuple(bases),
-        unique=len(bases) == 1,
-        stats=SolveStats(forced_size=len(forced_set(table, k))),
+        k, len(first), first, all_bases=tuple(bases), unique=len(bases) == 1
     )
 
 
@@ -174,9 +166,7 @@ def adim_ladder(g: Graph) -> list[int]:
 
 def dim_ladder(g: Graph) -> list[int]:
     """dim_k for every feasible k at level t = diameter (connected only)."""
-    if not is_connected(g):
-        raise Disconnected("the full shortest-path metric needs a connected graph")
-    return _ladder(build_table(g, max(1, int(diameter(g)))))
+    return _ladder(build_table(g, metric_level(g)))
 
 
 _LADDER_SCAN_MAX_N = 13

@@ -2,15 +2,15 @@
 
 A corpus is either the internal labeled enumeration (every graph on n
 vertices appears exactly once, edge-mask order) or a stream of graph6
-records.  Sweeps re-check one statement per graph and report violations;
-a violation would be a counterexample, so reports carry full witness data
-and can be streamed as NDJSON while the sweep is still running.
+records.  Sweeps re-check one statement per graph, or per unordered pair of
+graphs, and report violations; a violation would be a counterexample, so
+reports carry full witness data and stream as NDJSON while sweeps run.
 
-Every sweep theorem is invariant under isomorphism, so an internal corpus
-is swept one isomorphism class at a time: the checker runs once on the
-class's least labeled mask and the class counts with its orbit size.  Only
-a failing class is expanded into its labeled members, each checked and
-reported under its own graph6, so reports equal those of a labeled sweep.
+Every statement is invariant under isomorphism, so an internal corpus is
+swept one isomorphism class (for pair theorems, one multiset of two) at a
+time: the checker runs once on the least labeled masks and counts with the
+labeled graphs or pairs they stand for.  Only a failing unit is expanded
+into its labeled members, each reported under its own graph6.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from __future__ import annotations
 import json
 import time
 from array import array
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb, prod
 from multiprocessing import Pool
 from operator import or_
 from typing import NamedTuple
@@ -46,6 +48,7 @@ from .metric import (
     dimensionality,
     forced_set,
     join_dimensionality,
+    metric_level,
 )
 from .solver import adim_ladder, dim_ladder
 
@@ -194,19 +197,13 @@ class Corpus:
         return True
 
     def __iter__(self) -> Iterator[Graph]:
-        if self.graph6_lines is not None:
-            for line in self.graph6_lines:
-                line = line.strip()
-                if not line:
-                    continue
-                g = from_graph6(line)
-                if self._accept(g):
-                    yield g
+        if self.graph6_lines is None:
+            orders = range(self.min_n, self.max_n + 1)
+            graphs = (g for n in orders for g in enumerate_all_graphs(n))
         else:
-            for n in range(self.min_n, self.max_n + 1):
-                for g in enumerate_all_graphs(n):
-                    if self._accept(g):
-                        yield g
+            records = (line.strip() for line in self.graph6_lines)
+            graphs = (from_graph6(r) for r in records if r)
+        return filter(self._accept, graphs)
 
     @classmethod
     def from_file(cls, path: str, **kw) -> "Corpus":
@@ -323,7 +320,7 @@ def _check_kdim_vs_kadj(g: Graph) -> list:
     if g.n < 2 or not is_connected(g):
         return []
     k_adj = dimensionality(build_table(g, 2))
-    k_met = dimensionality(build_table(g, max(1, int(diameter(g)))))
+    k_met = dimensionality(build_table(g, metric_level(g)))
     if k_adj > k_met:
         return [(0, k_adj, f"<= {k_met}")]
     if diameter(g) <= 2 and k_adj != k_met:
@@ -503,6 +500,24 @@ def check_cone_slack(h: Graph, k_range: Iterable[int]) -> list:
     return out
 
 
+def _check_cone_equality(h: Graph) -> list:
+    """adim_k(K1+H) = adim_k(H) exactly when cone_equality_criterion holds."""
+    # imported on first use: loading formulas adds ~4 ms to importing this
+    # module, which every other sweep would pay
+    from .formulas import cone_equality_criterion
+
+    if h.n < 2:
+        return []
+    lh = adim_ladder(h)
+    lc = adim_ladder(join(complete(1), h))
+    out = []
+    for k in range(1, len(lc) + 1):
+        holds = cone_equality_criterion(h, k).holds
+        if holds != (lc[k - 1] == lh[k - 1]):
+            out.append((k, f"criterion={holds}", f"equal={not holds}"))
+    return out
+
+
 THEOREMS: dict[str, Check] = {
     "monotony": _check_monotony,
     "k-plus-2": _check_k_plus_2,
@@ -512,6 +527,7 @@ THEOREMS: dict[str, Check] = {
     "kdim-vs-kadj": _check_kdim_vs_kadj,
     "cone-lower": _check_cone_lower,
     "cone-dimensionality": _check_cone_dimensionality,
+    "cone-equality": _check_cone_equality,
     "cone-isolated-dichotomy": _check_cone_isolated_dichotomy,
     "full-dimension": _check_full_dimension,
     "adim3-eq-4": _check_adim3_eq_4,
@@ -519,9 +535,6 @@ THEOREMS: dict[str, Check] = {
     "K1T-trees": _check_k1t_trees,
     "cone-conjecture": partial(_cone_slack_at, (1, 2, 3, 4)),
 }
-
-# these quantify over pairs of graphs and are dispatched separately
-PAIR_THEOREMS = ("join-lower", "join-dimensionality")
 
 
 def _check_join_lower_pair(g: Graph, h: Graph) -> list:
@@ -546,63 +559,90 @@ def _check_join_dimensionality_pair(g: Graph, h: Graph) -> list:
     return [] if closed == direct else [(0, closed, direct)]
 
 
-_PAIR_CHECKS = {
+# Statements over unordered pairs (G, H), swept over multisets of two corpus
+# entries.  A pair checker must be symmetric in its two graphs and invariant
+# under isomorphism of either, as both of these are.
+PAIR_THEOREMS: dict[str, Callable[[Graph, Graph], list]] = {
     "join-lower": _check_join_lower_pair,
     "join-dimensionality": _check_join_dimensionality_pair,
 }
 
 
-def _labeled_violations(checker: Check, g: Graph) -> list[Violation]:
-    triples = checker(g)
-    if not triples:
-        return []
-    g6 = to_graph6(g)
-    return [Violation(g6, k, observed, expected) for k, observed, expected in triples]
+def _graph_of(key: tuple) -> Graph:
+    """The graph a key names: ``(n, mask)`` in the internal enumeration,
+    ``(index, graph6)`` for a record of a graph6 corpus."""
+    a, b = key
+    return from_graph6(b) if isinstance(b, str) else from_pair_mask(a, b)
 
 
-def _check_classes(
-    checker: Check,
+def _members(key: tuple, relabel: dict) -> list[tuple]:
+    """Keys of the labeled graphs an entry stands for: the orbit of a class
+    representative, or a graph6 record alone."""
+    n, rep = key
+    if isinstance(rep, str):
+        return [key]
+    if n not in relabel:
+        relabel[n] = _relabel_tables(n)
+    return [(n, mask) for mask in _orbit(relabel[n], rep)]
+
+
+def _entries(corpus: Corpus) -> list[tuple[tuple, int]]:
+    """(key, weight) per corpus entry: each isomorphism class of the internal
+    enumeration, weighted by its orbit size, or each graph6 record, weighted
+    1.  The corpus filters are applied to the entries' graphs later."""
+    if corpus.graph6_lines is None:
+        orders = range(corpus.min_n, corpus.max_n + 1)
+        return [((n, rep), size) for n in orders for rep, size in _classes(n)]
+    records = (line.strip() for line in corpus.graph6_lines)
+    return [((i, r), 1) for i, r in enumerate(records) if r]
+
+
+def _check_units(
+    checker: Callable,
     corpus: Corpus,
-    classes: list[tuple[int, int, int]],
+    units: list[tuple[tuple[tuple, int], ...]],
     emit: Callable[[Violation], None],
 ) -> int:
-    """Check each (n, rep_mask, orbit_size) class once on its representative
-    and return the orbit-weighted count.  A failing representative's orbit
-    is expanded and every labeled member is checked and emitted under its
-    own graph6, so violations name the graphs a labeled sweep would."""
+    """Check each unit, a multiset of (key, weight) entries, once if its
+    graphs pass the corpus filters, and return the number of labeled
+    multisets the units stand for.  A failing unit is expanded into these,
+    each checked and emitted under its own graph6 names, as a labeled sweep
+    would report them."""
     checked = 0
     relabel: dict[int, tuple] = {}
-    for n, rep, size in classes:
-        g = from_pair_mask(n, rep)
-        if not corpus._accept(g):
+    for unit in units:
+        graphs = [_graph_of(key) for key, _ in unit]
+        if not all(map(corpus._accept, graphs)):
             continue
-        checked += size
-        if not checker(g):
+        checked += prod(comb(w + c - 1, c) for (_, w), c in Counter(unit).items())
+        if not checker(*graphs):
             continue
-        if n not in relabel:
-            relabel[n] = _relabel_tables(n)
-        for mask in sorted(_orbit(relabel[n], rep)):
-            for v in _labeled_violations(checker, from_pair_mask(n, mask)):
-                emit(v)
+        orbits = [_members(key, relabel) for key, _ in unit]
+        for members in sorted({tuple(sorted(p)) for p in product(*orbits)}):
+            graphs = [_graph_of(m) for m in members]
+            name = "+".join(map(to_graph6, graphs))
+            for k, observed, expected in checker(*graphs):
+                emit(Violation(name, k, observed, expected))
     return checked
 
 
 def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
-    checker, corpus, classes = shard
+    checker, corpus, units = shard
     violations: list[Violation] = []
-    return _check_classes(checker, corpus, classes, violations.append), violations
+    return _check_units(checker, corpus, units, violations.append), violations
 
 
 def _sweep(
     theorem: str,
-    checker: Check,
+    checker: Callable,
     corpus: Corpus,
     jobs: int,
     on_violation: Callable[[Violation], None] | None,
+    arity: int = 1,
 ) -> SweepReport:
-    """The one sweep path.  Internal corpora go class by class, serially or
-    over ``jobs * 4`` interleaved slices of the class list in a pool;
-    graph6 corpora go graph by graph."""
+    """The one sweep path.  A unit is a multiset of ``arity`` corpus
+    entries, counted with the number of labeled multisets it stands for;
+    units run serially or over ``jobs * 4`` interleaved slices in a pool."""
     report = SweepReport(theorem)
     start = time.perf_counter()
 
@@ -611,27 +651,17 @@ def _sweep(
         if on_violation:
             on_violation(v)
 
-    if corpus.graph6_lines is not None:
-        for g in corpus:
-            report.checked += 1
-            for v in _labeled_violations(checker, g):
-                emit(v)
+    units = list(combinations_with_replacement(_entries(corpus), arity))
+    if jobs > 1:
+        parts = jobs * 4
+        shards = [(checker, corpus, units[i::parts]) for i in range(parts)]
+        with Pool(jobs) as pool:
+            for checked, violations in pool.imap_unordered(_sweep_shard, shards):
+                report.checked += checked
+                for v in violations:
+                    emit(v)
     else:
-        classes = [
-            (n, rep, size)
-            for n in range(corpus.min_n, corpus.max_n + 1)
-            for rep, size in _classes(n)
-        ]
-        if jobs > 1:
-            parts = jobs * 4
-            shards = [(checker, corpus, classes[i::parts]) for i in range(parts)]
-            with Pool(jobs) as pool:
-                for checked, violations in pool.imap_unordered(_sweep_shard, shards):
-                    report.checked += checked
-                    for v in violations:
-                        emit(v)
-        else:
-            report.checked = _check_classes(checker, corpus, classes, emit)
+        report.checked = _check_units(checker, corpus, units, emit)
     report.violations.sort(key=lambda v: (v.graph6, v.k))
     report.elapsed = time.perf_counter() - start
     return report
@@ -644,29 +674,12 @@ def sweep_theorem(
     on_violation: Callable[[Violation], None] | None = None,
 ) -> SweepReport:
     """Run one theorem over the corpus; zero violations means it held."""
-    if theorem_id in PAIR_THEOREMS:
-        return _sweep_pairs(corpus, theorem_id)
-    if theorem_id not in THEOREMS:
-        known = sorted(THEOREMS) + list(PAIR_THEOREMS)
-        raise UnknownTheorem(f"{theorem_id!r}; known ids: {', '.join(known)}")
-    return _sweep(theorem_id, THEOREMS[theorem_id], corpus, jobs, on_violation)
-
-
-def _sweep_pairs(corpus: Corpus, theorem_id: str) -> SweepReport:
-    """Pair sweeps iterate all unordered corpus pairs; kept single-process."""
-    checker = _PAIR_CHECKS[theorem_id]
-    report = SweepReport(theorem_id)
-    start = time.perf_counter()
-    graphs = list(corpus)
-    for i, g in enumerate(graphs):
-        for h in graphs[i:]:
-            report.checked += 1
-            for k, observed, expected in checker(g, h):
-                report.violations.append(
-                    Violation(f"{to_graph6(g)}+{to_graph6(h)}", k, observed, expected)
-                )
-    report.elapsed = time.perf_counter() - start
-    return report
+    for arity, registry in enumerate((THEOREMS, PAIR_THEOREMS), start=1):
+        if theorem_id in registry:
+            checker = registry[theorem_id]
+            return _sweep(theorem_id, checker, corpus, jobs, on_violation, arity)
+    known = sorted(THEOREMS) + sorted(PAIR_THEOREMS)
+    raise UnknownTheorem(f"{theorem_id!r}; known ids: {', '.join(known)}")
 
 
 def check_cone_conjecture(

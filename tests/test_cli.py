@@ -126,6 +126,28 @@ def test_sweep_exit_codes(capsys):
     assert json.loads(out)["violations"] == []
 
 
+def test_pair_sweep_honours_jobs(tmp_path, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        stream = tmp_path / f"viol{jobs}.ndjson"
+        code, out, _ = run(
+            capsys, "sweep", "--theorem", "join-lower", "--max-n", "4",
+            "--jobs", jobs, "--violations", str(stream),
+        )
+        assert code == 0 and stream.read_text() == ""
+        payload = json.loads(out)
+        del payload["elapsed"]
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["checked"] == 74 * 75 // 2
+
+
+def test_dim_refuses_disconnected_graph(capsys):
+    code, out, err = run(capsys, "dim", "--graph", "empty:3", "--k", "1")
+    assert code == 2 and out == ""
+    assert "connected" in err
+
+
 def test_sweep_unknown_theorem(capsys):
     code, _, err = run(capsys, "sweep", "--theorem", "nope", "--max-n", "3")
     assert code == 2

@@ -39,7 +39,7 @@ from adimlab.graph import (
 )
 from adimlab.metric import adjacency_dimensionality, cone_dimensionality
 from adimlab.solver import adim_ladder, solve_adim
-from adimlab.verify import enumerate_all_graphs, enumerate_trees
+from adimlab.verify import Corpus, enumerate_all_graphs, enumerate_trees, sweep_theorem
 
 from conftest import random_graph
 
@@ -164,11 +164,11 @@ def test_cone_equality_biconditional_sampled():
 
 
 def test_cone_equality_biconditional_exhaustive_n6():
-    for h in enumerate_all_graphs(6):
-        lh = adim_ladder(h)
-        lc = adim_ladder(join(complete(1), h))
-        for k in range(1, len(lc) + 1):
-            assert cone_equality_criterion(h, k).holds == (lc[k - 1] == lh[k - 1])
+    # the sweep checks the biconditional for k = 1..len(cone ladder) on one
+    # graph per isomorphism class and counts every labeled graph
+    report = sweep_theorem(Corpus(min_n=6, max_n=6), "cone-equality")
+    assert report.checked == 32768
+    assert report.violations == []
 
 
 def test_diameter_six_forces_equality():

@@ -25,7 +25,13 @@ from adimlab.graph import (
     path,
     petersen,
 )
-from adimlab.metric import adjacency_dimensionality, build_table, forced_set
+from adimlab import kernel
+from adimlab.metric import (
+    adjacency_dimensionality,
+    build_table,
+    forced_set,
+    metric_level,
+)
 from adimlab.solver import (
     adim_ladder,
     brute_force_adim,
@@ -203,6 +209,11 @@ def test_disconnected_rules():
     assert solve_adim(g, 1).dimension >= 1  # accepted via saturation
     with pytest.raises(Disconnected):
         solve_dim(g, 1)
+    with pytest.raises(Disconnected):
+        dim_ladder(g)
+    with pytest.raises(Disconnected):
+        metric_level(g)
+    assert [metric_level(h) for h in (complete(1), complete(4), path(5))] == [1, 1, 4]
 
 
 def test_budget_exhaustion():
@@ -216,6 +227,21 @@ def test_budget_env(monkeypatch):
         solve_adim(fig2_graph(), 2)
     monkeypatch.setenv("ADIMLAB_BUDGET", "")
     assert solve_adim(cycle(5), 2).dimension == 3
+
+
+def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):
+    # one kernel search finds the size and lists the bases; its node count
+    # is the budget that just suffices, from the argument or the environment
+    table = build_table(fig4_graph(), 2)
+    forced = forced_set(table, 3).mask
+    covers, nodes, _ = kernel.enumerate_min_covers(table.pair_masks, 3, 9, forced)
+    assert len(covers) == 6
+    assert len(enumerate_bases(fig4_graph(), 3, budget=nodes)) == 6
+    with pytest.raises(BudgetExhausted):
+        enumerate_bases(fig4_graph(), 3, budget=nodes - 1)
+    monkeypatch.setenv("ADIMLAB_BUDGET", str(nodes - 1))
+    with pytest.raises(BudgetExhausted):
+        enumerate_bases(fig4_graph(), 3)
 
 
 def test_monotony_and_corollaries():

@@ -1,12 +1,14 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from adimlab import verify
+from adimlab import formulas, verify
 from adimlab.errors import TooLarge, UnknownTheorem
+from adimlab.formulas import cone_equality_criterion
 from adimlab.graph import (
     complete,
     fig3_graph,
@@ -17,6 +19,7 @@ from adimlab.graph import (
 )
 from adimlab.solver import adim_ladder
 from adimlab.verify import (
+    PAIR_THEOREMS,
     THEOREMS,
     Corpus,
     SweepReport,
@@ -99,9 +102,10 @@ def test_sweeps_hold_up_to_n5(theorem):
 
 
 def test_pair_sweeps_hold_on_tiny_corpus():
+    # 1098 labeled graphs with 2 <= n <= 5 make 1098 * 1099 / 2 pairs
     for theorem in ("join-lower", "join-dimensionality"):
-        report = sweep_theorem(Corpus(min_n=2, max_n=3), theorem)
-        assert report.passed and report.checked == 55
+        report = sweep_theorem(Corpus(min_n=2, max_n=5), theorem)
+        assert report.passed and report.checked == 603351
 
 
 def test_k1t_trees_sweep():
@@ -297,3 +301,100 @@ def test_conjecture_pool_for_any_k_range(monkeypatch):
     assert built == [2]
     assert pooled.checked == serial.checked == 1098
     assert pooled.violations == serial.violations
+
+
+def _labeled_pair_reference(checker, corpus):
+    """What a pair sweep must report: the checker on every unordered pair of
+    labeled corpus graphs, a graph paired with itself included."""
+    graphs = list(corpus)
+    checked, violations = 0, []
+    for i, g in enumerate(graphs):
+        for h in graphs[i:]:
+            checked += 1
+            name = f"{to_graph6(g)}+{to_graph6(h)}"
+            violations += [Violation(name, *t) for t in checker(g, h)]
+    violations.sort(key=lambda v: (v.graph6, v.k))
+    return checked, violations
+
+
+def _edge_sum_mod3(g, h):
+    m = g.edge_count() + h.edge_count()
+    return [(1, m, "!= 0 mod 3")] if m % 3 == 0 else []
+
+
+def _g6_corpus(**filters):
+    # a sample of labeled graphs with 2 <= n <= 5, out of order, with three
+    # records repeated and a blank line
+    labeled = [to_graph6(g) for g in Corpus(min_n=2, max_n=5)]
+    lines = labeled[5::29] + labeled[::13] + [""]
+    return Corpus(min_n=2, max_n=5, graph6_lines=tuple(lines), **filters)
+
+
+PAIR_CORPORA = [
+    (1, Corpus(min_n=1, max_n=4)),
+    (2, Corpus(min_n=1, max_n=4)),
+    (2, Corpus(min_n=2, max_n=4, connected=True)),
+    (1, Corpus(min_n=3, max_n=4, min_degree=1)),
+    (1, _g6_corpus()),
+    (2, _g6_corpus(min_degree=1)),
+]
+
+
+@pytest.mark.parametrize(
+    "jobs, corpus",
+    PAIR_CORPORA,
+    ids=["serial", "pool", "pool-connected", "serial-min-degree", "g6", "g6-pool"],
+)
+def test_pair_sweep_matches_labeled_pair_reference(monkeypatch, jobs, corpus):
+    monkeypatch.setitem(PAIR_THEOREMS, "edge-sum-mod-3", _edge_sum_mod3)
+    checked, violations = _labeled_pair_reference(_edge_sum_mod3, corpus)
+    streamed = []
+    report = sweep_theorem(corpus, "edge-sum-mod-3", jobs, streamed.append)
+    assert report.checked == checked
+    assert report.violations == violations and len(violations) > 100
+    assert Counter(streamed) == Counter(violations)
+
+
+@pytest.mark.parametrize("theorem", sorted(PAIR_THEOREMS))
+def test_pair_theorems_match_labeled_pair_reference(theorem):
+    corpus = Corpus(min_n=2, max_n=4)
+    assert _labeled_pair_reference(PAIR_THEOREMS[theorem], corpus) == (2775, [])
+    report = sweep_theorem(corpus, theorem, jobs=2)
+    assert (report.checked, report.violations) == (2775, [])
+
+
+def test_graph6_corpus_uses_the_pool(monkeypatch):
+    built = []
+    real_pool = verify.Pool
+
+    def recording_pool(processes, *args, **kwargs):
+        built.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "Pool", recording_pool)
+    monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
+    corpus = _g6_corpus()
+    serial = sweep_theorem(corpus, "edges-mod-3")
+    assert built == []
+    pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
+    assert built == [2]
+    assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
+    assert serial.checked == len(corpus.graph6_lines) - 1 and serial.violations
+    assert (serial.checked, serial.violations) == _labeled_reference(
+        _edge_count_mod3, corpus
+    )
+
+
+def test_cone_equality_sweep_reports_a_wrong_criterion(monkeypatch):
+    # with the criterion's verdict flipped, every feasible (H, k) must fail
+    def flipped(h, k):
+        report = cone_equality_criterion(h, k)
+        return replace(report, holds=not report.holds)
+
+    monkeypatch.setattr(formulas, "cone_equality_criterion", flipped)
+    corpus = Corpus(min_n=2, max_n=4)
+    report = sweep_theorem(corpus, "cone-equality")
+    assert report.checked == 74
+    assert len(report.violations) == sum(
+        len(adim_ladder(join(complete(1), h))) for h in corpus
+    )
