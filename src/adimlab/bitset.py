@@ -45,6 +45,10 @@ class VertexSet:
     def __setattr__(self, *_):
         raise AttributeError("VertexSet is immutable")
 
+    def __reduce__(self):
+        # through the constructor: __setattr__ refuses restored slot state
+        return VertexSet, (self.n, self.mask)
+
     @classmethod
     def from_iterable(cls, n: int, vertices: Iterable[int]) -> "VertexSet":
         return cls(n, mask_of(vertices, n))

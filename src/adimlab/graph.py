@@ -53,6 +53,11 @@ class Graph:
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, since
+        # __setattr__ refuses the slot state they would otherwise restore
+        return Graph, (self.n, self.rows, self.name)
+
     # -- basic queries ----------------------------------------------------
 
     def row(self, v: int) -> int:
@@ -489,6 +494,9 @@ class TwinPartition:
 
     def __setattr__(self, *_):
         raise AttributeError("TwinPartition is immutable")
+
+    def __reduce__(self):
+        return TwinPartition, (self.classes, self.kinds)
 
     def all_vertices_in_nontrivial_classes(self) -> bool:
         return all(kind != SINGLETON for kind in self.kinds)

@@ -1,8 +1,26 @@
 """Exact minimum set multicover over bitmasks: the search kernel.
 
 Given the pair masks of a distinguish table, a k-generator is a vertex set
-hitting every mask at least k times; the solver below finds a minimum one.
-Masks are plain ints, so any universe size is accepted.
+hitting every mask at least k times (k >= 1); the solver below finds a
+minimum one.  Masks are plain ints, so any universe size is accepted.
+
+Every entry point first reduces the masks: duplicates go, and so does every
+mask that contains another one (a set hitting A k times hits every superset
+of A k times, so the valid covers are unchanged); the rest are sorted by
+(popcount, value).  The search then runs on columns: one int per vertex,
+bit p set when the vertex lies in mask p.  The residual is k bit-planes,
+plane j holding the masks still short of j + 1 hits, so a pick updates it
+with a few ANDs and ORs, and coverage counts over a vertex set come from a
+ripple of ANDs and ORs over its columns: masks with too few available
+vertices end a branch, masks with exactly as many force them all, and a
+mask with one to spare is the one branched on.  The lower bound on further
+picks is ceil(total residual / best single-vertex coverage), and at least
+the largest residual, which is the number of non-empty planes.
+
+A branch and bound from the greedy incumbent finds the minimum size; the
+lex pass then walks the vertices in index order to list the minimum covers
+lexicographically, asking the same branch and bound, bounded by that size,
+whether a cover agrees with each new decision.
 """
 
 from __future__ import annotations
@@ -18,168 +36,225 @@ def implementation_name() -> str:
     return "python"
 
 
+def _reduce(masks) -> list[int]:
+    """The masks without duplicates and without any mask containing another,
+    sorted by (popcount, value); their k-fold covers are those of ``masks``."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        # a kept mask inside m has fewer bits, so it is already in ``kept``
+        for a in kept:
+            if a & m == a:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _columns(masks, n: int) -> list[int]:
+    """Column layout: bit p of entry v is set when vertex v lies in mask p."""
+    if not masks:
+        return [0] * n
+    # transpose the n-digit binary rows, last mask first so that it becomes
+    # the top bit; digit 0 of a row is vertex n - 1
+    rows = [format(m, f"0{n}b") for m in reversed(masks)]
+    return [int("".join(digits), 2) for digits in zip(*rows)][::-1]
+
+
+def _pick(planes: list[int], col: int) -> list[int]:
+    """Residual planes after one more vertex with column ``col``: its masks
+    move down one plane, so those with exactly j hits leave plane j."""
+    out = [planes[0] & ~col]
+    for j in range(1, len(planes)):
+        out.append(planes[j] & ~col | planes[j - 1] & col)
+    return out
+
+
+def _planes(cols: list[int], k: int, width: int, chosen: int) -> list[int]:
+    """Residual planes of ``width`` masks once ``chosen`` is taken."""
+    planes = [(1 << width) - 1] * k
+    for v in bits_of(chosen):
+        planes = _pick(planes, cols[v])
+    return planes
+
+
 def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
     """Valid (not necessarily minimum) cover grown from ``seed`` by always
     adding the vertex hitting the most deficient masks, ties to low index."""
+    cols = _columns(masks, n)
+    planes = _planes(cols, k, len(masks), seed)
     chosen = seed
-    residual = [max(0, k - (chosen & m).bit_count()) for m in masks]
-    while True:
-        scores = [0] * n
-        deficient = False
-        for m, r in zip(masks, residual):
-            if r > 0:
-                deficient = True
-                for v in bits_of(m & ~chosen):
-                    scores[v] += 1
-        if not deficient:
-            return chosen
-        v = max(range(n), key=lambda i: (scores[i], -i))
-        if scores[v] == 0:
+    while planes[-1]:
+        short = planes[-1]
+        best, pick = 0, -1
+        for v in range(n):
+            if not (chosen >> v) & 1:
+                score = (cols[v] & short).bit_count()
+                if score > best:
+                    best, pick = score, v
+        if not best:
             raise KTooLarge("infeasible cover instance: some mask has < k bits")
-        chosen |= 1 << v
-        for p, m in enumerate(masks):
-            if residual[p] > 0 and (m >> v) & 1:
-                residual[p] -= 1
+        chosen |= 1 << pick
+        planes = _pick(planes, cols[pick])
+    return chosen
 
 
 class _Search:
-    __slots__ = ("masks", "k", "n", "budget", "nodes", "best_size", "best_mask")
+    """One search over reduced masks.  ``best_size``/``best_mask`` hold the
+    smallest cover found so far; the branch and bound stops as soon as it
+    holds one of at most ``floor`` vertices, and every node it enters counts
+    against ``budget``."""
+
+    __slots__ = ("masks", "cols", "k", "n", "budget", "nodes", "best_size",
+                 "best_mask", "floor")
 
     def __init__(self, masks, k, n, budget):
         self.masks = masks
+        self.cols = _columns(masks, n)
         self.k = k
         self.n = n
         self.budget = budget
         self.nodes = 0
+        self.floor = 0
 
     def _tick(self):
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExhausted(f"node budget {self.budget} exhausted")
 
-    def _packing_bound(self, residual, avail):
-        """Lower bound on extra picks: residuals of masks with pairwise
-        disjoint available parts add up."""
-        lb = 0
-        used = 0
-        for m, r in zip(self.masks, residual):
-            if r > 0:
-                am = m & avail
-                if am & used == 0:
-                    lb += r
-                    used |= am
-        return lb
-
-    def branch_bound(self, chosen, count, avail, residual):
+    def branch_bound(self, chosen, count, avail, planes):
         """Dynamic-order search for any minimum cover extending ``chosen``."""
+        if self.best_size <= self.floor:
+            return
         self._tick()
-        masks = self.masks
+        cols = self.cols
+        k = self.k
         while True:
             if count >= self.best_size:
                 return
-            must = 0
-            worst_slack = None
-            branch_pair = -1
-            covered = True
-            for p, r in enumerate(residual):
-                if r > 0:
-                    covered = False
-                    cov = (masks[p] & avail).bit_count()
-                    if cov < r:
-                        return
-                    if cov == r:
-                        must |= masks[p] & avail
-                    elif worst_slack is None or cov - r < worst_slack:
-                        worst_slack = cov - r
-                        branch_pair = p
-            if covered:
+            short = planes[-1]
+            if not short:
                 self.best_size = count
                 self.best_mask = chosen
                 return
-            if must:
-                add = must.bit_count()
-                if count + add >= self.best_size:
+            live = [v for v in range(self.n) if (avail >> v) & 1]
+            hits = [cols[v] & short for v in live]
+            # plane k - i holds the masks that still need i or more hits, so
+            # the largest residual is the number of non-empty planes
+            deep = sum(1 for p in planes if p)
+            # reach[j]: short masks with at least j + 1 available vertices
+            reach = [0] * (deep + 2)
+            for c in hits:
+                for j in range(deep + 1, 0, -1):
+                    reach[j] |= reach[j - 1] & c
+                reach[0] |= c
+            tight = 0
+            for i in range(1, deep + 1):
+                need = planes[k - i]
+                if need & ~reach[i - 1]:
                     return
-                chosen |= must
-                avail &= ~must
-                count += add
-                residual = [
-                    max(0, r - (masks[p] & must).bit_count()) if r > 0 else 0
-                    for p, r in enumerate(residual)
-                ]
-                continue
-            break
-        if count + self._packing_bound(residual, avail) >= self.best_size:
+                tight |= need & ~reach[i]
+            if not tight:
+                break
+            must = 0
+            for v, c in zip(live, hits):
+                if c & tight:
+                    must |= 1 << v
+                    planes = _pick(planes, cols[v])
+            count += must.bit_count()
+            if count >= self.best_size:
+                return
+            chosen |= must
+            avail &= ~must
+        scores = list(map(int.bit_count, hits))
+        top = max(scores)
+        total = sum(p.bit_count() for p in planes)
+        lower = max(-(-total // top), deep)
+        if count + lower >= self.best_size:
             return
-        candidates = masks[branch_pair] & avail
-        scores = [0] * self.n
-        for p, r in enumerate(residual):
-            if r > 0:
-                for v in bits_of(masks[p] & candidates):
-                    scores[v] += 1
-        v = max(bits_of(candidates), key=lambda i: (scores[i], -i))
+        slack1 = 0
+        for i in range(1, deep + 1):
+            slack1 |= planes[k - i] & ~reach[i + 1]
+        first = slack1 or short
+        branch = self.masks[(first & -first).bit_length() - 1]
+        best = -1
+        for u, s in zip(live, scores):
+            if (branch >> u) & 1 and s > best:
+                best, v = s, u
         bit = 1 << v
-        new_res = [
-            r - 1 if r > 0 and (masks[p] >> v) & 1 else r
-            for p, r in enumerate(residual)
-        ]
-        self.branch_bound(chosen | bit, count + 1, avail & ~bit, new_res)
-        self.branch_bound(chosen, count, avail & ~bit, residual)
+        self.branch_bound(chosen | bit, count + 1, avail & ~bit,
+                          _pick(planes, cols[v]))
+        self.branch_bound(chosen, count, avail & ~bit, planes)
 
-    def lex_covers(self, size, forced, limit):
+    def lex_covers(self, size, limit):
         """Covers of exactly ``size`` vertices in ascending lexicographic
         order of their sorted member tuples, at most ``limit`` of them.
-        ``size`` must be the minimum cover size; ``forced`` vertices are
-        taken in every cover."""
-        out = []
-        masks = self.masks
-        n = self.n
+        ``size`` must be the minimum cover size and ``best_mask`` a cover
+        of that size.
 
-        def rec(v, chosen, count, residual):
-            self._tick()
-            if count > size or count + (n - v) < size:
-                return False
-            avail = -1 << v
-            worst = 0
-            for p, r in enumerate(residual):
-                if r > 0:
-                    cov = (masks[p] & avail).bit_count()
-                    if cov < r:
-                        return False
-                    if r > worst:
-                        worst = r
-            if count + self._packing_bound(residual, avail) > size:
-                return False
-            if worst == 0 and count == size:
+        Vertices are decided in index order, including first.  A branch is
+        entered only with a witness: a cover of ``size`` vertices that agrees
+        with every decision so far.  The current witness settles one branch
+        at each vertex, and a bounded branch and bound looks for a witness
+        of the other."""
+        out = []
+        cols = self.cols
+        k = self.k
+        n = self.n
+        # room[v][j]: masks with at least j + 1 vertices in v..n-1
+        room = [()] * (n + 1)
+        reach = [0] * k
+        room[n] = tuple(reach)
+        for v in range(n - 1, -1, -1):
+            c = cols[v]
+            for j in range(k - 1, 0, -1):
+                reach[j] |= reach[j - 1] & c
+            reach[0] |= c
+            room[v] = tuple(reach)
+        self.floor = size
+
+        def extend(v, chosen, count, planes):
+            """A cover of ``size`` vertices extending ``chosen`` by vertices
+            from v..n-1, or None."""
+            if count + sum(1 for p in planes if p) > size:
+                return None
+            here = room[v]
+            for i in range(1, k + 1):
+                if planes[k - i] & ~here[i - 1]:
+                    return None
+            self.best_size = size + 1
+            self.branch_bound(chosen, count, (1 << n) - (1 << v), planes)
+            return self.best_mask if self.best_size == size else None
+
+        def rec(v, chosen, count, planes, witness):
+            if count == size:
                 out.append(chosen)
                 return len(out) >= limit
-            if v == n:
-                return False
             bit = 1 << v
-            new_res = [
-                r - 1 if r > 0 and (masks[p] >> v) & 1 else r
-                for p, r in enumerate(residual)
-            ]
-            if rec(v + 1, chosen | bit, count + 1, new_res):
+            taken = _pick(planes, cols[v])
+            inner = witness if witness & bit else extend(
+                v + 1, chosen | bit, count + 1, taken)
+            if inner is not None and rec(v + 1, chosen | bit, count + 1, taken, inner):
                 return True
-            if (forced >> v) & 1:
-                return False
-            return rec(v + 1, chosen, count, residual)
+            outer = extend(v + 1, chosen, count, planes) if witness & bit else witness
+            return outer is not None and rec(v + 1, chosen, count, planes, outer)
 
-        rec(0, 0, 0, [self.k] * len(masks))
+        rec(0, 0, 0, _planes(cols, k, len(self.masks), 0), self.best_mask)
+        self.best_size = size
         return out
 
 
 def _minimum(masks, k, n, forced, budget):
-    """A search whose ``best_size`` is the minimum cover size: the greedy
-    incumbent, then branch and bound.  Returns (search, greedy_size)."""
+    """A search on the reduced masks whose ``best_size`` is the minimum cover
+    size: the greedy incumbent, then branch and bound.
+    Returns (search, greedy_size)."""
+    masks = _reduce(masks)
     search = _Search(masks, k, n, budget)
     incumbent = greedy_cover(masks, k, n, forced)
     search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
-    residual = [max(0, k - (forced & m).bit_count()) for m in masks]
+    planes = _planes(search.cols, k, len(masks), forced)
     full = (1 << n) - 1
-    search.branch_bound(forced, forced.bit_count(), full & ~forced, residual)
+    search.branch_bound(forced, forced.bit_count(), full & ~forced, planes)
     return search, incumbent.bit_count()
 
 
@@ -194,7 +269,7 @@ def solve_min_multicover(masks, k, n, forced=0, budget=None):
     if not masks:
         return 0, 0, 0, 0
     search, greedy_size = _minimum(masks, k, n, forced, budget)
-    witnesses = search.lex_covers(search.best_size, forced, 1)
+    witnesses = search.lex_covers(search.best_size, 1)
     return search.best_size, witnesses[0], search.nodes, greedy_size
 
 
@@ -209,17 +284,19 @@ def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None):
         return [0], 0, False
     search, _ = _minimum(masks, k, n, forced, budget)
     cap = 1 << 62 if limit is None else limit + 1
-    covers = search.lex_covers(search.best_size, forced, cap)
+    covers = search.lex_covers(search.best_size, cap)
     truncated = limit is not None and len(covers) > limit
     return covers[:limit], search.nodes, truncated
 
 
 def cover_ladder(masks, n):
     """Minimum cover size for every feasible level k = 1..C as a list
-    (index k-1), computed by scanning subsets in increasing size."""
+    (index k-1), computed by scanning subsets of the reduced masks in
+    increasing size."""
     if not masks:
         return []
-    top = min(m.bit_count() for m in masks)
+    masks = _reduce(masks)
+    top = masks[0].bit_count()
     best = [0] * (top + 1)
     unfilled = top
     vbits = [1 << v for v in range(n)]

@@ -57,6 +57,10 @@ class DistinguishTable:
     def __setattr__(self, *_):
         raise AttributeError("DistinguishTable is immutable")
 
+    def __reduce__(self):
+        # through the constructor: __setattr__ refuses restored slot state
+        return DistinguishTable, (self.graph, self.t, self.pair_masks)
+
     @property
     def n(self) -> int:
         return self.graph.n

@@ -169,7 +169,9 @@ def dim_ladder(g: Graph) -> list[int]:
     return _ladder(build_table(g, metric_level(g)))
 
 
-_LADDER_SCAN_MAX_N = 13
+# Subset scan up to here, repeated solves above: on random graphs the two
+# tie at n = 10 and the solves win from n = 11 on (4-5x at n = 13).
+_LADDER_SCAN_MAX_N = 9
 
 
 def _ladder(table: DistinguishTable) -> list[int]:

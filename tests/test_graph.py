@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -224,3 +226,19 @@ def test_graph_equality_hash():
     assert path(3) == from_edge_list(3, [(1, 2), (0, 1)])
     assert hash(path(3)) == hash(from_edge_list(3, [(0, 1), (1, 2)]))
     assert path(3) != cycle(3)
+
+
+def test_immutable_values_survive_pickle_and_deepcopy():
+    # __setattr__ refuses the slot state pickle would restore, so these
+    # types rebuild through their constructors
+    g = path(4)
+    s = VertexSet(4, 0b1010)
+    parts = twin_partition(complete_bipartite(2, 3))
+    for value in (g, s, parts):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin is not value
+            assert repr(twin) == repr(value)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert twin == g and twin.rows == g.rows and twin.name == g.name
+    for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert twin == s and (twin.n, twin.mask) == (4, 0b1010)

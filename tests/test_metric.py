@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -189,3 +191,12 @@ def test_infinite_distance_is_sentinel():
     # saturation: the pair is indistinguishable beyond its own members
     t = build_table(g, 5)
     assert t.pair_set(0, 1).to_list() == [0, 1]
+
+
+def test_distinguish_table_survives_pickle_and_deepcopy():
+    table = build_table(petersen(), 2)
+    for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert twin is not table
+        assert twin.graph == table.graph and twin.t == table.t
+        assert twin.pair_masks == table.pair_masks
+        assert twin.pair_sizes == table.pair_sizes

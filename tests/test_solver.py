@@ -337,3 +337,12 @@ def test_dim_ladder_matches_brute_force_at_diameter():
         ladder = dim_ladder(g)
         for k in range(1, len(ladder) + 1):
             assert ladder[k - 1] == brute_force_adim(g, k, t=t).dimension
+
+
+def test_solve_result_survives_pickle():
+    # results cross process boundaries, so their vertex sets must pickle
+    import pickle
+
+    res = solve_adim_full(cycle(6), 1)
+    twin = pickle.loads(pickle.dumps(res))
+    assert twin == res and twin.all_bases == res.all_bases
