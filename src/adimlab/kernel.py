@@ -17,10 +17,17 @@ mask with one to spare is the one branched on.  The lower bound on further
 picks is ceil(total residual / best single-vertex coverage), and at least
 the largest residual, which is the number of non-empty planes.
 
+A node costs a walk over the set bits of the available vertices and one
+ripple over their columns, on local variables when at most three planes
+are non-empty.  A vertex that hits no short mask is dropped from the
+available set for the whole subtree (the short masks only shrink below a
+node), and the exclude branch of a node reuses its columns without a call.
+
 A branch and bound from the greedy incumbent finds the minimum size; the
 lex pass then walks the vertices in index order to list the minimum covers
 lexicographically, asking the same branch and bound, bounded by that size,
-whether a cover agrees with each new decision.
+whether a cover agrees with each new decision.  ``search_ladder`` runs the
+minimum search alone at every level of one reduced table.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ def _reduce(masks) -> list[int]:
     """The masks without duplicates and without any mask containing another,
     sorted by (popcount, value); their k-fold covers are those of ``masks``."""
     kept: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
         # a kept mask inside m has fewer bits, so it is already in ``kept``
         for a in kept:
             if a & m == a:
@@ -63,9 +70,12 @@ def _columns(masks, n: int) -> list[int]:
 def _pick(planes: list[int], col: int) -> list[int]:
     """Residual planes after one more vertex with column ``col``: its masks
     move down one plane, so those with exactly j hits leave plane j."""
-    out = [planes[0] & ~col]
-    for j in range(1, len(planes)):
-        out.append(planes[j] & ~col | planes[j - 1] & col)
+    keep = ~col
+    out = []
+    below = 0
+    for p in planes:
+        out.append(p & keep | below & col)
+        below = p
     return out
 
 
@@ -116,74 +126,121 @@ class _Search:
         self.nodes = 0
         self.floor = 0
 
-    def _tick(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExhausted(f"node budget {self.budget} exhausted")
-
     def branch_bound(self, chosen, count, avail, planes):
-        """Dynamic-order search for any minimum cover extending ``chosen``."""
-        if self.best_size <= self.floor:
-            return
-        self._tick()
+        """Dynamic-order search for any minimum cover extending ``chosen``.
+        Each pass of the outer loop is one node; its exclude branch is the
+        next pass, not a call."""
         cols = self.cols
         k = self.k
-        while True:
-            if count >= self.best_size:
-                return
-            short = planes[-1]
-            if not short:
-                self.best_size = count
-                self.best_mask = chosen
-                return
-            live = [v for v in range(self.n) if (avail >> v) & 1]
-            hits = [cols[v] & short for v in live]
-            # plane k - i holds the masks that still need i or more hits, so
-            # the largest residual is the number of non-empty planes
-            deep = sum(1 for p in planes if p)
-            # reach[j]: short masks with at least j + 1 available vertices
-            reach = [0] * (deep + 2)
-            for c in hits:
-                for j in range(deep + 1, 0, -1):
-                    reach[j] |= reach[j - 1] & c
-                reach[0] |= c
-            tight = 0
-            for i in range(1, deep + 1):
-                need = planes[k - i]
-                if need & ~reach[i - 1]:
+        budget = self.budget
+        hits = None
+        while self.best_size > self.floor:
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted")
+            while True:
+                if count >= self.best_size:
                     return
-                tight |= need & ~reach[i]
-            if not tight:
-                break
-            must = 0
-            for v, c in zip(live, hits):
-                if c & tight:
-                    must |= 1 << v
-                    planes = _pick(planes, cols[v])
-            count += must.bit_count()
-            if count >= self.best_size:
+                short = planes[-1]
+                if not short:
+                    self.best_size = count
+                    self.best_mask = chosen
+                    return
+                # short only shrinks below this node, so a vertex hitting no
+                # short mask now never helps in the subtree: drop it
+                if hits is None:
+                    hits = []
+                    rest = avail
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        c = cols[low.bit_length() - 1] & short
+                        if c:
+                            hits.append(c)
+                        else:
+                            avail ^= low
+                # plane k - i holds the masks that still need i or more hits,
+                # and the planes are nested, so the largest residual is the
+                # number of non-empty planes
+                deep = k - planes.count(0)
+                # reach[j]: short masks with at least j + 1 available vertices
+                if deep == 1:
+                    r0 = r1 = r2 = 0
+                    for c in hits:
+                        r2 |= r1 & c
+                        r1 |= r0 & c
+                        r0 |= c
+                    reach = (r0, r1, r2)
+                elif deep == 2:
+                    r0 = r1 = r2 = r3 = 0
+                    for c in hits:
+                        r3 |= r2 & c
+                        r2 |= r1 & c
+                        r1 |= r0 & c
+                        r0 |= c
+                    reach = (r0, r1, r2, r3)
+                elif deep == 3:
+                    r0 = r1 = r2 = r3 = r4 = 0
+                    for c in hits:
+                        r4 |= r3 & c
+                        r3 |= r2 & c
+                        r2 |= r1 & c
+                        r1 |= r0 & c
+                        r0 |= c
+                    reach = (r0, r1, r2, r3, r4)
+                else:
+                    reach = [0] * (deep + 2)
+                    for c in hits:
+                        for j in range(deep + 1, 0, -1):
+                            reach[j] |= reach[j - 1] & c
+                        reach[0] |= c
+                tight = 0
+                for i in range(1, deep + 1):
+                    need = planes[k - i]
+                    if need & ~reach[i - 1]:
+                        return
+                    tight |= need & ~reach[i]
+                if not tight:
+                    break
+                must = 0
+                rest = avail
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = cols[low.bit_length() - 1]
+                    if c & tight:
+                        must |= low
+                        planes = _pick(planes, c)
+                count += must.bit_count()
+                if count >= self.best_size:
+                    return
+                chosen |= must
+                avail &= ~must
+                hits = None
+            top = max(map(int.bit_count, hits))
+            total = sum(map(int.bit_count, planes))
+            lower = max(-(-total // top), deep)
+            if count + lower >= self.best_size:
                 return
-            chosen |= must
-            avail &= ~must
-        scores = list(map(int.bit_count, hits))
-        top = max(scores)
-        total = sum(p.bit_count() for p in planes)
-        lower = max(-(-total // top), deep)
-        if count + lower >= self.best_size:
-            return
-        slack1 = 0
-        for i in range(1, deep + 1):
-            slack1 |= planes[k - i] & ~reach[i + 1]
-        first = slack1 or short
-        branch = self.masks[(first & -first).bit_length() - 1]
-        best = -1
-        for u, s in zip(live, scores):
-            if (branch >> u) & 1 and s > best:
-                best, v = s, u
-        bit = 1 << v
-        self.branch_bound(chosen | bit, count + 1, avail & ~bit,
-                          _pick(planes, cols[v]))
-        self.branch_bound(chosen, count, avail & ~bit, planes)
+            slack1 = 0
+            for i in range(1, deep + 1):
+                slack1 |= planes[k - i] & ~reach[i + 1]
+            first = slack1 or short
+            branch = self.masks[(first & -first).bit_length() - 1]
+            best = 0
+            rest = branch & avail
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                s = (cols[low.bit_length() - 1] & short).bit_count()
+                if s > best:
+                    best, bit = s, low
+            self.branch_bound(chosen | bit, count + 1, avail & ~bit,
+                              _pick(planes, cols[bit.bit_length() - 1]))
+            # the exclude branch keeps the planes, so its hits are these
+            # without the one of ``bit``
+            del hits[(avail & (bit - 1)).bit_count()]
+            avail &= ~bit
 
     def lex_covers(self, size, limit):
         """Covers of exactly ``size`` vertices in ascending lexicographic
@@ -215,7 +272,7 @@ class _Search:
         def extend(v, chosen, count, planes):
             """A cover of ``size`` vertices extending ``chosen`` by vertices
             from v..n-1, or None."""
-            if count + sum(1 for p in planes if p) > size:
+            if count + k - planes.count(0) > size:
                 return None
             here = room[v]
             for i in range(1, k + 1):
@@ -244,10 +301,9 @@ class _Search:
 
 
 def _minimum(masks, k, n, forced, budget):
-    """A search on the reduced masks whose ``best_size`` is the minimum cover
-    size: the greedy incumbent, then branch and bound.
+    """A search on ``masks``, already reduced, whose ``best_size`` is the
+    minimum cover size: the greedy incumbent, then branch and bound.
     Returns (search, greedy_size)."""
-    masks = _reduce(masks)
     search = _Search(masks, k, n, budget)
     incumbent = greedy_cover(masks, k, n, forced)
     search.best_size = incumbent.bit_count()
@@ -268,7 +324,7 @@ def solve_min_multicover(masks, k, n, forced=0, budget=None):
     """
     if not masks:
         return 0, 0, 0, 0
-    search, greedy_size = _minimum(masks, k, n, forced, budget)
+    search, greedy_size = _minimum(_reduce(masks), k, n, forced, budget)
     witnesses = search.lex_covers(search.best_size, 1)
     return search.best_size, witnesses[0], search.nodes, greedy_size
 
@@ -282,11 +338,30 @@ def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None):
     """
     if not masks:
         return [0], 0, False
-    search, _ = _minimum(masks, k, n, forced, budget)
+    search, _ = _minimum(_reduce(masks), k, n, forced, budget)
     cap = 1 << 62 if limit is None else limit + 1
     covers = search.lex_covers(search.best_size, cap)
     truncated = limit is not None and len(covers) > limit
     return covers[:limit], search.nodes, truncated
+
+
+def search_ladder(masks, n, budget=None):
+    """Minimum cover size for every feasible level k = 1..C as a list
+    (index k-1): one branch and bound per level, each bounded by ``budget``
+    nodes, on one reduced table.  Every cover at level k contains the masks
+    of exactly k vertices, so they seed the search."""
+    if not masks:
+        return []
+    masks = _reduce(masks)
+    sizes = []
+    for k in range(1, masks[0].bit_count() + 1):
+        forced = 0
+        for m in masks:
+            if m.bit_count() == k:
+                forced |= m
+        search, _ = _minimum(masks, k, n, forced, budget)
+        sizes.append(search.best_size)
+    return sizes
 
 
 def cover_ladder(masks, n):

@@ -17,6 +17,7 @@ from itertools import combinations
 from . import kernel
 from .bitset import VertexSet
 from .errors import (
+    BadParameter,
     BasisCountExceeded,
     CapExceeded,
     KExceedsDimensionality,
@@ -37,9 +38,22 @@ BRUTE_FORCE_MAX_N = 14
 BRUTE_FORCE_MAX_EVALS = 5_000_000
 
 
-def default_budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else None
+def _budget(budget: int | None) -> int | None:
+    """``budget``, or when it is None the one in ``ADIMLAB_BUDGET`` (None
+    when that is unset too), checked to be >= 0."""
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV)
+        if not raw:
+            return None
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise BadParameter(
+                f"{BUDGET_ENV} must be an integer >= 0, got {raw!r}"
+            ) from None
+    if budget < 0:
+        raise BadParameter(f"node budget must be an integer >= 0, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -100,8 +114,7 @@ def solve_table(
 ) -> SolveResult:
     """Exact minimum k-generator for an arbitrary distinguish table."""
     _check_k(table, k)
-    if budget is None:
-        budget = default_budget()
+    budget = _budget(budget)
     start = time.perf_counter()
     forced = forced_set(table, k).mask
     size, witness, nodes, greedy_size = kernel.solve_min_multicover(
@@ -131,10 +144,11 @@ def enumerate_bases(
 ) -> list[VertexSet]:
     """All minimum k-generators in ascending lexicographic order, from one
     kernel search; the node budget bounds the whole call."""
+    if limit is not None and limit < 0:
+        raise BadParameter(f"basis limit must be an integer >= 0, got {limit}")
     table = build_table(g, t)
     _check_k(table, k)
-    if budget is None:
-        budget = default_budget()
+    budget = _budget(budget)
     forced = forced_set(table, k).mask
     covers, _, truncated = kernel.enumerate_min_covers(
         table.pair_masks, k, table.n, forced, limit, budget
@@ -158,7 +172,8 @@ def solve_adim_full(g: Graph, k: int, budget: int | None = None) -> SolveResult:
 def adim_ladder(g: Graph) -> list[int]:
     """adim_k for every feasible k = 1..C as a list (index k-1).
 
-    Uses a full subset scan for small orders, repeated solves otherwise.
+    Uses a full subset scan for small orders, one branch and bound per
+    level otherwise; the node budget bounds each level.
     """
     table = build_table(g, 2)
     return _ladder(table)
@@ -169,9 +184,10 @@ def dim_ladder(g: Graph) -> list[int]:
     return _ladder(build_table(g, metric_level(g)))
 
 
-# Subset scan up to here, repeated solves above: on random graphs the two
-# tie at n = 10 and the solves win from n = 11 on (4-5x at n = 13).
-_LADDER_SCAN_MAX_N = 9
+# Subset scan up to here, one branch and bound per level above: on random
+# graphs the scan wins at n = 7, the two tie at n = 8 and the searches win
+# from n = 9 on (1.9x at n = 9, 3x at n = 10).
+_LADDER_SCAN_MAX_N = 8
 
 
 def _ladder(table: DistinguishTable) -> list[int]:
@@ -179,8 +195,7 @@ def _ladder(table: DistinguishTable) -> list[int]:
         raise TooSmall(f"need at least 2 vertices, got {table.n}")
     if table.n <= _LADDER_SCAN_MAX_N:
         return kernel.cover_ladder(table.pair_masks, table.n)
-    top = dimensionality(table)
-    return [solve_table(table, k).dimension for k in range(1, top + 1)]
+    return kernel.search_ladder(table.pair_masks, table.n, _budget(None))
 
 
 def brute_force_adim(

@@ -28,7 +28,7 @@ from multiprocessing import Pool
 from operator import or_
 from typing import NamedTuple
 
-from .errors import TooLarge, UnknownTheorem
+from .errors import BadParameter, TooLarge, UnknownTheorem
 from .graph import (
     Graph,
     complement,
@@ -643,6 +643,8 @@ def _sweep(
     """The one sweep path.  A unit is a multiset of ``arity`` corpus
     entries, counted with the number of labeled multisets it stands for;
     units run serially or over ``jobs * 4`` interleaved slices in a pool."""
+    if jobs < 1:
+        raise BadParameter(f"jobs must be >= 1, got {jobs}")
     report = SweepReport(theorem)
     start = time.perf_counter()
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adimlab
 from adimlab.bitset import VertexSet
 from adimlab.cli import main, parse_graph_spec
 from adimlab.graph import (
@@ -246,3 +251,39 @@ def test_truncation_level_flag(capsys):
         capsys, "compute", "--graph", "path:5", "--k", "1", "--format", "json"
     )
     assert json.loads(out)[0]["dimension"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--g6", "D~{", "--k", "1", "--budget", "-5"),
+    ("bases", "--g6", "D~{", "--k", "1", "--limit", "-1"),
+    ("sweep", "--theorem", "monotony", "--max-n", "4", "--jobs", "0"),
+    ("sweep", "--theorem", "monotony", "--max-n", "4", "--jobs", "-2"),
+    ("conjecture", "--max-n", "3", "--jobs", "0"),
+])
+def test_out_of_range_parameters_exit_2_with_the_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert ">= 0" in err or ">= 1" in err
+
+
+def test_unparsable_budget_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ADIMLAB_BUDGET", "abc")
+    code, out, err = run(capsys, "compute", "--g6", "D~{", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert "ADIMLAB_BUDGET must be an integer >= 0, got 'abc'" in err
+
+
+def test_python_dash_m_runs_the_command():
+    src = str(Path(adimlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "adimlab", "compute", "--g6", "D~{", "--k", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    done = subprocess.run(
+        argv + ["--budget", "-5"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from adimlab import kernel
+from adimlab import kernel, solver
+from adimlab.bitset import bits_of
 from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge
-from adimlab.graph import path
+from adimlab.graph import fig2_graph, path, petersen
 from adimlab.metric import build_table, dimensionality, forced_set
 from adimlab.solver import brute_force_adim, enumerate_bases, solve_table
 
@@ -114,3 +115,99 @@ def test_cover_ladder_matches_repeated_solves_across_the_scan_threshold():
                 for k in range(1, dimensionality(table) + 1)
             ]
             assert kernel.cover_ladder(table.pair_masks, n) == solved
+            assert kernel.search_ladder(table.pair_masks, n) == solved
+            assert solver._ladder(table) == solved
+
+
+def test_search_ladder_budget_bounds_each_level():
+    table = build_table(random_graph(random.Random(1409), 14), 2)
+    masks = kernel._reduce(table.pair_masks)
+    nodes = [
+        kernel._minimum(masks, k, 14, forced_set(table, k).mask, None)[0].nodes
+        for k in range(1, dimensionality(table) + 1)
+    ]
+    assert len(nodes) > 1
+    ladder = kernel.search_ladder(table.pair_masks, 14)
+    assert kernel.search_ladder(table.pair_masks, 14, max(nodes)) == ladder
+    with pytest.raises(BudgetExhausted):
+        kernel.search_ladder(table.pair_masks, 14, max(nodes) - 1)
+
+
+# (graph, k): ((size, witness, nodes) of solve_min_multicover,
+#              (count, last cover, nodes, truncated) of enumerate_min_covers
+#              with limit 5), on the level-2 table with its forced set.  Node
+#              counts are deterministic: a change in search effort fails here.
+PINNED = {
+    ("petersen", 1): ((3, (0, 2, 8), 12), (5, (0, 6, 7), 27, True)),
+    ("petersen", 2): ((4, (0, 2, 8, 9), 36), (5, (2, 4, 5, 6), 104, False)),
+    ("petersen", 3): ((7, (0, 1, 2, 3, 4, 5, 6), 112),
+                      (5, (0, 1, 2, 3, 4, 6, 7), 119, True)),
+    ("fig2", 1): ((9, (1, 5, 8, 10, 12, 13, 15, 20, 22), 4155),
+                  (5, (1, 5, 8, 10, 12, 15, 16, 20, 22), 4183, True)),
+    ("fig2", 2): ((14, (0, 1, 3, 5, 7, 9, 11, 12, 13, 15, 17, 19, 21, 23), 1269),
+                  (5, (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 19, 21, 23), 1352,
+                   True)),
+    ("fig2", 3): ((20, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19,
+                        20, 21, 22, 23), 5),
+                  (1, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19,
+                       20, 21, 22, 23), 5, False)),
+    ("random14", 1): ((4, (0, 1, 2, 4), 38), (5, (0, 1, 4, 10), 51, True)),
+    ("random14", 2): ((6, (0, 1, 2, 3, 4, 5), 106),
+                      (5, (0, 1, 2, 4, 6, 11), 125, True)),
+    ("random14", 3): ((8, (0, 1, 2, 3, 4, 5, 6, 8), 55),
+                      (5, (0, 1, 2, 4, 5, 6, 9, 11), 94, True)),
+    ("random16", 1): ((4, (1, 2, 4, 9), 77), (5, (2, 4, 5, 7), 126, True)),
+    ("random16", 2): ((6, (0, 2, 4, 5, 9, 11), 213),
+                      (2, (2, 4, 5, 9, 11, 13), 569, False)),
+    ("random16", 3): ((9, (0, 1, 2, 3, 4, 5, 6, 7, 9), 168),
+                      (5, (0, 1, 2, 4, 5, 6, 7, 9, 12), 210, True)),
+    ("random18", 1): ((5, (0, 1, 2, 3, 5), 218), (5, (0, 1, 2, 5, 9), 231, True)),
+    ("random18", 2): ((7, (0, 1, 2, 3, 4, 9, 13), 541),
+                      (5, (0, 1, 2, 4, 5, 6, 14), 585, True)),
+    ("random18", 3): ((9, (0, 1, 2, 3, 4, 5, 6, 10, 14), 236),
+                      (5, (2, 5, 6, 8, 10, 13, 14, 15, 17), 1055, True)),
+    ("random20", 1): ((5, (0, 1, 2, 3, 8), 343), (5, (0, 1, 2, 3, 19), 357, True)),
+    ("random20", 2): ((7, (0, 1, 2, 3, 7, 10, 18), 1749),
+                      (5, (0, 1, 2, 8, 12, 14, 17), 1908, True)),
+    ("random20", 3): ((9, (0, 1, 2, 3, 5, 6, 8, 13, 14), 3001),
+                      (5, (0, 1, 3, 5, 6, 13, 14, 15, 19), 4495, True)),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_graphs():
+    rng = random.Random(1408)
+    graphs = {"petersen": petersen(), "fig2": fig2_graph()}
+    for n in (14, 16, 18, 20):
+        graphs[f"random{n}"] = random_graph(rng, n)
+    return graphs
+
+
+@pytest.mark.parametrize("name,k", sorted(PINNED))
+def test_search_answers_and_node_counts_are_pinned(pinned_graphs, name, k):
+    g = pinned_graphs[name]
+    table = build_table(g, 2)
+    forced = forced_set(table, k).mask
+    (size, witness, nodes), (count, last, enum_nodes, truncated) = PINNED[name, k]
+    solved = kernel.solve_min_multicover(table.pair_masks, k, g.n, forced)
+    assert (solved[0], tuple(bits_of(solved[1])), solved[2]) == (size, witness, nodes)
+    covers, found, more = kernel.enumerate_min_covers(
+        table.pair_masks, k, g.n, forced, 5
+    )
+    assert covers[0] == solved[1]
+    assert (len(covers), tuple(bits_of(covers[-1])), found, more) == (
+        count, last, enum_nodes, truncated
+    )
+    # the search exhausts at node budget + 1, so its own count just suffices
+    assert kernel.solve_min_multicover(
+        table.pair_masks, k, g.n, forced, nodes
+    )[:3] == solved[:3]
+    with pytest.raises(BudgetExhausted):
+        kernel.solve_min_multicover(table.pair_masks, k, g.n, forced, nodes - 1)
+    assert kernel.enumerate_min_covers(
+        table.pair_masks, k, g.n, forced, 5, enum_nodes
+    ) == (covers, found, more)
+    with pytest.raises(BudgetExhausted):
+        kernel.enumerate_min_covers(
+            table.pair_masks, k, g.n, forced, 5, enum_nodes - 1
+        )

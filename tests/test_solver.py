@@ -4,6 +4,7 @@ import pytest
 
 from adimlab.bitset import VertexSet
 from adimlab.errors import (
+    BadParameter,
     BasisCountExceeded,
     BudgetExhausted,
     CapExceeded,
@@ -25,7 +26,7 @@ from adimlab.graph import (
     path,
     petersen,
 )
-from adimlab import kernel
+from adimlab import kernel, solver
 from adimlab.metric import (
     adjacency_dimensionality,
     build_table,
@@ -227,6 +228,34 @@ def test_budget_env(monkeypatch):
         solve_adim(fig2_graph(), 2)
     monkeypatch.setenv("ADIMLAB_BUDGET", "")
     assert solve_adim(cycle(5), 2).dimension == 3
+
+
+def test_bad_budgets_and_limits_raise_bad_parameter(monkeypatch):
+    with pytest.raises(BadParameter, match=">= 0, got -1"):
+        solve_adim(cycle(5), 1, budget=-1)
+    with pytest.raises(BadParameter, match=">= 0, got -1"):
+        enumerate_bases(cycle(5), 1, limit=-1)
+    for raw in ("abc", "-3", "1.5"):
+        monkeypatch.setenv("ADIMLAB_BUDGET", raw)
+        with pytest.raises(BadParameter, match="ADIMLAB_BUDGET|>= 0"):
+            solve_adim(cycle(5), 1)
+        with pytest.raises(BadParameter):
+            adim_ladder(cycle(12))
+    # budget 0 is in range: a search with masks exhausts at its first node
+    monkeypatch.delenv("ADIMLAB_BUDGET")
+    with pytest.raises(BudgetExhausted, match="node budget 0 exhausted"):
+        solve_adim(cycle(5), 1, budget=0)
+
+
+def test_budget_env_bounds_the_ladder_above_the_scan(monkeypatch):
+    g = cycle(12)
+    assert g.n > solver._LADDER_SCAN_MAX_N
+    monkeypatch.setenv("ADIMLAB_BUDGET", "1")
+    with pytest.raises(BudgetExhausted):
+        adim_ladder(g)
+    monkeypatch.setenv("ADIMLAB_BUDGET", "100000")
+    top = adjacency_dimensionality(g)
+    assert adim_ladder(g) == [solve_adim(g, k).dimension for k in range(1, top + 1)]
 
 
 def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):
