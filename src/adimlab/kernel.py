@@ -17,11 +17,14 @@ mask with one to spare is the one branched on.  The lower bound on further
 picks is ceil(total residual / best single-vertex coverage), and at least
 the largest residual, which is the number of non-empty planes.
 
-A node costs a walk over the set bits of the available vertices and one
-ripple over their columns, on local variables when at most three planes
-are non-empty.  A vertex that hits no short mask is dropped from the
-available set for the whole subtree (the short masks only shrink below a
-node), and the exclude branch of a node reuses its columns without a call.
+A node first compares the picks so far plus the largest residual with the
+incumbent, before any column work; forced picks cannot lower that sum, so
+the test ends only nodes that would end without a branch anyway.  Otherwise
+it walks the set bits of the available vertices and ripples over their
+columns, on local variables when at most three planes are non-empty.  A
+vertex that hits no short mask is dropped from the available set for the
+whole subtree (the short masks only shrink below a node), and the exclude
+branch of a node reuses its columns without a call.
 
 A branch and bound from the greedy incumbent finds the minimum size; the
 lex pass then walks the vertices in index order to list the minimum covers
@@ -139,13 +142,18 @@ class _Search:
             if budget is not None and self.nodes > budget:
                 raise BudgetExhausted(f"node budget {budget} exhausted")
             while True:
-                if count >= self.best_size:
+                # plane k - i holds the masks that still need i or more hits,
+                # and the planes are nested, so the largest residual is the
+                # number of non-empty planes; it needs at least that many
+                # more picks, and forced picks cannot lower count + deep
+                deep = k - planes.count(0)
+                if count + deep >= self.best_size:
                     return
-                short = planes[-1]
-                if not short:
+                if not deep:
                     self.best_size = count
                     self.best_mask = chosen
                     return
+                short = planes[-1]
                 # short only shrinks below this node, so a vertex hitting no
                 # short mask now never helps in the subtree: drop it
                 if hits is None:
@@ -159,10 +167,6 @@ class _Search:
                             hits.append(c)
                         else:
                             avail ^= low
-                # plane k - i holds the masks that still need i or more hits,
-                # and the planes are nested, so the largest residual is the
-                # number of non-empty planes
-                deep = k - planes.count(0)
                 # reach[j]: short masks with at least j + 1 available vertices
                 if deep == 1:
                     r0 = r1 = r2 = 0
@@ -212,15 +216,15 @@ class _Search:
                         must |= low
                         planes = _pick(planes, c)
                 count += must.bit_count()
-                if count >= self.best_size:
-                    return
                 chosen |= must
                 avail &= ~must
                 hits = None
+            # count + deep < best_size holds here, so of the lower bound
+            # max(ceil(total residual / best coverage), deep) only the first
+            # part is left to test
             top = max(map(int.bit_count, hits))
             total = sum(map(int.bit_count, planes))
-            lower = max(-(-total // top), deep)
-            if count + lower >= self.best_size:
+            if count - (-total // top) >= self.best_size:
                 return
             slack1 = 0
             for i in range(1, deep + 1):

@@ -185,9 +185,9 @@ def dim_ladder(g: Graph) -> list[int]:
 
 
 # Subset scan up to here, one branch and bound per level above: on random
-# graphs the scan wins at n = 7, the two tie at n = 8 and the searches win
-# from n = 9 on (1.9x at n = 9, 3x at n = 10).
-_LADDER_SCAN_MAX_N = 8
+# graphs the scan wins at n = 7 and the searches from n = 8 on (1.1-1.3x at
+# n = 8, 2x at n = 9, 3.3x at n = 10).
+_LADDER_SCAN_MAX_N = 7
 
 
 def _ladder(table: DistinguishTable) -> list[int]:

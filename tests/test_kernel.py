@@ -104,19 +104,21 @@ def test_enumerate_bases_matches_brute_force_at_level_3():
 
 
 def test_cover_ladder_matches_repeated_solves_across_the_scan_threshold():
-    # solver._ladder scans subsets up to _LADDER_SCAN_MAX_N and solves each k
-    # above it; both sides must agree on the orders around the threshold
+    # solver._ladder scans subsets up to _LADDER_SCAN_MAX_N and searches each
+    # level above it; both sides must agree on the orders around the threshold
     rng = random.Random(913)
-    for n in range(9, 14):
-        for _ in range(2):
-            table = build_table(random_graph(rng, n), 2)
-            solved = [
-                solve_table(table, k).dimension
-                for k in range(1, dimensionality(table) + 1)
-            ]
-            assert kernel.cover_ladder(table.pair_masks, n) == solved
-            assert kernel.search_ladder(table.pair_masks, n) == solved
-            assert solver._ladder(table) == solved
+    graphs = [random_graph(rng, n) for n in range(9, 14) for _ in range(2)]
+    rng = random.Random(914)
+    graphs += [random_graph(rng, n) for n in (7, 8) for _ in range(3)]
+    for g in graphs:
+        table = build_table(g, 2)
+        solved = [
+            solve_table(table, k).dimension
+            for k in range(1, dimensionality(table) + 1)
+        ]
+        assert kernel.cover_ladder(table.pair_masks, g.n) == solved
+        assert kernel.search_ladder(table.pair_masks, g.n) == solved
+        assert solver._ladder(table) == solved
 
 
 def test_search_ladder_budget_bounds_each_level():
