@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .bitset import VertexSet
-from .errors import LimitRequired, OutOfRange
+from .errors import BadParameter, LimitRequired, OutOfRange
 from .graph import Graph
 from .metric import build_table
 from .solver import is_k_generator, solve_adim
@@ -54,6 +54,17 @@ def _member(g: Graph, bmask: int, pairs: list[tuple[int, int]], mask: int) -> Gr
     return Graph(g.n, rows)
 
 
+def _check_range(limit: int | None, from_mask: int, to_mask: int | None) -> None:
+    if limit is not None and limit < 0:
+        raise BadParameter(f"member limit must be an integer >= 0, got {limit}")
+    if from_mask < 0:
+        raise BadParameter(f"from_mask must be an integer >= 0, got {from_mask}")
+    if to_mask is not None and to_mask < from_mask:
+        raise BadParameter(
+            f"to_mask must be >= from_mask = {from_mask}, got {to_mask}"
+        )
+
+
 def enumerate_family(
     g: Graph,
     b: VertexSet,
@@ -61,11 +72,15 @@ def enumerate_family(
     from_mask: int = 0,
     to_mask: int | None = None,
 ) -> Iterator[Graph]:
-    """Yield the family members in free-edge mask order 0, 1, 2, ...
+    """The family members in free-edge mask order 0, 1, 2, ..., from
+    ``from_mask`` up to (not including) ``to_mask``, at most ``limit`` of
+    them; a negative limit or start, or an end below the start, raises
+    ``BadParameter`` here rather than on the first member.
 
     The free pairs are numbered lexicographically by vertex index, so member
     masks are reproducible and a mask range can be verified in shards.
     """
+    _check_range(limit, from_mask, to_mask)
     spec = family_spec(g, b)
     pairs = _free_pairs(spec.free_vertices)
     if len(pairs) > _NO_LIMIT_MAX_PAIRS and limit is None and to_mask is None:
@@ -73,12 +88,10 @@ def enumerate_family(
             f"{len(pairs)} free pairs make 2^{len(pairs)} members; pass a limit"
         )
     end = spec.family_size if to_mask is None else min(to_mask, spec.family_size)
-    count = 0
-    for mask in range(from_mask, end):
-        if limit is not None and count >= limit:
-            return
-        yield _member(g, b.mask, pairs, mask)
-        count += 1
+    masks = range(from_mask, end)
+    if limit is not None:
+        masks = masks[:limit]
+    return (_member(g, b.mask, pairs, mask) for mask in masks)
 
 
 @dataclass
@@ -118,6 +131,7 @@ def verify_family_theorem(
     generates the whole family and never increases the dimension; when the
     base dimension is k+1 (order >= 4) or k+2 (order >= 7) it must also stay
     exactly there."""
+    _check_range(limit, from_mask, to_mask)
     base = solve_adim(g, k)
     basis = base.witness
     spec = family_spec(g, basis)

@@ -102,11 +102,7 @@ class Graph:
         return VertexSet(self.n, (1 << self.n) - 1)
 
     def relabel(self, name: str | None) -> "Graph":
-        g = object.__new__(Graph)
-        object.__setattr__(g, "n", self.n)
-        object.__setattr__(g, "rows", self.rows)
-        object.__setattr__(g, "name", name)
-        return g
+        return _trusted(self.n, self.rows, name)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -119,6 +115,15 @@ class Graph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} n={self.n} m={self.edge_count()}>"
+
+
+def _trusted(n: int, rows: Sequence[int], name: str | None = None) -> Graph:
+    """A Graph on rows known to be valid, without the constructor's checks."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", tuple(rows))
+    object.__setattr__(g, "name", name)
+    return g
 
 
 # -- constructors ----------------------------------------------------------
@@ -342,7 +347,8 @@ def join(g: Graph, h: Graph) -> Graph:
     lo = (1 << n1) - 1
     rows = [g.rows[v] | hi for v in range(n1)]
     rows += [(h.rows[v] << n1) | lo for v in range(n2)]
-    return Graph(n1 + n2, rows)
+    # valid graphs give a valid join, so the constructor's checks are skipped
+    return _trusted(n1 + n2, rows)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

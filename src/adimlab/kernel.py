@@ -29,13 +29,23 @@ branch of a node reuses its columns without a call.
 A branch and bound from the greedy incumbent finds the minimum size; the
 lex pass then walks the vertices in index order to list the minimum covers
 lexicographically, asking the same branch and bound, bounded by that size,
-whether a cover agrees with each new decision.  ``search_ladder`` runs the
-minimum search alone at every level of one reduced table.
+whether a cover agrees with each new decision.  Given a known minimum size
+and a cover of that size, ``enumerate_min_covers`` skips the greedy and the
+branch and bound and starts the lex pass from that cover.
+``search_ladder`` runs the minimum search alone at every level of one
+reduced table.
+
+The reduced masks and their columns depend on the masks alone, not on k,
+so ``prepare`` makes them once as a ``Prepared`` table.  Every entry point
+takes raw masks or a ``Prepared`` table (``DistinguishTable.prepared``
+keeps one per distinguish table), and the greedy incumbent of a search
+scores on the search's own columns.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitset import bits_of
 from .errors import BudgetExhausted, KTooLarge
@@ -70,6 +80,24 @@ def _columns(masks, n: int) -> list[int]:
     return [int("".join(digits), 2) for digits in zip(*rows)][::-1]
 
 
+class Prepared(NamedTuple):
+    """A table ready for search: the reduced masks and their columns."""
+
+    masks: tuple[int, ...]
+    cols: tuple[int, ...]
+
+
+def prepare(masks, n: int) -> Prepared:
+    """Reduce ``masks`` and lay them out in columns over ``n`` vertices."""
+    reduced = _reduce(masks)
+    return Prepared(tuple(reduced), tuple(_columns(reduced, n)))
+
+
+def _prepared(masks, n: int) -> Prepared:
+    """``masks`` when it is prepared already, else ``prepare(masks, n)``."""
+    return masks if isinstance(masks, Prepared) else prepare(masks, n)
+
+
 def _pick(planes: list[int], col: int) -> list[int]:
     """Residual planes after one more vertex with column ``col``: its masks
     move down one plane, so those with exactly j hits leave plane j."""
@@ -92,8 +120,13 @@ def _planes(cols: list[int], k: int, width: int, chosen: int) -> list[int]:
 
 def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
     """Valid (not necessarily minimum) cover grown from ``seed`` by always
-    adding the vertex hitting the most deficient masks, ties to low index."""
-    cols = _columns(masks, n)
+    adding the vertex hitting the most deficient masks, ties to low index.
+    Raw masks are scored as given; a ``Prepared`` table by its reduced masks,
+    on the columns it holds."""
+    if isinstance(masks, Prepared):
+        masks, cols = masks
+    else:
+        cols = _columns(masks, n)
     planes = _planes(cols, k, len(masks), seed)
     chosen = seed
     while planes[-1]:
@@ -112,17 +145,16 @@ def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
 
 
 class _Search:
-    """One search over reduced masks.  ``best_size``/``best_mask`` hold the
-    smallest cover found so far; the branch and bound stops as soon as it
-    holds one of at most ``floor`` vertices, and every node it enters counts
-    against ``budget``."""
+    """One search over a ``Prepared`` table.  ``best_size``/``best_mask``
+    hold the smallest cover found so far; the branch and bound stops as soon
+    as it holds one of at most ``floor`` vertices, and every node it enters
+    counts against ``budget``."""
 
     __slots__ = ("masks", "cols", "k", "n", "budget", "nodes", "best_size",
                  "best_mask", "floor")
 
-    def __init__(self, masks, k, n, budget):
-        self.masks = masks
-        self.cols = _columns(masks, n)
+    def __init__(self, prepared, k, n, budget):
+        self.masks, self.cols = prepared
         self.k = k
         self.n = n
         self.budget = budget
@@ -305,14 +337,15 @@ class _Search:
 
 
 def _minimum(masks, k, n, forced, budget):
-    """A search on ``masks``, already reduced, whose ``best_size`` is the
+    """A search on ``masks`` (raw or prepared) whose ``best_size`` is the
     minimum cover size: the greedy incumbent, then branch and bound.
     Returns (search, greedy_size)."""
-    search = _Search(masks, k, n, budget)
-    incumbent = greedy_cover(masks, k, n, forced)
+    prepared = _prepared(masks, n)
+    search = _Search(prepared, k, n, budget)
+    incumbent = greedy_cover(prepared, k, n, forced)
     search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
-    planes = _planes(search.cols, k, len(masks), forced)
+    planes = _planes(search.cols, k, len(search.masks), forced)
     full = (1 << n) - 1
     search.branch_bound(forced, forced.bit_count(), full & ~forced, planes)
     return search, incumbent.bit_count()
@@ -321,28 +354,42 @@ def _minimum(masks, k, n, forced, budget):
 def solve_min_multicover(masks, k, n, forced=0, budget=None):
     """Exact minimum multicover.
 
-    Returns (size, witness_mask, nodes, greedy_size) where witness is the
-    lexicographically smallest minimum cover and greedy_size the size of the
-    greedy incumbent the search started from.  Assumes feasibility (every
-    mask has >= k bits); ``forced`` must be a subset of every valid cover.
+    Returns (size, witness_mask, nodes, (greedy_size, search_nodes)) where
+    witness is the lexicographically smallest minimum cover, greedy_size
+    the size of the greedy incumbent the search started from and
+    search_nodes the part of ``nodes`` spent finding the minimum size; the
+    lex pass spent the rest.  Assumes feasibility (every mask has >= k
+    bits); ``forced`` must be a subset of every valid cover.
     """
-    if not masks:
-        return 0, 0, 0, 0
-    search, greedy_size = _minimum(_reduce(masks), k, n, forced, budget)
+    prepared = _prepared(masks, n)
+    if not prepared.masks:
+        return 0, 0, 0, (0, 0)
+    search, greedy_size = _minimum(prepared, k, n, forced, budget)
+    search_nodes = search.nodes
     witnesses = search.lex_covers(search.best_size, 1)
-    return search.best_size, witnesses[0], search.nodes, greedy_size
+    return search.best_size, witnesses[0], search.nodes, (greedy_size, search_nodes)
 
 
-def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None):
+def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None,
+                         start=None):
     """All minimum covers in lexicographic order, found in one search: the
-    minimum size first, then the lex pass over covers of that size.
+    minimum size first, then the lex pass over covers of that size.  With
+    ``start`` = (size, cover), a known minimum size and a cover of that
+    size, the lex pass starts from that cover and the minimum search (and
+    with it ``forced``) is skipped.
 
-    Returns (covers, nodes, truncated); with a ``limit``, at most that many
-    covers are returned and ``truncated`` reports whether more exist.
+    Returns (covers, nodes, truncated), ``nodes`` counting the nodes this
+    call searched; with a ``limit``, at most that many covers are returned
+    and ``truncated`` reports whether more exist.
     """
-    if not masks:
+    prepared = _prepared(masks, n)
+    if not prepared.masks:
         return [0], 0, False
-    search, _ = _minimum(_reduce(masks), k, n, forced, budget)
+    if start is None:
+        search, _ = _minimum(prepared, k, n, forced, budget)
+    else:
+        search = _Search(prepared, k, n, budget)
+        search.best_size, search.best_mask = start
     cap = 1 << 62 if limit is None else limit + 1
     covers = search.lex_covers(search.best_size, cap)
     truncated = limit is not None and len(covers) > limit
@@ -352,18 +399,18 @@ def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None):
 def search_ladder(masks, n, budget=None):
     """Minimum cover size for every feasible level k = 1..C as a list
     (index k-1): one branch and bound per level, each bounded by ``budget``
-    nodes, on one reduced table.  Every cover at level k contains the masks
+    nodes, on one prepared table.  Every cover at level k contains the masks
     of exactly k vertices, so they seed the search."""
-    if not masks:
+    prepared = _prepared(masks, n)
+    if not prepared.masks:
         return []
-    masks = _reduce(masks)
     sizes = []
-    for k in range(1, masks[0].bit_count() + 1):
+    for k in range(1, prepared.masks[0].bit_count() + 1):
         forced = 0
-        for m in masks:
+        for m in prepared.masks:
             if m.bit_count() == k:
                 forced |= m
-        search, _ = _minimum(masks, k, n, forced, budget)
+        search, _ = _minimum(prepared, k, n, forced, budget)
         sizes.append(search.best_size)
     return sizes
 
@@ -372,9 +419,9 @@ def cover_ladder(masks, n):
     """Minimum cover size for every feasible level k = 1..C as a list
     (index k-1), computed by scanning subsets of the reduced masks in
     increasing size."""
+    masks = masks.masks if isinstance(masks, Prepared) else _reduce(masks)
     if not masks:
         return []
-    masks = _reduce(masks)
     top = masks[0].bit_count()
     best = [0] * (top + 1)
     unfilled = top

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import kernel
 from .bitset import VertexSet
 from .errors import (
     BadParameter,
@@ -42,9 +43,14 @@ def pair_of_rank(n: int, r: int) -> tuple[int, int]:
 
 
 class DistinguishTable:
-    """All pair distinguishing sets of a graph at one truncation level."""
+    """All pair distinguishing sets of a graph at one truncation level.
 
-    __slots__ = ("graph", "t", "pair_masks", "pair_sizes")
+    The table also keeps the work that depends on it alone: ``prepared``,
+    its reduced masks and their columns for the search kernel, made on
+    first use, and ``minima``, the solved minimum for each k, which
+    ``solver.solve_table`` stores.  Neither survives pickling or copying."""
+
+    __slots__ = ("graph", "t", "pair_masks", "pair_sizes", "minima", "_prepared")
 
     def __init__(self, graph: Graph, t: int, pair_masks: list[int]):
         object.__setattr__(self, "graph", graph)
@@ -53,6 +59,8 @@ class DistinguishTable:
         object.__setattr__(
             self, "pair_sizes", tuple(m.bit_count() for m in pair_masks)
         )
+        object.__setattr__(self, "minima", {})
+        object.__setattr__(self, "_prepared", None)
 
     def __setattr__(self, *_):
         raise AttributeError("DistinguishTable is immutable")
@@ -64,6 +72,15 @@ class DistinguishTable:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def prepared(self) -> kernel.Prepared:
+        """The reduced masks and their columns; they do not depend on k."""
+        if self._prepared is None:
+            object.__setattr__(
+                self, "_prepared", kernel.prepare(self.pair_masks, self.n)
+            )
+        return self._prepared
 
     def pair_mask(self, x: int, y: int) -> int:
         if x == y:

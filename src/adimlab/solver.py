@@ -19,6 +19,7 @@ from .bitset import VertexSet
 from .errors import (
     BadParameter,
     BasisCountExceeded,
+    BudgetExhausted,
     CapExceeded,
     KExceedsDimensionality,
     TooSmall,
@@ -58,9 +59,14 @@ def _budget(budget: int | None) -> int | None:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """What one search cost: ``nodes`` in all, of which ``search_nodes``
+    found the minimum size; the lex pass that found the witness took the
+    rest."""
+
     nodes: int = 0
     greedy_size: int = 0
     millis: float = 0.0
+    search_nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ def is_k_generator(table: DistinguishTable, k: int, s: VertexSet) -> bool:
 def greedy_bound(table: DistinguishTable, k: int) -> VertexSet:
     """Valid k-generator from the max-coverage greedy heuristic."""
     _check_k(table, k)
-    mask = kernel.greedy_cover(table.pair_masks, k, table.n)
+    mask = kernel.greedy_cover(table.prepared, k, table.n)
     return VertexSet(table.n, mask)
 
 
@@ -109,20 +115,36 @@ def _check_k(table: DistinguishTable, k: int) -> int:
     return dim
 
 
+def _exhausted(budget: int) -> BudgetExhausted:
+    return BudgetExhausted(f"node budget {budget} exhausted")
+
+
 def solve_table(
     table: DistinguishTable, k: int, budget: int | None = None
 ) -> SolveResult:
-    """Exact minimum k-generator for an arbitrary distinguish table."""
+    """Exact minimum k-generator for an arbitrary distinguish table.
+
+    The result is stored on the table, and a later call for the same k
+    returns the stored result, stats included, without a search.  Such a
+    call raises ``BudgetExhausted`` exactly when a search would: when the
+    stored search used more nodes than ``budget``."""
     _check_k(table, k)
     budget = _budget(budget)
+    stored = table.minima.get(k)
+    if stored is not None:
+        if budget is not None and stored.stats.nodes > budget:
+            raise _exhausted(budget)
+        return stored
     start = time.perf_counter()
     forced = forced_set(table, k).mask
-    size, witness, nodes, greedy_size = kernel.solve_min_multicover(
-        table.pair_masks, k, table.n, forced, budget
+    size, witness, nodes, (greedy_size, search_nodes) = (
+        kernel.solve_min_multicover(table.prepared, k, table.n, forced, budget)
     )
     millis = (time.perf_counter() - start) * 1000.0
-    stats = SolveStats(nodes=nodes, greedy_size=greedy_size, millis=millis)
-    return SolveResult(k, size, VertexSet(table.n, witness), stats=stats)
+    stats = SolveStats(nodes, greedy_size, millis, search_nodes)
+    result = SolveResult(k, size, VertexSet(table.n, witness), stats=stats)
+    table.minima[k] = result
+    return result
 
 
 def solve_adim(g: Graph, k: int, budget: int | None = None) -> SolveResult:
@@ -143,16 +165,34 @@ def enumerate_bases(
     t: int = 2,
 ) -> list[VertexSet]:
     """All minimum k-generators in ascending lexicographic order, from one
-    kernel search; the node budget bounds the whole call."""
+    kernel search; the node budget bounds the whole call.
+
+    When ``solve_table`` has stored the minimum for this table and k, the
+    search is only the lex pass, started from the stored witness.  The
+    stored minimum search's nodes are then charged first and the lex pass
+    gets what is left of the budget."""
     if limit is not None and limit < 0:
         raise BadParameter(f"basis limit must be an integer >= 0, got {limit}")
     table = build_table(g, t)
     _check_k(table, k)
     budget = _budget(budget)
-    forced = forced_set(table, k).mask
-    covers, _, truncated = kernel.enumerate_min_covers(
-        table.pair_masks, k, table.n, forced, limit, budget
-    )
+    stored = table.minima.get(k)
+    if stored is None:
+        covers, _, truncated = kernel.enumerate_min_covers(
+            table.prepared, k, table.n, forced_set(table, k).mask, limit, budget
+        )
+    else:
+        spent = stored.stats.search_nodes
+        if budget is not None and spent > budget:
+            raise _exhausted(budget)
+        try:
+            covers, _, truncated = kernel.enumerate_min_covers(
+                table.prepared, k, table.n, limit=limit,
+                budget=None if budget is None else budget - spent,
+                start=(stored.dimension, stored.witness.mask),
+            )
+        except BudgetExhausted:
+            raise _exhausted(budget) from None
     if truncated:
         raise BasisCountExceeded(
             f"more than {limit} minimum {k}-generators; raise the limit"
@@ -194,8 +234,9 @@ def _ladder(table: DistinguishTable) -> list[int]:
     if table.n < 2:
         raise TooSmall(f"need at least 2 vertices, got {table.n}")
     if table.n <= _LADDER_SCAN_MAX_N:
+        # the scan reads no columns, so it skips making the prepared table
         return kernel.cover_ladder(table.pair_masks, table.n)
-    return kernel.search_ladder(table.pair_masks, table.n, _budget(None))
+    return kernel.search_ladder(table.prepared, table.n, _budget(None))
 
 
 def brute_force_adim(

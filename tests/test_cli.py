@@ -268,6 +268,18 @@ def test_out_of_range_parameters_exit_2_with_the_range(capsys, argv):
     assert ">= 0" in err or ">= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--limit", "-1"),
+    ("--from-mask", "-3", "--to-mask", "2"),
+])
+def test_family_rejects_bad_member_ranges(capsys, argv):
+    code, out, err = run(capsys, "family", "--graph", "fig3", "--k", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert ">= 0" in err
+
+
 def test_unparsable_budget_variable_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ADIMLAB_BUDGET", "abc")
     code, out, err = run(capsys, "compute", "--g6", "D~{", "--k", "1")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from adimlab.bitset import VertexSet
-from adimlab.errors import LimitRequired
+from adimlab.errors import BadParameter, LimitRequired
 from adimlab.families import (
     enumerate_family,
     family_spec,
@@ -103,3 +103,18 @@ def test_report_json_shape():
     assert set(d) == {
         "k", "basis", "family_size", "checked", "violations", "elapsed",
     }
+
+
+@pytest.mark.parametrize("limit,from_mask,to_mask", [
+    (-1, 0, None), (None, -3, 2), (None, 5, 4),
+])
+def test_bad_member_ranges_raise_bad_parameter(limit, from_mask, to_mask):
+    g = fig3_graph()
+    with pytest.raises(BadParameter):
+        enumerate_family(g, VertexSet.from_iterable(g.n, [1, 2, 3, 4]),
+                         limit, from_mask, to_mask)
+    with pytest.raises(BadParameter):
+        verify_family_theorem(g, 2, limit, from_mask, to_mask)
+    # an empty range and a zero limit are in range
+    assert verify_family_theorem(g, 2, 0).checked == 0
+    assert verify_family_theorem(g, 2, None, 7, 7).checked == 0

@@ -13,6 +13,7 @@ from adimlab.graph import (
     FALSE_TWIN,
     SINGLETON,
     TRUE_TWIN,
+    Graph,
     are_twins,
     bfs_distances,
     complement,
@@ -220,6 +221,19 @@ def test_tree_recognition():
     assert is_tree(path(7))
     assert not is_tree(cycle(5))
     assert not is_tree(disjoint_union(path(2), path(2)))
+
+
+def test_join_equals_the_checked_constructor():
+    # join skips the constructor's checks, so compare it with a graph built
+    # through them from the same rows
+    rng = random.Random(12)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 7))
+        h = random_graph(rng, rng.randint(0, 7))
+        gh = join(g, h)
+        checked = Graph(gh.n, gh.rows)
+        assert gh == checked and type(gh.rows) is tuple and gh.name is None
+        assert gh.edge_count() == g.edge_count() + h.edge_count() + g.n * h.n
 
 
 def test_graph_equality_hash():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,7 @@ from adimlab.graph import (
 )
 from adimlab import kernel, solver
 from adimlab.metric import (
+    DistinguishTable,
     adjacency_dimensionality,
     build_table,
     forced_set,
@@ -43,6 +45,7 @@ from adimlab.solver import (
     solve_adim,
     solve_adim_full,
     solve_dim,
+    solve_table,
 )
 from adimlab.verify import enumerate_all_graphs
 
@@ -375,3 +378,72 @@ def test_solve_result_survives_pickle():
     res = solve_adim_full(cycle(6), 1)
     twin = pickle.loads(pickle.dumps(res))
     assert twin == res and twin.all_bases == res.all_bases
+
+
+def _random_tables(seed, count):
+    """(graph, t, k): random graphs with n <= 14 at t = 2 and 3, k a random
+    feasible level."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = random_graph(rng, rng.randint(2, 14))
+        t = rng.choice((2, 3))
+        out.append((g, t, rng.randint(1, build_table(g, t).min_pair_size())))
+    return out
+
+
+def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
+    for g, t, k in _random_tables(1801, 800):
+        build_table.cache_clear()
+        table = build_table(g, t)
+        cold_bases = enumerate_bases(g, k, t=t)
+        assert not table.minima
+        solved = solve_table(table, k)
+        assert table.minima == {k: solved}
+        # a table that never stored anything solves to the same answer, with
+        # the same node counts
+        fresh = solve_table(DistinguishTable(g, t, table.pair_masks), k)
+        assert (fresh.dimension, fresh.witness) == (solved.dimension, solved.witness)
+        assert replace(fresh.stats, millis=0.0) == replace(solved.stats, millis=0.0)
+        assert 1 <= solved.stats.search_nodes <= solved.stats.nodes
+        assert solve_table(table, k) is solved
+        assert enumerate_bases(g, k, t=t) == cold_bases
+        assert cold_bases[0] == solved.witness
+
+
+def test_stored_minima_keep_the_budget_of_a_cold_search():
+    for g, t, k in _random_tables(1802, 100):
+        build_table.cache_clear()
+        table = build_table(g, t)
+        solved = solve_table(table, k)
+        nodes, spent = solved.stats.nodes, solved.stats.search_nodes
+        # a hit raises exactly when the search it stores used more nodes
+        assert solve_table(table, k, budget=nodes) is solved
+        with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
+            solve_table(table, k, budget=nodes - 1)
+        # an enumeration hit charges the stored minimum search, then its lex
+        # pass; the kernel counts the lex pass alone
+        covers, lex, _ = kernel.enumerate_min_covers(
+            table.prepared, k, g.n, start=(solved.dimension, solved.witness.mask)
+        )
+        assert [b.mask for b in enumerate_bases(g, k, budget=spent + lex, t=t)] == covers
+        with pytest.raises(BudgetExhausted, match=f"node budget {spent - 1} "):
+            enumerate_bases(g, k, budget=spent - 1, t=t)
+        if lex:
+            with pytest.raises(BudgetExhausted, match=f"node budget {spent + lex - 1} "):
+                enumerate_bases(g, k, budget=spent + lex - 1, t=t)
+
+
+def test_pickled_and_copied_tables_store_nothing():
+    import copy
+    import pickle
+
+    for g, t, k in _random_tables(1803, 40):
+        table = DistinguishTable(g, t, build_table(g, t).pair_masks)
+        solved = solve_table(table, k)
+        for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert not twin.minima
+            again = solve_table(twin, k)
+            assert again is not solved
+            assert (again.dimension, again.witness) == (solved.dimension, solved.witness)
+            assert again.stats.nodes == solved.stats.nodes
