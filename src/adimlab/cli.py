@@ -15,7 +15,7 @@ import sys
 from . import families as families_mod
 from . import formulas as formulas_mod
 from . import verify as verify_mod
-from .errors import AdimlabError
+from .errors import AdimlabError, BadParameter
 from .graph import (
     Graph,
     complement,
@@ -36,6 +36,7 @@ from .graph import (
     join,
     path,
     petersen,
+    read_ascii,
     read_edge_list,
     to_graph6,
     twin_partition,
@@ -86,19 +87,25 @@ def parse_graph_spec(spec: str) -> Graph:
     if name not in _GENERATORS:
         raise AdimlabError(f"unknown generator {name!r}; {GRAPH_SPEC_HELP}")
     fn, arity = _GENERATORS[name]
-    params = [int(p) for p in raw.split(",") if p] if raw else []
+    params = _int_list(raw, f"{name} parameters")
     if len(params) != arity:
         raise AdimlabError(f"{name} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
 
 
+def _int_list(raw: str, what: str) -> list[int]:
+    try:
+        return [int(p) for p in raw.split(",") if p]
+    except ValueError:
+        raise BadParameter(f"{what} must be integers, got {raw!r}") from None
+
+
 def load_graph(args) -> Graph:
     if args.graph:
         return parse_graph_spec(args.graph)
-    if args.g6:
+    if args.g6 is not None:
         return from_graph6(args.g6)
-    with open(args.file, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = read_ascii(args.file)
     records = [line.strip() for line in text.splitlines() if line.strip()]
     if records and records[0].split()[0].isdigit():
         return read_edge_list(text)
@@ -111,10 +118,14 @@ def load_graph(args) -> Graph:
 
 
 def parse_k_range(raw: str) -> list[int]:
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(raw)]
+    lo, sep, hi = raw.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        ks = None
+    if not ks:
+        raise BadParameter(f"k must be a level or a range lo..hi, lo <= hi: {raw!r}")
+    return ks
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -224,7 +235,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    params = tuple(int(p) for p in args.params.split(",") if p) if args.params else ()
+    params = tuple(_int_list(args.params, "--params"))
     rows = []
     for k in parse_k_range(args.k):
         q = formulas_mod.FormulaQuery(args.family, params, k)

@@ -181,6 +181,15 @@ def read_edge_list(text: str, name: str | None = None) -> Graph:
     return from_edge_list(n, edges, name)
 
 
+def read_ascii(path: str) -> str:
+    """The text of a graph file, which must be ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        raise MalformedHeader(f"{path} holds non-ASCII bytes")
+    return data.decode("ascii")
+
+
 def format_edge_list(g: Graph) -> str:
     edges = g.edges()
     lines = [f"{g.n} {len(edges)}"]
@@ -255,6 +264,8 @@ def from_graph6(text: str, name: str | None = None) -> Graph:
     """Decode one graph6 record (an optional ``>>graph6<<`` prefix is accepted)."""
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<"):]
+    if not text.isascii():
+        raise MalformedHeader("graph6 records are ASCII")
     data = text.strip().encode("ascii")
     n, off = _g6_decode_size(data)
     npairs = n * (n - 1) // 2
@@ -353,12 +364,12 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(g.n + h.n, rows)
+    return _trusted(g.n + h.n, rows)
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, [~r & full & ~(1 << i) for i, r in enumerate(g.rows)])
+    return _trusted(g.n, [~r & full & ~(1 << i) for i, r in enumerate(g.rows)])
 
 
 def fan(n: int) -> Graph:

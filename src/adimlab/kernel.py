@@ -4,9 +4,9 @@ Given the pair masks of a distinguish table, a k-generator is a vertex set
 hitting every mask at least k times (k >= 1); the solver below finds a
 minimum one.  Masks are plain ints, so any universe size is accepted.
 
-Every entry point first reduces the masks: duplicates go, and so does every
-mask that contains another one (a set hitting A k times hits every superset
-of A k times, so the valid covers are unchanged); the rest are sorted by
+A table is first reduced: duplicate masks go, and so does every mask that
+contains another one (a set hitting A k times hits every superset of A k
+times, so the valid covers are unchanged); the rest are sorted by
 (popcount, value).  The search then runs on columns: one int per vertex,
 bit p set when the vertex lies in mask p.  The residual is k bit-planes,
 plane j holding the masks still short of j + 1 hits, so a pick updates it
@@ -36,10 +36,11 @@ branch and bound and starts the lex pass from that cover.
 reduced table.
 
 The reduced masks and their columns depend on the masks alone, not on k,
-so ``prepare`` makes them once as a ``Prepared`` table.  Every entry point
-takes raw masks or a ``Prepared`` table (``DistinguishTable.prepared``
-keeps one per distinguish table), and the greedy incumbent of a search
-scores on the search's own columns.
+so ``prepare`` makes them once as a ``Prepared`` table
+(``DistinguishTable.prepared`` keeps one per distinguish table).  Every
+search takes one, with a column per vertex, and seeds itself with
+``forced``, the masks of exactly k bits, which every k-fold cover contains.
+``cover_ladder`` reads no columns, so it takes raw masks.
 """
 
 from __future__ import annotations
@@ -93,9 +94,14 @@ def prepare(masks, n: int) -> Prepared:
     return Prepared(tuple(reduced), tuple(_columns(reduced, n)))
 
 
-def _prepared(masks, n: int) -> Prepared:
-    """``masks`` when it is prepared already, else ``prepare(masks, n)``."""
-    return masks if isinstance(masks, Prepared) else prepare(masks, n)
+def forced(masks, k: int) -> int:
+    """Union of the masks of exactly k bits, which every k-fold cover contains
+    (for a feasible k, reduction keeps every such mask)."""
+    out = 0
+    for m in masks:
+        if m.bit_count() == k:
+            out |= m
+    return out
 
 
 def _pick(planes: list[int], col: int) -> list[int]:
@@ -118,21 +124,17 @@ def _planes(cols: list[int], k: int, width: int, chosen: int) -> list[int]:
     return planes
 
 
-def greedy_cover(masks, k: int, n: int, seed: int = 0) -> int:
+def greedy_cover(prepared: Prepared, k: int, seed: int = 0) -> int:
     """Valid (not necessarily minimum) cover grown from ``seed`` by always
-    adding the vertex hitting the most deficient masks, ties to low index.
-    Raw masks are scored as given; a ``Prepared`` table by its reduced masks,
-    on the columns it holds."""
-    if isinstance(masks, Prepared):
-        masks, cols = masks
-    else:
-        cols = _columns(masks, n)
+    adding the vertex hitting the most deficient reduced masks, ties to low
+    index."""
+    masks, cols = prepared
     planes = _planes(cols, k, len(masks), seed)
     chosen = seed
     while planes[-1]:
         short = planes[-1]
         best, pick = 0, -1
-        for v in range(n):
+        for v in range(len(cols)):
             if not (chosen >> v) & 1:
                 score = (cols[v] & short).bit_count()
                 if score > best:
@@ -153,10 +155,10 @@ class _Search:
     __slots__ = ("masks", "cols", "k", "n", "budget", "nodes", "best_size",
                  "best_mask", "floor")
 
-    def __init__(self, prepared, k, n, budget):
+    def __init__(self, prepared, k, budget):
         self.masks, self.cols = prepared
         self.k = k
-        self.n = n
+        self.n = len(self.cols)
         self.budget = budget
         self.nodes = 0
         self.floor = 0
@@ -336,22 +338,22 @@ class _Search:
         return out
 
 
-def _minimum(masks, k, n, forced, budget):
-    """A search on ``masks`` (raw or prepared) whose ``best_size`` is the
-    minimum cover size: the greedy incumbent, then branch and bound.
-    Returns (search, greedy_size)."""
-    prepared = _prepared(masks, n)
-    search = _Search(prepared, k, n, budget)
-    incumbent = greedy_cover(prepared, k, n, forced)
+def _minimum(prepared, k, budget):
+    """A search on ``prepared`` whose ``best_size`` is the minimum cover
+    size: the greedy incumbent, then branch and bound, both seeded with the
+    forced masks.  Returns (search, greedy_size)."""
+    search = _Search(prepared, k, budget)
+    seed = forced(search.masks, k)
+    incumbent = greedy_cover(prepared, k, seed)
     search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
-    planes = _planes(search.cols, k, len(search.masks), forced)
-    full = (1 << n) - 1
-    search.branch_bound(forced, forced.bit_count(), full & ~forced, planes)
+    planes = _planes(search.cols, k, len(search.masks), seed)
+    full = (1 << search.n) - 1
+    search.branch_bound(seed, seed.bit_count(), full & ~seed, planes)
     return search, incumbent.bit_count()
 
 
-def solve_min_multicover(masks, k, n, forced=0, budget=None):
+def solve_min_multicover(prepared, k, budget=None):
     """Exact minimum multicover.
 
     Returns (size, witness_mask, nodes, (greedy_size, search_nodes)) where
@@ -359,36 +361,29 @@ def solve_min_multicover(masks, k, n, forced=0, budget=None):
     the size of the greedy incumbent the search started from and
     search_nodes the part of ``nodes`` spent finding the minimum size; the
     lex pass spent the rest.  Assumes feasibility (every mask has >= k
-    bits); ``forced`` must be a subset of every valid cover.
+    bits).
     """
-    prepared = _prepared(masks, n)
-    if not prepared.masks:
-        return 0, 0, 0, (0, 0)
-    search, greedy_size = _minimum(prepared, k, n, forced, budget)
+    search, greedy_size = _minimum(prepared, k, budget)
     search_nodes = search.nodes
     witnesses = search.lex_covers(search.best_size, 1)
     return search.best_size, witnesses[0], search.nodes, (greedy_size, search_nodes)
 
 
-def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None,
-                         start=None):
+def enumerate_min_covers(prepared, k, limit=None, budget=None, start=None):
     """All minimum covers in lexicographic order, found in one search: the
     minimum size first, then the lex pass over covers of that size.  With
     ``start`` = (size, cover), a known minimum size and a cover of that
-    size, the lex pass starts from that cover and the minimum search (and
-    with it ``forced``) is skipped.
+    size, the lex pass starts from that cover and the minimum search is
+    skipped.
 
     Returns (covers, nodes, truncated), ``nodes`` counting the nodes this
     call searched; with a ``limit``, at most that many covers are returned
     and ``truncated`` reports whether more exist.
     """
-    prepared = _prepared(masks, n)
-    if not prepared.masks:
-        return [0], 0, False
     if start is None:
-        search, _ = _minimum(prepared, k, n, forced, budget)
+        search, _ = _minimum(prepared, k, budget)
     else:
-        search = _Search(prepared, k, n, budget)
+        search = _Search(prepared, k, budget)
         search.best_size, search.best_mask = start
     cap = 1 << 62 if limit is None else limit + 1
     covers = search.lex_covers(search.best_size, cap)
@@ -396,30 +391,23 @@ def enumerate_min_covers(masks, k, n, forced=0, limit=None, budget=None,
     return covers[:limit], search.nodes, truncated
 
 
-def search_ladder(masks, n, budget=None):
+def search_ladder(prepared, budget=None):
     """Minimum cover size for every feasible level k = 1..C as a list
     (index k-1): one branch and bound per level, each bounded by ``budget``
-    nodes, on one prepared table.  Every cover at level k contains the masks
-    of exactly k vertices, so they seed the search."""
-    prepared = _prepared(masks, n)
+    nodes, on one prepared table."""
     if not prepared.masks:
         return []
-    sizes = []
-    for k in range(1, prepared.masks[0].bit_count() + 1):
-        forced = 0
-        for m in prepared.masks:
-            if m.bit_count() == k:
-                forced |= m
-        search, _ = _minimum(prepared, k, n, forced, budget)
-        sizes.append(search.best_size)
-    return sizes
+    return [
+        _minimum(prepared, k, budget)[0].best_size
+        for k in range(1, prepared.masks[0].bit_count() + 1)
+    ]
 
 
 def cover_ladder(masks, n):
     """Minimum cover size for every feasible level k = 1..C as a list
     (index k-1), computed by scanning subsets of the reduced masks in
     increasing size."""
-    masks = masks.masks if isinstance(masks, Prepared) else _reduce(masks)
+    masks = _reduce(masks)
     if not masks:
         return []
     top = masks[0].bit_count()

@@ -20,7 +20,7 @@ from .errors import (
     SamePair,
     TooSmall,
 )
-from .graph import Graph, bfs_distances, diameter, distance_matrix, is_connected
+from .graph import INFINITE, Graph, bfs_distances, diameter, distance_matrix
 
 _TABLE_CACHE_SIZE = 1024
 
@@ -140,16 +140,7 @@ def distinguishing_set(g: Graph, t: int, x: int, y: int) -> VertexSet:
         raise BadParameter(f"truncation level must be >= 1, got {t}")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise OutOfRange(f"pair ({x}, {y}) out of 0..{g.n - 1}")
-    if t == 2:
-        pair = (1 << x) | (1 << y)
-        return VertexSet(g.n, ((g.rows[x] ^ g.rows[y]) & ~pair) | pair)
-    dx = bfs_distances(g, x)
-    dy = bfs_distances(g, y)
-    mask = 0
-    for z in range(g.n):
-        if min(dx[z], t) != min(dy[z], t):
-            mask |= 1 << z
-    return VertexSet(g.n, mask)
+    return build_table(g, t).pair_set(x, y)
 
 
 def _build_masks(g: Graph, t: int) -> list[int]:
@@ -185,9 +176,10 @@ def _build_masks(g: Graph, t: int) -> list[int]:
 def metric_level(g: Graph) -> int:
     """Truncation level at which the truncated metric is the full
     shortest-path metric: the diameter, at least 1."""
-    if not is_connected(g):
+    d = diameter(g)
+    if d == INFINITE:
         raise Disconnected("the full shortest-path metric needs a connected graph")
-    return max(1, int(diameter(g)))
+    return max(1, int(d))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -213,11 +205,7 @@ def forced_set(table: DistinguishTable, k: int) -> VertexSet:
     dim = dimensionality(table)
     if k > dim:
         raise KTooLarge(f"k={k} exceeds the dimensionality bound {dim}")
-    mask = 0
-    for m, size in zip(table.pair_masks, table.pair_sizes):
-        if size == k:
-            mask |= m
-    return VertexSet(table.n, mask)
+    return VertexSet(table.n, kernel.forced(table.pair_masks, k))
 
 
 def adjacency_dimensionality(g: Graph) -> int:

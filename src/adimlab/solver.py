@@ -29,7 +29,6 @@ from .metric import (
     DistinguishTable,
     build_table,
     dimensionality,
-    forced_set,
     metric_level,
 )
 
@@ -98,7 +97,7 @@ def is_k_generator(table: DistinguishTable, k: int, s: VertexSet) -> bool:
 def greedy_bound(table: DistinguishTable, k: int) -> VertexSet:
     """Valid k-generator from the max-coverage greedy heuristic."""
     _check_k(table, k)
-    mask = kernel.greedy_cover(table.prepared, k, table.n)
+    mask = kernel.greedy_cover(table.prepared, k)
     return VertexSet(table.n, mask)
 
 
@@ -136,9 +135,8 @@ def solve_table(
             raise _exhausted(budget)
         return stored
     start = time.perf_counter()
-    forced = forced_set(table, k).mask
     size, witness, nodes, (greedy_size, search_nodes) = (
-        kernel.solve_min_multicover(table.prepared, k, table.n, forced, budget)
+        kernel.solve_min_multicover(table.prepared, k, budget)
     )
     millis = (time.perf_counter() - start) * 1000.0
     stats = SolveStats(nodes, greedy_size, millis, search_nodes)
@@ -179,7 +177,7 @@ def enumerate_bases(
     stored = table.minima.get(k)
     if stored is None:
         covers, _, truncated = kernel.enumerate_min_covers(
-            table.prepared, k, table.n, forced_set(table, k).mask, limit, budget
+            table.prepared, k, limit, budget
         )
     else:
         spent = stored.stats.search_nodes
@@ -187,7 +185,7 @@ def enumerate_bases(
             raise _exhausted(budget)
         try:
             covers, _, truncated = kernel.enumerate_min_covers(
-                table.prepared, k, table.n, limit=limit,
+                table.prepared, k, limit,
                 budget=None if budget is None else budget - spent,
                 start=(stored.dimension, stored.witness.mask),
             )
@@ -236,7 +234,7 @@ def _ladder(table: DistinguishTable) -> list[int]:
     if table.n <= _LADDER_SCAN_MAX_N:
         # the scan reads no columns, so it skips making the prepared table
         return kernel.cover_ladder(table.pair_masks, table.n)
-    return kernel.search_ladder(table.prepared, table.n, _budget(None))
+    return kernel.search_ladder(table.prepared, _budget(None))
 
 
 def brute_force_adim(

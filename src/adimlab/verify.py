@@ -40,6 +40,7 @@ from .graph import (
     is_connected,
     is_tree,
     join,
+    read_ascii,
     to_graph6,
 )
 from .metric import (
@@ -207,8 +208,7 @@ class Corpus:
 
     @classmethod
     def from_file(cls, path: str, **kw) -> "Corpus":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = tuple(ln.strip() for ln in fh if ln.strip())
+        lines = tuple(ln.strip() for ln in read_ascii(path).splitlines() if ln.strip())
         return cls(graph6_lines=lines, **kw)
 
 

@@ -280,6 +280,31 @@ def test_family_rejects_bad_member_ranges(capsys, argv):
     assert ">= 0" in err
 
 
+NON_ASCII_FILE = object()
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--graph", "cycle:5", "--k", "3..1"),
+    ("dim", "--graph", "cycle:5", "--k", "abc"),
+    ("conjecture", "--max-n", "3", "--k", "1..x"),
+    ("info", "--graph", "path:x"),
+    ("formulas", "--family", "cycle", "--params", "x", "--k", "1"),
+    ("bases", "--file", NON_ASCII_FILE, "--k", "1"),
+    ("sweep", "--theorem", "monotony", "--g6-file", NON_ASCII_FILE),
+    ("compute", "--g6", "", "--k", "1"),
+    ("info", "--g6", "D\u00e9{"),
+])
+def test_unparsable_input_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes("D~{\nD\u00e9{\n".encode("utf-8"))
+    argv = [str(bad) if a is NON_ASCII_FILE else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unparsable_budget_variable_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ADIMLAB_BUDGET", "abc")
     code, out, err = run(capsys, "compute", "--g6", "D~{", "--k", "1")

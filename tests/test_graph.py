@@ -236,6 +236,21 @@ def test_join_equals_the_checked_constructor():
         assert gh.edge_count() == g.edge_count() + h.edge_count() + g.n * h.n
 
 
+def test_complement_and_disjoint_union_equal_the_checked_constructor():
+    # both skip the constructor's checks too
+    rng = random.Random(13)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 9))
+        h = random_graph(rng, rng.randint(0, 9))
+        co, union = complement(g), disjoint_union(g, h)
+        for built in (co, union):
+            checked = Graph(built.n, built.rows)
+            assert built == checked and type(built.rows) is tuple
+            assert built.name is None
+        assert co.edge_count() == g.n * (g.n - 1) // 2 - g.edge_count()
+        assert union.edge_count() == g.edge_count() + h.edge_count()
+
+
 def test_graph_equality_hash():
     assert path(3) == from_edge_list(3, [(1, 2), (0, 1)])
     assert hash(path(3)) == hash(from_edge_list(3, [(0, 1), (1, 2)]))

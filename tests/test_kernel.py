@@ -18,32 +18,33 @@ from conftest import random_graph
 def test_budget_exhausted_raises():
     masks = build_table(path(10), 2).pair_masks
     with pytest.raises(BudgetExhausted):
-        kernel.solve_min_multicover(masks, 2, 10, 0, 2)
+        kernel.solve_min_multicover(kernel.prepare(masks, 10), 2, 2)
 
 
 def test_greedy_cover_infeasible_raises_typed_error():
     # the second mask has 1 bit, so no vertex set hits it twice
     with pytest.raises(KTooLarge) as info:
-        kernel.greedy_cover([0b011, 0b100], 2, 3, 0)
+        kernel.greedy_cover(kernel.prepare([0b011, 0b100], 3), 2, 0)
     assert isinstance(info.value, AdimlabError)
 
 
 def test_greedy_cover_breaks_ties_to_the_lowest_index():
     # every vertex hits one deficient mask at first: 0 is taken, then 2
-    assert kernel.greedy_cover([0b0011, 0b1100], 1, 4) == 0b0101
+    table = kernel.prepare([0b0011, 0b1100], 4)
+    assert kernel.greedy_cover(table, 1) == 0b0101
     # the seed is kept and only the masks it leaves short are scored
-    assert kernel.greedy_cover([0b0011, 0b1100], 1, 4, 0b1000) == 0b1001
+    assert kernel.greedy_cover(table, 1, 0b1000) == 0b1001
 
 
 def test_python_kernel_large_universe():
     # masks are plain ints, so n > 64 works through big ints
     masks = [(1 << 64) | (1 << 65), (1 << 65) | (1 << 66), (1 << 64) | (1 << 66)]
-    size, witness, _, _ = kernel.solve_min_multicover(masks, 1, 67, 0, None)
+    size, witness, _, _ = kernel.solve_min_multicover(kernel.prepare(masks, 67), 1)
     assert size == 2
     assert all((witness & m).bit_count() >= 1 for m in masks)
     g = path(70)
     big = build_table(g, 2).pair_masks
-    greedy = kernel.greedy_cover(big, 1, 70, 0)
+    greedy = kernel.greedy_cover(kernel.prepare(big, 70), 1, 0)
     assert all((greedy & m).bit_count() >= 1 for m in big)
 
 
@@ -68,15 +69,23 @@ def test_reduction_leaves_every_answer_unchanged():
         noisy = masks + rng.sample(masks, len(masks) // 2)
         noisy += [m | rng.getrandbits(g.n) for m in rng.sample(masks, len(masks) // 2)]
         rng.shuffle(noisy)
-        for forced in (0, forced_set(table, k).mask):
-            plain = kernel.solve_min_multicover(masks, k, g.n, forced)
-            extra = kernel.solve_min_multicover(noisy, k, g.n, forced)
-            assert plain[:2] == extra[:2]
-            for limit in (None, 2):
-                plain = kernel.enumerate_min_covers(masks, k, g.n, forced, limit)
-                extra = kernel.enumerate_min_covers(noisy, k, g.n, forced, limit)
-                assert (plain[0], plain[2]) == (extra[0], extra[2])
+        plain = kernel.solve_min_multicover(kernel.prepare(masks, g.n), k)
+        extra = kernel.solve_min_multicover(kernel.prepare(noisy, g.n), k)
+        assert plain[:2] == extra[:2]
+        assert all((extra[1] & m).bit_count() >= k for m in noisy)
+        for limit in (None, 2):
+            plain = kernel.enumerate_min_covers(kernel.prepare(masks, g.n), k, limit)
+            extra = kernel.enumerate_min_covers(kernel.prepare(noisy, g.n), k, limit)
+            assert (plain[0], plain[2]) == (extra[0], extra[2])
         assert kernel.cover_ladder(masks, g.n) == kernel.cover_ladder(noisy, g.n)
+
+
+def test_forced_masks_of_the_reduced_table_are_the_forced_set():
+    # a mask of exactly k bits contains no smaller mask when k is feasible,
+    # so the kernel's seed on the reduced masks is the table's forced set
+    for g, table, _ in _tables(12, 80, range(2, 12)):
+        for k in range(1, dimensionality(table) + 1):
+            assert kernel.forced(table.prepared.masks, k) == forced_set(table, k).mask
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -85,7 +94,7 @@ def test_witness_is_the_brute_force_witness(t):
     # its first hit is the lexicographically smallest minimum cover
     for g, table, k in _tables(300 + t, 40, range(2, 11), ts=(t,)):
         size, witness, _, _ = kernel.solve_min_multicover(
-            table.pair_masks, k, g.n, forced_set(table, k).mask
+            kernel.prepare(table.pair_masks, g.n), k
         )
         slow = brute_force_adim(g, k, t=t)
         assert (size, witness) == (slow.dimension, slow.witness.mask)
@@ -117,28 +126,28 @@ def test_cover_ladder_matches_repeated_solves_across_the_scan_threshold():
             for k in range(1, dimensionality(table) + 1)
         ]
         assert kernel.cover_ladder(table.pair_masks, g.n) == solved
-        assert kernel.search_ladder(table.pair_masks, g.n) == solved
+        assert kernel.search_ladder(kernel.prepare(table.pair_masks, g.n)) == solved
         assert solver._ladder(table) == solved
 
 
 def test_search_ladder_budget_bounds_each_level():
     table = build_table(random_graph(random.Random(1409), 14), 2)
-    masks = kernel._reduce(table.pair_masks)
+    prepared = kernel.prepare(table.pair_masks, 14)
     nodes = [
-        kernel._minimum(masks, k, 14, forced_set(table, k).mask, None)[0].nodes
+        kernel._minimum(prepared, k, None)[0].nodes
         for k in range(1, dimensionality(table) + 1)
     ]
     assert len(nodes) > 1
-    ladder = kernel.search_ladder(table.pair_masks, 14)
-    assert kernel.search_ladder(table.pair_masks, 14, max(nodes)) == ladder
+    ladder = kernel.search_ladder(prepared)
+    assert kernel.search_ladder(prepared, max(nodes)) == ladder
     with pytest.raises(BudgetExhausted):
-        kernel.search_ladder(table.pair_masks, 14, max(nodes) - 1)
+        kernel.search_ladder(prepared, max(nodes) - 1)
 
 
 # (graph, k): ((size, witness, nodes) of solve_min_multicover,
 #              (count, last cover, nodes, truncated) of enumerate_min_covers
-#              with limit 5), on the level-2 table with its forced set.  Node
-#              counts are deterministic: a change in search effort fails here.
+#              with limit 5), on the level-2 table.  Node counts are
+#              deterministic: a change in search effort fails here.
 PINNED = {
     ("petersen", 1): ((3, (0, 2, 8), 12), (5, (0, 6, 7), 27, True)),
     ("petersen", 2): ((4, (0, 2, 8, 9), 36), (5, (2, 4, 5, 6), 104, False)),
@@ -188,28 +197,21 @@ def pinned_graphs():
 @pytest.mark.parametrize("name,k", sorted(PINNED))
 def test_search_answers_and_node_counts_are_pinned(pinned_graphs, name, k):
     g = pinned_graphs[name]
-    table = build_table(g, 2)
-    forced = forced_set(table, k).mask
+    prepared = kernel.prepare(build_table(g, 2).pair_masks, g.n)
     (size, witness, nodes), (count, last, enum_nodes, truncated) = PINNED[name, k]
-    solved = kernel.solve_min_multicover(table.pair_masks, k, g.n, forced)
+    solved = kernel.solve_min_multicover(prepared, k)
     assert (solved[0], tuple(bits_of(solved[1])), solved[2]) == (size, witness, nodes)
-    covers, found, more = kernel.enumerate_min_covers(
-        table.pair_masks, k, g.n, forced, 5
-    )
+    covers, found, more = kernel.enumerate_min_covers(prepared, k, 5)
     assert covers[0] == solved[1]
     assert (len(covers), tuple(bits_of(covers[-1])), found, more) == (
         count, last, enum_nodes, truncated
     )
     # the search exhausts at node budget + 1, so its own count just suffices
-    assert kernel.solve_min_multicover(
-        table.pair_masks, k, g.n, forced, nodes
-    )[:3] == solved[:3]
+    assert kernel.solve_min_multicover(prepared, k, nodes)[:3] == solved[:3]
     with pytest.raises(BudgetExhausted):
-        kernel.solve_min_multicover(table.pair_masks, k, g.n, forced, nodes - 1)
-    assert kernel.enumerate_min_covers(
-        table.pair_masks, k, g.n, forced, 5, enum_nodes
-    ) == (covers, found, more)
+        kernel.solve_min_multicover(prepared, k, nodes - 1)
+    assert kernel.enumerate_min_covers(prepared, k, 5, enum_nodes) == (
+        covers, found, more
+    )
     with pytest.raises(BudgetExhausted):
-        kernel.enumerate_min_covers(
-            table.pair_masks, k, g.n, forced, 5, enum_nodes - 1
-        )
+        kernel.enumerate_min_covers(prepared, k, 5, enum_nodes - 1)

@@ -141,7 +141,9 @@ def test_higher_levels_match_definition(g):
     for t in (1, 3, 4):
         table = build_table(g, t)
         for x, y, mask in table.pairs():
-            assert set(table.pair_set(x, y)) == oracle_pair_set(g, t, x, y)
+            expected = oracle_pair_set(g, t, x, y)
+            assert set(table.pair_set(x, y)) == expected
+            assert set(distinguishing_set(g, t, x, y)) == expected
 
 
 def test_generator_survives_level_increase():

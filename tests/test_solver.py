@@ -265,8 +265,8 @@ def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):
     # one kernel search finds the size and lists the bases; its node count
     # is the budget that just suffices, from the argument or the environment
     table = build_table(fig4_graph(), 2)
-    forced = forced_set(table, 3).mask
-    covers, nodes, _ = kernel.enumerate_min_covers(table.pair_masks, 3, 9, forced)
+    prepared = kernel.prepare(table.pair_masks, 9)
+    covers, nodes, _ = kernel.enumerate_min_covers(prepared, 3)
     assert len(covers) == 6
     assert len(enumerate_bases(fig4_graph(), 3, budget=nodes)) == 6
     with pytest.raises(BudgetExhausted):
@@ -424,7 +424,7 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
         # an enumeration hit charges the stored minimum search, then its lex
         # pass; the kernel counts the lex pass alone
         covers, lex, _ = kernel.enumerate_min_covers(
-            table.prepared, k, g.n, start=(solved.dimension, solved.witness.mask)
+            table.prepared, k, start=(solved.dimension, solved.witness.mask)
         )
         assert [b.mask for b in enumerate_bases(g, k, budget=spent + lex, t=t)] == covers
         with pytest.raises(BudgetExhausted, match=f"node budget {spent - 1} "):
