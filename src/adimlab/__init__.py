@@ -5,6 +5,7 @@ from .graph import (
     Graph,
     TwinPartition,
     bfs_distances,
+    bfs_layers,
     complement,
     complete,
     complete_bipartite,

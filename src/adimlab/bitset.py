@@ -93,10 +93,6 @@ class VertexSet:
         """All vertices of the universe not in this set."""
         return VertexSet(self.n, ~self.mask & ((1 << self.n) - 1))
 
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, VertexSet)

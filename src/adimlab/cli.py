@@ -17,6 +17,7 @@ from . import formulas as formulas_mod
 from . import verify as verify_mod
 from .errors import AdimlabError, BadParameter
 from .graph import (
+    INFINITE,
     Graph,
     complement,
     complete,
@@ -32,7 +33,6 @@ from .graph import (
     fig5_graph,
     from_graph6,
     hypercube,
-    is_connected,
     join,
     path,
     petersen,
@@ -135,11 +135,17 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument("--file", help="path to a graph6 or edge-list file")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table"
-    )
-    p.add_argument("--budget", type=int, default=None, help="solver node budget")
+def _add_common_flags(
+    p: argparse.ArgumentParser, formats: bool = True, budget: bool = True
+) -> None:
+    """``--out`` for every command; ``--format`` and ``--budget`` only for
+    the commands that read them."""
+    if formats:
+        p.add_argument(
+            "--format", choices=("table", "json", "csv"), default="table"
+        )
+    if budget:
+        p.add_argument("--budget", type=int, default=None, help="solver node budget")
     p.add_argument("--out", help="write the output to this file instead of stdout")
 
 
@@ -207,17 +213,20 @@ def cmd_dim(args) -> int:
 def cmd_info(args) -> int:
     g = load_graph(args)
     part = twin_partition(g)
-    connected = is_connected(g)
+    diam = diameter(g)
+    connected = diam != INFINITE
     info = {
         "n": g.n,
         "m": g.edge_count(),
         "graph6": to_graph6(g),
         "degrees": {"min": g.min_degree(), "max": g.max_degree()},
         "connected": connected,
-        "diameter": (int(diameter(g)) if connected else None),
+        "diameter": diam if connected else None,
         "dimensionality": adjacency_dimensionality(g) if g.n >= 2 else None,
+        # a connected graph on two or more vertices has diameter >= 1, which
+        # is then its metric level
         "metric_dimensionality": (
-            dimensionality(build_table(g, metric_level(g)))
+            dimensionality(build_table(g, diam))
             if g.n >= 2 and connected
             else None
         ),
@@ -342,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="order, size, dimensionality, twin classes")
     _add_source_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, budget=False)
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("formulas", help="closed-form values (refuses out of range)")
     p.add_argument("--family", required=True, choices=formulas_mod.FAMILIES)
     p.add_argument("--params", default="", help="comma-separated, e.g. 7 or 2,3")
     p.add_argument("--k", required=True, help="level or range")
-    _add_common_flags(p)
+    _add_common_flags(p, budget=False)
     p.set_defaults(fn=cmd_formulas)
 
     p = sub.add_parser("bases", help="every minimum k-generator")
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--from-mask", type=int, default=0, dest="from_mask")
     p.add_argument("--to-mask", type=int, default=None, dest="to_mask")
-    _add_common_flags(p)
+    _add_common_flags(p, formats=False, budget=False)
     p.set_defaults(fn=cmd_family)
 
     for name, help_text in (
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--violations", default=None, help="stream violations here as NDJSON"
         )
-        _add_common_flags(p)
+        _add_common_flags(p, formats=False, budget=False)
         p.set_defaults(fn=cmd_sweep if name == "sweep" else cmd_conjecture)
 
     return ap

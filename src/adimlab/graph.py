@@ -441,29 +441,31 @@ def fig5_graph() -> Graph:
 # -- traversal and structure ------------------------------------------------
 
 
-def bfs_distances(g: Graph, source: int) -> list:
-    """Hop distances from ``source``; unreachable vertices get INFINITE."""
+def bfs_layers(g: Graph, source: int) -> list[int]:
+    """Vertices at distance 0, 1, 2, ... from ``source`` as bitmasks, up to
+    the last non-empty layer.  The one breadth-first walk of the package."""
     if not 0 <= source < g.n:
         raise OutOfRange(f"vertex {source} not in 0..{g.n - 1}")
-    dist = [INFINITE] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
+    rows = g.rows
+    layers = []
+    frontier = seen = 1 << source
     while frontier:
+        layers.append(frontier)
         reached = 0
         for v in bits_of(frontier):
-            reached |= g.rows[v]
+            reached |= rows[v]
         frontier = reached & ~seen
         seen |= frontier
-        d += 1
-        for v in bits_of(frontier):
+    return layers
+
+
+def bfs_distances(g: Graph, source: int) -> list:
+    """Hop distances from ``source``; unreachable vertices get INFINITE."""
+    dist = [INFINITE] * g.n
+    for d, layer in enumerate(bfs_layers(g, source)):
+        for v in bits_of(layer):
             dist[v] = d
     return dist
-
-
-def distance_matrix(g: Graph) -> list[list]:
-    return [bfs_distances(g, v) for v in range(g.n)]
 
 
 def components(g: Graph) -> list[int]:
@@ -471,29 +473,22 @@ def components(g: Graph) -> list[int]:
     remaining = (1 << g.n) - 1
     comps = []
     while remaining:
-        seen = frontier = remaining & -remaining
-        while frontier:
-            reached = 0
-            for v in bits_of(frontier):
-                reached |= g.rows[v]
-            frontier = reached & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
+        # layers are disjoint, so their sum is their union
+        comp = sum(bfs_layers(g, (remaining & -remaining).bit_length() - 1))
+        comps.append(comp)
+        remaining &= ~comp
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return g.n == 0 or sum(bfs_layers(g, 0)) == (1 << g.n) - 1
 
 
 def diameter(g: Graph):
     """Largest hop distance; INFINITE for disconnected graphs."""
-    if g.n <= 1:
-        return 0
     if not is_connected(g):
         return INFINITE
-    return max(max(bfs_distances(g, v)) for v in range(g.n))
+    return max((len(bfs_layers(g, v)) for v in range(g.n)), default=1) - 1
 
 
 def is_tree(g: Graph) -> bool:

@@ -4,11 +4,18 @@ For a truncation level t, the distance between x and y is min(d(x, y), t),
 with unreachable pairs saturating to t.  The distinguishing set of a pair
 (x, y) collects every vertex whose truncated distances to x and to y differ;
 the minimum pair-set size over all pairs bounds the feasible cover level k.
+
+Every distance here comes from ``graph.bfs_layers``: L_x[d] is the set of
+vertices at distance d from x.  A vertex z tells x and y apart at level t
+exactly when, for some d < t, z lies in L_x[d] or L_y[d] but not in both,
+so the pair's set is the union over d < t of L_x[d] ^ L_y[d].  For t <= 2
+the layers are {x} and the row of x, so those tables need no walk.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_, xor
 
 from . import kernel
 from .bitset import VertexSet
@@ -20,7 +27,7 @@ from .errors import (
     SamePair,
     TooSmall,
 )
-from .graph import INFINITE, Graph, bfs_distances, diameter, distance_matrix
+from .graph import INFINITE, Graph, bfs_layers, diameter
 
 _TABLE_CACHE_SIZE = 1024
 
@@ -102,9 +109,6 @@ class DistinguishTable:
     def min_pair_size(self) -> int:
         return min(self.pair_sizes)
 
-    def max_pair_size(self) -> int:
-        return max(self.pair_sizes)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -122,14 +126,10 @@ def truncated_distance(g: Graph, t: int, x: int, y: int) -> int:
         raise BadParameter(f"truncation level must be >= 1, got {t}")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise OutOfRange(f"pair ({x}, {y}) out of 0..{g.n - 1}")
-    if x == y:
-        return 0
-    if t == 1:
-        return 1
-    if t == 2:
-        return 1 if g.has_edge(x, y) else 2
-    d = bfs_distances(g, x)[y]
-    return t if d > t else int(d)
+    for d, layer in enumerate(bfs_layers(g, x)[:t]):
+        if layer >> y & 1:
+            return d
+    return t
 
 
 def distinguishing_set(g: Graph, t: int, x: int, y: int) -> VertexSet:
@@ -145,32 +145,26 @@ def distinguishing_set(g: Graph, t: int, x: int, y: int) -> VertexSet:
 
 def _build_masks(g: Graph, t: int) -> list[int]:
     n = g.n
-    masks = []
-    if t == 1:
-        for x in range(n):
-            for y in range(x + 1, n):
-                masks.append((1 << x) | (1 << y))
-    elif t == 2:
-        # one symmetric difference of adjacency rows per pair, no BFS
-        rows = g.rows
-        for x in range(n):
-            rx = rows[x]
-            for y in range(x + 1, n):
-                pair = (1 << x) | (1 << y)
-                masks.append(((rx ^ rows[y]) & ~pair) | pair)
-    else:
-        dist = distance_matrix(g)
-        trunc = [[t if d > t else d for d in row] for row in dist]
-        for x in range(n):
-            tx = trunc[x]
-            for y in range(x + 1, n):
-                ty = trunc[y]
-                m = 0
-                for z in range(n):
-                    if tx[z] != ty[z]:
-                        m |= 1 << z
-                masks.append(m)
-    return masks
+    if t <= 2:
+        # the layers below 2 are {x} and the row of x; below 1, {x} alone
+        rows = g.rows if t == 2 else (0,) * n
+        return [
+            (1 << x | 1 << y) | (rows[x] ^ rows[y])
+            for x in range(n)
+            for y in range(x + 1, n)
+        ]
+    # padded to exactly t layers: map stops at the shorter list, which would
+    # drop the deeper layers of one source when the other's walk ends early
+    # in a smaller component
+    layers = []
+    for v in range(n):
+        own = bfs_layers(g, v)[:t]
+        layers.append(own + [0] * (t - len(own)))
+    return [
+        reduce(or_, map(xor, layers[x], layers[y]))
+        for x in range(n)
+        for y in range(x + 1, n)
+    ]
 
 
 def metric_level(g: Graph) -> int:

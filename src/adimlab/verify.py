@@ -15,7 +15,6 @@ into its labeled members, each reported under its own graph6.
 
 from __future__ import annotations
 
-import json
 import time
 from array import array
 from collections import Counter
@@ -246,10 +245,6 @@ class SweepReport:
             "elapsed": round(self.elapsed, 3),
         }
 
-    def write_ndjson(self, fh) -> None:
-        for v in self.violations:
-            fh.write(json.dumps(v.to_json_dict()) + "\n")
-
 
 # -- per-graph checkers ------------------------------------------------------
 # Each checker returns (k, observed, expected) triples; empty means pass.
@@ -319,11 +314,12 @@ def _check_dim_le_adim(g: Graph) -> list:
 def _check_kdim_vs_kadj(g: Graph) -> list:
     if g.n < 2 or not is_connected(g):
         return []
+    level = metric_level(g)
     k_adj = dimensionality(build_table(g, 2))
-    k_met = dimensionality(build_table(g, metric_level(g)))
+    k_met = dimensionality(build_table(g, level))
     if k_adj > k_met:
         return [(0, k_adj, f"<= {k_met}")]
-    if diameter(g) <= 2 and k_adj != k_met:
+    if level <= 2 and k_adj != k_met:
         return [(0, k_adj, f"== {k_met} (diameter <= 2)")]
     return []
 

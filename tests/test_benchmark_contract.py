@@ -1,0 +1,95 @@
+"""What the benchmark harness in ``perfbench/`` needs of the package.
+
+The harness wraps the functions named in ``tracer.LAYERS`` by name, reads
+node counts from fixed places in the kernel's return values and calls
+``prep.program_setup`` for each workload.  These tests read those files and
+change nothing in them, so a rename or a new return shape fails here rather
+than in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from adimlab import kernel
+from adimlab.errors import BudgetExhausted
+from adimlab.graph import petersen
+from adimlab.metric import build_table
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+def _harness_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # no bytecode cache is written next to the harness
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+    return module
+
+
+tracer = _harness_module("tracer")
+prep = _harness_module("prep")
+
+
+@pytest.mark.parametrize("layer", tracer.LAYERS, ids=lambda layer: layer[2])
+def test_every_traced_function_exists(layer):
+    module_name, fn_name, _, _ = layer
+    module = importlib.import_module(f"adimlab.{module_name}")
+    assert callable(getattr(module, fn_name, None)), f"adimlab.{module_name}.{fn_name}"
+
+
+def test_tracer_installs_and_restores_every_layer():
+    before = {(m, f): getattr(importlib.import_module(f"adimlab.{m}"), f)
+              for m, f, _, _ in tracer.LAYERS}
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+    finally:
+        tr.uninstall()
+    for (m, f), original in before.items():
+        assert getattr(importlib.import_module(f"adimlab.{m}"), f) is original
+
+
+def test_traced_counters_read_node_counts():
+    counters = {(m, f): c[1] for m, f, _, c in tracer.LAYERS if c is not None}
+    assert counters == {
+        ("kernel", "solve_min_multicover"): 2,
+        ("kernel", "enumerate_min_covers"): 1,
+    }
+    prepared = build_table(petersen(), 2).prepared
+    calls = {
+        "solve_min_multicover": lambda budget: kernel.solve_min_multicover(
+            prepared, 2, budget
+        ),
+        "enumerate_min_covers": lambda budget: kernel.enumerate_min_covers(
+            prepared, 2, budget=budget
+        ),
+    }
+    for (_, fn_name), index in counters.items():
+        call = calls[fn_name]
+        nodes = call(None)[index]
+        # a node count is the smallest budget the same call succeeds under
+        assert type(nodes) is int and nodes > 0
+        assert call(nodes)[index] == nodes
+        with pytest.raises(BudgetExhausted):
+            call(nodes - 1)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_program_setup_runs_for_every_workload(workload):
+    ctx = prep.program_setup(workload, [])
+    assert ctx["adimlab"].__file__ == importlib.import_module("adimlab").__file__
+    assert isinstance(ctx["kernel"], str)
+    assert callable(ctx["metric"].build_table.cache_clear)

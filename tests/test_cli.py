@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import adimlab
+from adimlab import verify
 from adimlab.bitset import VertexSet
 from adimlab.cli import main, parse_graph_spec
 from adimlab.graph import (
@@ -209,6 +210,42 @@ def test_violations_ndjson_stream(tmp_path, capsys):
     )
     assert code == 0
     assert stream.read_text() == ""
+
+
+def test_sweep_streams_each_violation_as_one_json_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(verify.THEOREMS, "monotony", lambda g: [(1, g.n, "never")])
+    stream = tmp_path / "v.ndjson"
+    code, out, _ = run(
+        capsys, "sweep", "--theorem", "monotony", "--max-n", "2",
+        "--jobs", "1", "--violations", str(stream),
+    )
+    assert code == 1
+    lines = stream.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"graph6": "A?", "k": 1, "observed": 2, "expected": "never"},
+        {"graph6": "A_", "k": 1, "observed": 2, "expected": "never"},
+    ]
+    assert [json.loads(line) for line in lines] == json.loads(out)["violations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--graph", "petersen", "--budget", "0"),
+    ("formulas", "--family", "cycle", "--params", "7", "--k", "1", "--budget", "0"),
+    ("family", "--graph", "fig3", "--k", "2", "--budget", "0"),
+    ("family", "--graph", "fig3", "--k", "2", "--format", "csv"),
+    ("sweep", "--theorem", "monotony", "--max-n", "3", "--budget", "0"),
+    ("sweep", "--theorem", "monotony", "--max-n", "3", "--format", "csv"),
+    ("conjecture", "--max-n", "3", "--budget", "0"),
+    ("conjecture", "--max-n", "3", "--format", "csv"),
+])
+def test_commands_refuse_flags_they_would_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_budget_flag_errors_cleanly(capsys):

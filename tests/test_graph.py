@@ -2,6 +2,8 @@ import copy
 import math
 import pickle
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from adimlab.graph import (
     Graph,
     are_twins,
     bfs_distances,
+    bfs_layers,
     complement,
     complete,
     complete_bipartite,
@@ -133,6 +136,20 @@ def test_bfs_distances_path_and_errors():
     assert bfs_distances(path(5), 0) == [0, 1, 2, 3, 4]
     with pytest.raises(OutOfRange):
         bfs_distances(path(5), 5)
+
+
+def test_bfs_layers_path_components_and_errors():
+    assert bfs_layers(path(5), 0) == [1, 2, 4, 8, 16]
+    assert bfs_layers(path(5), 2) == [0b00100, 0b01010, 0b10001]
+    two = disjoint_union(path(2), cycle(3))
+    for v in range(two.n):
+        layers = bfs_layers(two, v)
+        assert reduce(or_, layers) == (0b00011 if v < 2 else 0b11100)
+        assert all(a & b == 0 for i, a in enumerate(layers) for b in layers[:i])
+    with pytest.raises(OutOfRange):
+        bfs_layers(path(5), 5)
+    with pytest.raises(OutOfRange):
+        bfs_layers(path(5), -1)
 
 
 def test_diameter_fixeds():

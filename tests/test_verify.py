@@ -22,7 +22,6 @@ from adimlab.verify import (
     PAIR_THEOREMS,
     THEOREMS,
     Corpus,
-    SweepReport,
     Violation,
     _classes,
     check_cone_conjecture,
@@ -188,16 +187,6 @@ def test_violation_stream_and_report_json():
     assert json.loads(json.dumps(v.to_json_dict())) == {
         "graph6": "A_", "k": 1, "observed": 2, "expected": 3,
     }
-
-
-def test_report_ndjson_writer(tmp_path):
-    report = SweepReport("demo")
-    report.violations.append(Violation("A_", 1, "x", "y"))
-    out = tmp_path / "viol.ndjson"
-    with open(out, "w") as fh:
-        report.write_ndjson(fh)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["graph6"] == "A_"
 
 
 def test_nightly_order7_sweeps():
