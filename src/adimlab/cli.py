@@ -135,18 +135,16 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument("--file", help="path to a graph6 or edge-list file")
 
 
-def _add_common_flags(
-    p: argparse.ArgumentParser, formats: bool = True, budget: bool = True
-) -> None:
-    """``--out`` for every command; ``--format`` and ``--budget`` only for
-    the commands that read them."""
-    if formats:
-        p.add_argument(
-            "--format", choices=("table", "json", "csv"), default="table"
-        )
-    if budget:
-        p.add_argument("--budget", type=int, default=None, help="solver node budget")
-    p.add_argument("--out", help="write the output to this file instead of stdout")
+_FLAGS = {
+    "--format": dict(choices=("table", "json", "csv"), default="table"),
+    "--budget": dict(type=int, default=None, help="solver node budget"),
+    "--out": dict(help="write the output to this file instead of stdout"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def _emit(args, text: str) -> None:
@@ -340,25 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p)
     p.add_argument("--k", required=True, help="level or range, e.g. 2 or 1..3")
     p.add_argument("--t", type=int, default=2, help="truncation level (default 2)")
-    _add_common_flags(p)
+    _add_flags(p, "--format", "--budget", "--out")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("dim", help="minimum k-generator for the full metric")
     _add_source_flags(p)
     p.add_argument("--k", required=True, help="level or range")
-    _add_common_flags(p)
+    _add_flags(p, "--format", "--budget", "--out")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("info", help="order, size, dimensionality, twin classes")
     _add_source_flags(p)
-    _add_common_flags(p, budget=False)
+    _add_flags(p, "--format", "--out")
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("formulas", help="closed-form values (refuses out of range)")
     p.add_argument("--family", required=True, choices=formulas_mod.FAMILIES)
     p.add_argument("--params", default="", help="comma-separated, e.g. 7 or 2,3")
     p.add_argument("--k", required=True, help="level or range")
-    _add_common_flags(p, budget=False)
+    _add_flags(p, "--format", "--out")
     p.set_defaults(fn=cmd_formulas)
 
     p = sub.add_parser("bases", help="every minimum k-generator")
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--limit", type=int, default=None, help="abort beyond this many")
-    _add_common_flags(p)
+    _add_flags(p, "--format", "--budget", "--out")
     p.set_defaults(fn=cmd_bases)
 
     p = sub.add_parser(
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--from-mask", type=int, default=0, dest="from_mask")
     p.add_argument("--to-mask", type=int, default=None, dest="to_mask")
-    _add_common_flags(p, formats=False, budget=False)
+    _add_flags(p, "--out")
     p.set_defaults(fn=cmd_family)
 
     for name, help_text in (
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--violations", default=None, help="stream violations here as NDJSON"
         )
-        _add_common_flags(p, formats=False, budget=False)
+        _add_flags(p, "--out")
         p.set_defaults(fn=cmd_sweep if name == "sweep" else cmd_conjecture)
 
     return ap

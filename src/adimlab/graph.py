@@ -441,9 +441,10 @@ def fig5_graph() -> Graph:
 # -- traversal and structure ------------------------------------------------
 
 
-def bfs_layers(g: Graph, source: int) -> list[int]:
+def bfs_layers(g: Graph, source: int, limit: int | None = None) -> list[int]:
     """Vertices at distance 0, 1, 2, ... from ``source`` as bitmasks, up to
-    the last non-empty layer.  The one breadth-first walk of the package."""
+    the last non-empty layer, or only the first ``limit`` layers.  The one
+    breadth-first walk of the package."""
     if not 0 <= source < g.n:
         raise OutOfRange(f"vertex {source} not in 0..{g.n - 1}")
     rows = g.rows
@@ -451,6 +452,8 @@ def bfs_layers(g: Graph, source: int) -> list[int]:
     frontier = seen = 1 << source
     while frontier:
         layers.append(frontier)
+        if len(layers) == limit:
+            break
         reached = 0
         for v in bits_of(frontier):
             reached |= rows[v]
@@ -486,9 +489,13 @@ def is_connected(g: Graph) -> bool:
 
 def diameter(g: Graph):
     """Largest hop distance; INFINITE for disconnected graphs."""
-    if not is_connected(g):
-        return INFINITE
-    return max((len(bfs_layers(g, v)) for v in range(g.n)), default=1) - 1
+    depth = 0
+    for v in range(g.n):
+        layers = bfs_layers(g, v)
+        if sum(layers) != (1 << g.n) - 1:
+            return INFINITE
+        depth = max(depth, len(layers) - 1)
+    return depth
 
 
 def is_tree(g: Graph) -> bool:

@@ -126,7 +126,7 @@ def truncated_distance(g: Graph, t: int, x: int, y: int) -> int:
         raise BadParameter(f"truncation level must be >= 1, got {t}")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise OutOfRange(f"pair ({x}, {y}) out of 0..{g.n - 1}")
-    for d, layer in enumerate(bfs_layers(g, x)[:t]):
+    for d, layer in enumerate(bfs_layers(g, x, t)):
         if layer >> y & 1:
             return d
     return t
@@ -153,13 +153,14 @@ def _build_masks(g: Graph, t: int) -> list[int]:
             for x in range(n)
             for y in range(x + 1, n)
         ]
-    # padded to exactly t layers: map stops at the shorter list, which would
-    # drop the deeper layers of one source when the other's walk ends early
-    # in a smaller component
+    # no distance reaches n, so width min(t, n) is exact.  Padded to that
+    # width: map stops at the shorter list, which would drop the deeper
+    # layers of one source when the other's walk ends early
+    width = min(t, n)
     layers = []
     for v in range(n):
-        own = bfs_layers(g, v)[:t]
-        layers.append(own + [0] * (t - len(own)))
+        own = bfs_layers(g, v, width)
+        layers.append(own + [0] * (width - len(own)))
     return [
         reduce(or_, map(xor, layers[x], layers[y]))
         for x in range(n)

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from .errors import BadParameter, TooLarge, UnknownTheorem
 from .graph import (
+    INFINITE,
     Graph,
     complement,
     complete,
@@ -48,7 +49,6 @@ from .metric import (
     dimensionality,
     forced_set,
     join_dimensionality,
-    metric_level,
 )
 from .solver import adim_ladder, dim_ladder
 
@@ -296,11 +296,12 @@ def _check_complement(g: Graph) -> list:
 
 
 def _check_dim_le_adim(g: Graph) -> list:
-    if g.n < 2 or not is_connected(g):
+    diam = diameter(g)
+    if g.n < 2 or diam == INFINITE:
         return []
     adim = adim_ladder(g)
     dim = dim_ladder(g)
-    flat = diameter(g) <= 2
+    flat = diam <= 2
     out = []
     for k in range(1, len(adim) + 1):
         d, a = dim[k - 1], adim[k - 1]
@@ -312,14 +313,15 @@ def _check_dim_le_adim(g: Graph) -> list:
 
 
 def _check_kdim_vs_kadj(g: Graph) -> list:
-    if g.n < 2 or not is_connected(g):
+    # on two or more connected vertices the diameter is the metric level
+    diam = diameter(g)
+    if g.n < 2 or diam == INFINITE:
         return []
-    level = metric_level(g)
     k_adj = dimensionality(build_table(g, 2))
-    k_met = dimensionality(build_table(g, level))
+    k_met = dimensionality(build_table(g, diam))
     if k_adj > k_met:
         return [(0, k_adj, f"<= {k_met}")]
-    if level <= 2 and k_adj != k_met:
+    if diam <= 2 and k_adj != k_met:
         return [(0, k_adj, f"== {k_met} (diameter <= 2)")]
     return []
 

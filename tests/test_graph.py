@@ -141,6 +141,8 @@ def test_bfs_distances_path_and_errors():
 def test_bfs_layers_path_components_and_errors():
     assert bfs_layers(path(5), 0) == [1, 2, 4, 8, 16]
     assert bfs_layers(path(5), 2) == [0b00100, 0b01010, 0b10001]
+    assert bfs_layers(path(5), 0, 2) == [1, 2]
+    assert bfs_layers(path(5), 0, 10**9) == [1, 2, 4, 8, 16]
     two = disjoint_union(path(2), cycle(3))
     for v in range(two.n):
         layers = bfs_layers(two, v)

@@ -211,6 +211,18 @@ def test_infinite_distance_is_sentinel():
     assert t.pair_set(0, 1).to_list() == [0, 1]
 
 
+def test_levels_beyond_the_order_cost_no_more_than_level_n():
+    # no distance reaches n, so every level t >= n is the level-n table;
+    # a huge t must not size any per-vertex work by t
+    huge = 10**9
+    for g in (path(5), disjoint_union(path(3), cycle(4))):
+        assert build_table(g, huge).pair_masks == build_table(g, g.n).pair_masks
+        for x in range(g.n):
+            dist = _hop_distances(g, x)
+            for y in range(g.n):
+                assert truncated_distance(g, huge, x, y) == min(dist[y], huge)
+
+
 def test_distinguish_table_survives_pickle_and_deepcopy():
     table = build_table(petersen(), 2)
     for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
