@@ -32,20 +32,19 @@ lexicographically, asking the same branch and bound, bounded by that size,
 whether a cover agrees with each new decision.  Given a known minimum size
 and a cover of that size, ``enumerate_min_covers`` skips the greedy and the
 branch and bound and starts the lex pass from that cover.
-``search_ladder`` runs the minimum search alone at every level of one
-reduced table.
+``cover_ladder`` is the one ladder, the minimum size at every level
+k = 1..C: a minimum search alone (greedy, then branch and bound) per level,
+all on one prepared table.
 
 The reduced masks and their columns depend on the masks alone, not on k,
 so ``prepare`` makes them once as a ``Prepared`` table
 (``DistinguishTable.prepared`` keeps one per distinguish table).  Every
 search takes one, with a column per vertex, and seeds itself with
 ``forced``, the masks of exactly k bits, which every k-fold cover contains.
-``cover_ladder`` reads no columns, so it takes raw masks.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .bitset import bits_of
@@ -391,7 +390,7 @@ def enumerate_min_covers(prepared, k, limit=None, budget=None, start=None):
     return covers[:limit], search.nodes, truncated
 
 
-def search_ladder(prepared, budget=None):
+def cover_ladder(prepared, budget=None):
     """Minimum cover size for every feasible level k = 1..C as a list
     (index k-1): one branch and bound per level, each bounded by ``budget``
     nodes, on one prepared table."""
@@ -401,35 +400,3 @@ def search_ladder(prepared, budget=None):
         _minimum(prepared, k, budget)[0].best_size
         for k in range(1, prepared.masks[0].bit_count() + 1)
     ]
-
-
-def cover_ladder(masks, n):
-    """Minimum cover size for every feasible level k = 1..C as a list
-    (index k-1), computed by scanning subsets of the reduced masks in
-    increasing size."""
-    masks = _reduce(masks)
-    if not masks:
-        return []
-    top = masks[0].bit_count()
-    best = [0] * (top + 1)
-    unfilled = top
-    vbits = [1 << v for v in range(n)]
-    for s in range(1, n + 1):
-        for combo in combinations(vbits, s):
-            smask = 0
-            for b in combo:
-                smask |= b
-            lvl = top
-            for m in masks:
-                c = (smask & m).bit_count()
-                if c < lvl:
-                    lvl = c
-                    if lvl == 0:
-                        break
-            while lvl >= 1 and best[lvl] == 0:
-                best[lvl] = s
-                unfilled -= 1
-                lvl -= 1
-            if unfilled == 0:
-                return best[1:]
-    return best[1:]

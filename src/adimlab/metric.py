@@ -39,16 +39,6 @@ def pair_rank(n: int, x: int, y: int) -> int:
     return x * n - x * (x + 1) // 2 + (y - x - 1)
 
 
-def pair_of_rank(n: int, r: int) -> tuple[int, int]:
-    x = 0
-    row = n - 1
-    while r >= row:
-        r -= row
-        row -= 1
-        x += 1
-    return x, x + 1 + r
-
-
 class DistinguishTable:
     """All pair distinguishing sets of a graph at one truncation level.
 

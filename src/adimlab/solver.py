@@ -210,11 +210,10 @@ def solve_adim_full(g: Graph, k: int, budget: int | None = None) -> SolveResult:
 def adim_ladder(g: Graph) -> list[int]:
     """adim_k for every feasible k = 1..C as a list (index k-1).
 
-    Uses a full subset scan for small orders, one branch and bound per
-    level otherwise; the node budget bounds each level.
+    One branch and bound per level on one prepared table, at every order;
+    the node budget bounds each level.
     """
-    table = build_table(g, 2)
-    return _ladder(table)
+    return _ladder(build_table(g, 2))
 
 
 def dim_ladder(g: Graph) -> list[int]:
@@ -222,19 +221,10 @@ def dim_ladder(g: Graph) -> list[int]:
     return _ladder(build_table(g, metric_level(g)))
 
 
-# Subset scan up to here, one branch and bound per level above: on random
-# graphs the scan wins at n = 7 and the searches from n = 8 on (1.1-1.3x at
-# n = 8, 2x at n = 9, 3.3x at n = 10).
-_LADDER_SCAN_MAX_N = 7
-
-
 def _ladder(table: DistinguishTable) -> list[int]:
     if table.n < 2:
         raise TooSmall(f"need at least 2 vertices, got {table.n}")
-    if table.n <= _LADDER_SCAN_MAX_N:
-        # the scan reads no columns, so it skips making the prepared table
-        return kernel.cover_ladder(table.pair_masks, table.n)
-    return kernel.search_ladder(table.prepared, _budget(None))
+    return kernel.cover_ladder(table.prepared, _budget(None))
 
 
 def brute_force_adim(

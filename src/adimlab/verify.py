@@ -50,7 +50,7 @@ from .metric import (
     forced_set,
     join_dimensionality,
 )
-from .solver import adim_ladder, dim_ladder
+from .solver import _ladder, adim_ladder
 
 ENUMERATION_MAX_N = 7
 
@@ -157,6 +157,8 @@ def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
     """
     if max_n > 16:
         raise TooLarge("tree enumeration is meant for small orders")
+    if min_n < 1:
+        raise BadParameter(f"tree orders start at 1, got min_n={min_n}")
     levels: list[list[Graph]] = [[Graph(1, [0])]]
     for n in range(2, max_n + 1):
         seen: dict[str, Graph] = {}
@@ -300,7 +302,8 @@ def _check_dim_le_adim(g: Graph) -> list:
     if g.n < 2 or diam == INFINITE:
         return []
     adim = adim_ladder(g)
-    dim = dim_ladder(g)
+    # on two or more connected vertices the diameter is the metric level
+    dim = _ladder(build_table(g, diam))
     flat = diam <= 2
     out = []
     for k in range(1, len(adim) + 1):

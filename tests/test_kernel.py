@@ -8,9 +8,10 @@ import pytest
 from adimlab import kernel, solver
 from adimlab.bitset import bits_of
 from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge
-from adimlab.graph import fig2_graph, path, petersen
+from adimlab.graph import complete, fig2_graph, from_pair_mask, join, path, petersen
 from adimlab.metric import build_table, dimensionality, forced_set
 from adimlab.solver import brute_force_adim, enumerate_bases, solve_table
+from adimlab.verify import _classes
 
 from conftest import random_graph
 
@@ -77,7 +78,9 @@ def test_reduction_leaves_every_answer_unchanged():
             plain = kernel.enumerate_min_covers(kernel.prepare(masks, g.n), k, limit)
             extra = kernel.enumerate_min_covers(kernel.prepare(noisy, g.n), k, limit)
             assert (plain[0], plain[2]) == (extra[0], extra[2])
-        assert kernel.cover_ladder(masks, g.n) == kernel.cover_ladder(noisy, g.n)
+        assert kernel.cover_ladder(kernel.prepare(masks, g.n)) == kernel.cover_ladder(
+            kernel.prepare(noisy, g.n)
+        )
 
 
 def test_forced_masks_of_the_reduced_table_are_the_forced_set():
@@ -112,9 +115,23 @@ def test_enumerate_bases_matches_brute_force_at_level_3():
         assert bases == expected
 
 
-def test_cover_ladder_matches_repeated_solves_across_the_scan_threshold():
-    # solver._ladder scans subsets up to _LADDER_SCAN_MAX_N and searches each
-    # level above it; both sides must agree on the orders around the threshold
+def test_cover_ladder_matches_brute_force_and_repeated_solves():
+    # every class with n <= 6 and its cone, at t = 2 and 3, against
+    # brute force level by level
+    for n in range(2, 7):
+        for rep, _ in _classes(n):
+            h = from_pair_mask(n, rep)
+            for g in (h, join(complete(1), h)):
+                for t in (2, 3):
+                    table = build_table(g, t)
+                    slow = [
+                        brute_force_adim(g, k, t=t).dimension
+                        for k in range(1, dimensionality(table) + 1)
+                    ]
+                    prepared = kernel.prepare(table.pair_masks, g.n)
+                    assert kernel.cover_ladder(prepared) == slow
+                    assert solver._ladder(table) == slow
+    # larger orders against one solve per level
     rng = random.Random(913)
     graphs = [random_graph(rng, n) for n in range(9, 14) for _ in range(2)]
     rng = random.Random(914)
@@ -125,12 +142,11 @@ def test_cover_ladder_matches_repeated_solves_across_the_scan_threshold():
             solve_table(table, k).dimension
             for k in range(1, dimensionality(table) + 1)
         ]
-        assert kernel.cover_ladder(table.pair_masks, g.n) == solved
-        assert kernel.search_ladder(kernel.prepare(table.pair_masks, g.n)) == solved
+        assert kernel.cover_ladder(kernel.prepare(table.pair_masks, g.n)) == solved
         assert solver._ladder(table) == solved
 
 
-def test_search_ladder_budget_bounds_each_level():
+def test_cover_ladder_budget_bounds_each_level():
     table = build_table(random_graph(random.Random(1409), 14), 2)
     prepared = kernel.prepare(table.pair_masks, 14)
     nodes = [
@@ -138,10 +154,10 @@ def test_search_ladder_budget_bounds_each_level():
         for k in range(1, dimensionality(table) + 1)
     ]
     assert len(nodes) > 1
-    ladder = kernel.search_ladder(prepared)
-    assert kernel.search_ladder(prepared, max(nodes)) == ladder
+    ladder = kernel.cover_ladder(prepared)
+    assert kernel.cover_ladder(prepared, max(nodes)) == ladder
     with pytest.raises(BudgetExhausted):
-        kernel.search_ladder(prepared, max(nodes) - 1)
+        kernel.cover_ladder(prepared, max(nodes) - 1)
 
 
 # (graph, k): ((size, witness, nodes) of solve_min_multicover,

@@ -28,7 +28,6 @@ from adimlab.metric import (
     distinguishing_set,
     forced_set,
     join_dimensionality,
-    pair_of_rank,
     pair_rank,
     truncated_distance,
 )
@@ -81,9 +80,6 @@ def test_pair_rank_round_trip():
     n = 9
     ranks = [pair_rank(n, x, y) for x in range(n) for y in range(x + 1, n)]
     assert ranks == list(range(n * (n - 1) // 2))
-    for r in ranks:
-        x, y = pair_of_rank(n, r)
-        assert pair_rank(n, x, y) == r
 
 
 def test_build_table_small():

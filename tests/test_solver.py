@@ -250,15 +250,18 @@ def test_bad_budgets_and_limits_raise_bad_parameter(monkeypatch):
         solve_adim(cycle(5), 1, budget=0)
 
 
-def test_budget_env_bounds_the_ladder_above_the_scan(monkeypatch):
-    g = cycle(12)
-    assert g.n > solver._LADDER_SCAN_MAX_N
-    monkeypatch.setenv("ADIMLAB_BUDGET", "1")
-    with pytest.raises(BudgetExhausted):
-        adim_ladder(g)
-    monkeypatch.setenv("ADIMLAB_BUDGET", "100000")
-    top = adjacency_dimensionality(g)
-    assert adim_ladder(g) == [solve_adim(g, k).dimension for k in range(1, top + 1)]
+def test_budget_env_bounds_every_ladder(monkeypatch):
+    # the budget bounds the search of each level at every order: its
+    # largest level takes 1 node on cycle(5) and 51 on cycle(12)
+    for g, need in ((cycle(5), 1), (cycle(12), 51)):
+        monkeypatch.delenv("ADIMLAB_BUDGET", raising=False)
+        top = adjacency_dimensionality(g)
+        solved = [solve_adim(g, k).dimension for k in range(1, top + 1)]
+        monkeypatch.setenv("ADIMLAB_BUDGET", str(need - 1))
+        with pytest.raises(BudgetExhausted):
+            adim_ladder(g)
+        monkeypatch.setenv("ADIMLAB_BUDGET", str(need))
+        assert adim_ladder(g) == solved
 
 
 def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):

@@ -6,17 +6,20 @@ from math import comb
 
 import pytest
 
-from adimlab import formulas, verify
-from adimlab.errors import TooLarge, UnknownTheorem
+from adimlab import formulas, graph, verify
+from adimlab.errors import BadParameter, TooLarge, UnknownTheorem
 from adimlab.formulas import cone_equality_criterion
 from adimlab.graph import (
     complete,
+    diameter,
     fig3_graph,
     fig5_graph,
     from_graph6,
     join,
+    path,
     to_graph6,
 )
+from adimlab.metric import build_table
 from adimlab.solver import adim_ladder
 from adimlab.verify import (
     PAIR_THEOREMS,
@@ -77,6 +80,31 @@ def test_tree_enumeration_counts():
     expected = [1, 1, 1, 2, 3, 6, 11, 23, 47]
     for n, want in enumerate(expected, start=1):
         assert len(enumerate_trees(n, n)) == want
+
+
+def test_tree_enumeration_rejects_orders_below_one():
+    assert [t.n for t in enumerate_trees(3, 1)] == [1, 2, 3]
+    for min_n in (0, -1):
+        with pytest.raises(BadParameter):
+            enumerate_trees(3, min_n)
+
+
+def test_dim_le_adim_walks_the_pairs_once(monkeypatch):
+    # with both tables cached the check's only walk is its one diameter:
+    # a BFS from each of the n vertices
+    g = path(7)
+    build_table(g, 2)
+    build_table(g, diameter(g))
+    walks = []
+    real = graph.bfs_layers
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "bfs_layers", counting)
+    assert THEOREMS["dim-le-adim"](g) == []
+    assert len(walks) == 7
 
 
 THEOREMS_SMALL = (
