@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from functools import partial
 
 from . import families as families_mod
 from . import formulas as formulas_mod
@@ -43,10 +45,11 @@ from .graph import (
     wheel,
 )
 from .metric import (
+    DistinguishTable,
     adjacency_dimensionality,
     build_table,
     dimensionality,
-    metric_level,
+    metric_table,
 )
 from .solver import enumerate_bases, solve_table
 
@@ -185,27 +188,21 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _solve_levels(args, g: Graph, t: int) -> list[dict]:
-    table = build_table(g, t)
-    rows = []
-    for k in parse_k_range(args.k):
-        res = solve_table(table, k, args.budget)
-        rows.append(res.to_json_dict())
-    return rows
+def _solve_levels(args, table: DistinguishTable) -> int:
+    rows = [
+        solve_table(table, k, args.budget).to_json_dict()
+        for k in parse_k_range(args.k)
+    ]
+    _emit_results(args, rows, ["k", "dimension", "witness", "nodes", "millis"])
+    return 0
 
 
 def cmd_compute(args) -> int:
-    g = load_graph(args)
-    rows = _solve_levels(args, g, args.t)
-    _emit_results(args, rows, ["k", "dimension", "witness", "nodes", "millis"])
-    return 0
+    return _solve_levels(args, build_table(load_graph(args), args.t))
 
 
 def cmd_dim(args) -> int:
-    g = load_graph(args)
-    rows = _solve_levels(args, g, metric_level(g))
-    _emit_results(args, rows, ["k", "dimension", "witness", "nodes", "millis"])
-    return 0
+    return _solve_levels(args, metric_table(load_graph(args)))
 
 
 def cmd_info(args) -> int:
@@ -221,12 +218,8 @@ def cmd_info(args) -> int:
         "connected": connected,
         "diameter": diam if connected else None,
         "dimensionality": adjacency_dimensionality(g) if g.n >= 2 else None,
-        # a connected graph on two or more vertices has diameter >= 1, which
-        # is then its metric level
         "metric_dimensionality": (
-            dimensionality(build_table(g, diam))
-            if g.n >= 2 and connected
-            else None
+            dimensionality(metric_table(g)) if g.n >= 2 and connected else None
         ),
         "twin_classes": [
             {"vertices": cls.to_list(), "kind": kind}
@@ -274,57 +267,42 @@ def cmd_family(args) -> int:
 
 
 def _make_corpus(args) -> verify_mod.Corpus:
-    if args.g6_file:
-        return verify_mod.Corpus.from_file(
-            args.g6_file,
-            min_n=args.min_n,
-            max_n=args.max_n,
-            connected=args.connected,
-            min_degree=args.min_degree,
-        )
-    return verify_mod.Corpus(
+    filters = dict(
         min_n=args.min_n,
         max_n=args.max_n,
         connected=args.connected,
         min_degree=args.min_degree,
     )
+    if args.g6_file:
+        return verify_mod.Corpus.from_file(args.g6_file, **filters)
+    return verify_mod.Corpus(**filters)
 
 
-def _violation_stream(args):
-    if not args.violations:
-        return None, None
-    fh = open(args.violations, "w", encoding="utf-8")
+def _run_sweep(args, run) -> int:
+    """Emit ``run(corpus, on_violation)``'s report on the flags' corpus,
+    streaming violations to ``--violations`` as NDJSON while it runs."""
+    corpus = _make_corpus(args)
+    out = open(args.violations, "w", encoding="utf-8") if args.violations else None
+    with out or nullcontext():
 
-    def stream(v):
-        fh.write(json.dumps(v.to_json_dict()) + "\n")
-        fh.flush()
+        def stream(v):
+            out.write(json.dumps(v.to_json_dict()) + "\n")
+            out.flush()
 
-    return stream, fh
+        report = run(corpus, on_violation=stream if out else None)
+    _emit(args, json.dumps(report.to_json_dict(), indent=2))
+    return 0 if report.passed else 1
 
 
 def cmd_sweep(args) -> int:
-    corpus = _make_corpus(args)
-    stream, fh = _violation_stream(args)
-    try:
-        report = verify_mod.sweep_theorem(corpus, args.theorem, args.jobs, stream)
-    finally:
-        if fh:
-            fh.close()
-    _emit(args, json.dumps(report.to_json_dict(), indent=2))
-    return 0 if report.passed else 1
+    run = partial(verify_mod.sweep_theorem, theorem_id=args.theorem, jobs=args.jobs)
+    return _run_sweep(args, run)
 
 
 def cmd_conjecture(args) -> int:
-    corpus = _make_corpus(args)
     ks = parse_k_range(args.k)
-    stream, fh = _violation_stream(args)
-    try:
-        report = verify_mod.check_cone_conjecture(corpus, ks, args.jobs, stream)
-    finally:
-        if fh:
-            fh.close()
-    _emit(args, json.dumps(report.to_json_dict(), indent=2))
-    return 0 if report.passed else 1
+    run = partial(verify_mod.check_cone_conjecture, k_range=ks, jobs=args.jobs)
+    return _run_sweep(args, run)
 
 
 def build_parser() -> argparse.ArgumentParser:

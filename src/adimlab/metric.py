@@ -10,6 +10,9 @@ vertices at distance d from x.  A vertex z tells x and y apart at level t
 exactly when, for some d < t, z lies in L_x[d] or L_y[d] but not in both,
 so the pair's set is the union over d < t of L_x[d] ^ L_y[d].  For t <= 2
 the layers are {x} and the row of x, so those tables need no walk.
+
+No shortest path has n or more edges, so on a connected graph the level-n
+table is the full shortest-path metric's (``metric_table``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     SamePair,
     TooSmall,
 )
-from .graph import INFINITE, Graph, bfs_layers, diameter
+from .graph import Graph, bfs_layers, is_connected
 
 _TABLE_CACHE_SIZE = 1024
 
@@ -143,28 +146,18 @@ def _build_masks(g: Graph, t: int) -> list[int]:
             for x in range(n)
             for y in range(x + 1, n)
         ]
-    # no distance reaches n, so width min(t, n) is exact.  Padded to that
-    # width: map stops at the shorter list, which would drop the deeper
-    # layers of one source when the other's walk ends early
-    width = min(t, n)
-    layers = []
-    for v in range(n):
-        own = bfs_layers(g, v, width)
-        layers.append(own + [0] * (width - len(own)))
+    # padded to the longest walk: map stops at the shorter list, which
+    # would drop the deeper layers of one source when the other's walk ends
+    # early; layers past the longest walk are empty for every source
+    layers = [bfs_layers(g, v, t) for v in range(n)]
+    width = max(map(len, layers), default=0)
+    for own in layers:
+        own += [0] * (width - len(own))
     return [
         reduce(or_, map(xor, layers[x], layers[y]))
         for x in range(n)
         for y in range(x + 1, n)
     ]
-
-
-def metric_level(g: Graph) -> int:
-    """Truncation level at which the truncated metric is the full
-    shortest-path metric: the diameter, at least 1."""
-    d = diameter(g)
-    if d == INFINITE:
-        raise Disconnected("the full shortest-path metric needs a connected graph")
-    return max(1, int(d))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -173,6 +166,14 @@ def build_table(g: Graph, t: int) -> DistinguishTable:
     if t < 1:
         raise BadParameter(f"truncation level must be >= 1, got {t}")
     return DistinguishTable(g, t, _build_masks(g, t))
+
+
+def metric_table(g: Graph) -> DistinguishTable:
+    """The table of the full shortest-path metric: level n, which no
+    shortest path reaches (level 1 when n = 0)."""
+    if not is_connected(g):
+        raise Disconnected("the full shortest-path metric needs a connected graph")
+    return build_table(g, max(g.n, 1))
 
 
 def dimensionality(table: DistinguishTable) -> int:

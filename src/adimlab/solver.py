@@ -1,7 +1,7 @@
 """Exact k-generator solvers: branch and bound, brute force, enumeration.
 
 solve_adim works at truncation level 2 (the adjacency metric), solve_dim at
-level t = diameter (the full shortest-path metric, connected graphs only).
+level t = n (the full shortest-path metric, connected graphs only).
 Both reduce to exact set multicover over the distinguish table and emit the
 lexicographically smallest optimal witness.
 """
@@ -25,12 +25,7 @@ from .errors import (
     TooSmall,
 )
 from .graph import Graph
-from .metric import (
-    DistinguishTable,
-    build_table,
-    dimensionality,
-    metric_level,
-)
+from .metric import DistinguishTable, build_table, dimensionality, metric_table
 
 BUDGET_ENV = "ADIMLAB_BUDGET"
 
@@ -151,8 +146,8 @@ def solve_adim(g: Graph, k: int, budget: int | None = None) -> SolveResult:
 
 
 def solve_dim(g: Graph, k: int, budget: int | None = None) -> SolveResult:
-    """Exact k-metric dimension via the level t = diameter table."""
-    return solve_table(build_table(g, metric_level(g)), k, budget)
+    """Exact k-metric dimension via the full metric's table."""
+    return solve_table(metric_table(g), k, budget)
 
 
 def enumerate_bases(
@@ -217,8 +212,8 @@ def adim_ladder(g: Graph) -> list[int]:
 
 
 def dim_ladder(g: Graph) -> list[int]:
-    """dim_k for every feasible k at level t = diameter (connected only)."""
-    return _ladder(build_table(g, metric_level(g)))
+    """dim_k for every feasible k under the full metric (connected only)."""
+    return _ladder(metric_table(g))
 
 
 def _ladder(table: DistinguishTable) -> list[int]:

@@ -19,7 +19,7 @@ import time
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
@@ -189,6 +189,12 @@ class Corpus:
     connected: bool = False
     min_degree: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.min_n <= self.max_n:
+            raise BadParameter(
+                f"orders need 0 <= min_n <= max_n, got {self.min_n}..{self.max_n}"
+            )
+
     def _accept(self, g: Graph) -> bool:
         if not self.min_n <= g.n <= self.max_n:
             return False
@@ -302,8 +308,7 @@ def _check_dim_le_adim(g: Graph) -> list:
     if g.n < 2 or diam == INFINITE:
         return []
     adim = adim_ladder(g)
-    # on two or more connected vertices the diameter is the metric level
-    dim = _ladder(build_table(g, diam))
+    dim = _ladder(build_table(g, g.n))
     flat = diam <= 2
     out = []
     for k in range(1, len(adim) + 1):
@@ -316,12 +321,11 @@ def _check_dim_le_adim(g: Graph) -> list:
 
 
 def _check_kdim_vs_kadj(g: Graph) -> list:
-    # on two or more connected vertices the diameter is the metric level
     diam = diameter(g)
     if g.n < 2 or diam == INFINITE:
         return []
     k_adj = dimensionality(build_table(g, 2))
-    k_met = dimensionality(build_table(g, diam))
+    k_met = dimensionality(build_table(g, g.n))
     if k_adj > k_met:
         return [(0, k_adj, f"<= {k_met}")]
     if diam <= 2 and k_adj != k_met:
@@ -329,11 +333,15 @@ def _check_kdim_vs_kadj(g: Graph) -> list:
     return []
 
 
+def _cone_ladders(h: Graph) -> tuple[list[int], list[int]]:
+    """The ladders of H and of its cone K1 + H."""
+    return adim_ladder(h), adim_ladder(join(complete(1), h))
+
+
 def _check_cone_lower(g: Graph) -> list:
     if g.n < 2:
         return []
-    lh = adim_ladder(g)
-    lc = adim_ladder(join(complete(1), g))
+    lh, lc = _cone_ladders(g)
     return [
         (k, lc[k - 1], f">= {lh[k - 1]}")
         for k in range(1, len(lc) + 1)
@@ -429,8 +437,7 @@ _K1T_FAMILIES = {1: _in_family_f1, 2: _in_family_f2, 3: _in_family_f3}
 def _check_k1t_trees(g: Graph) -> list:
     if g.n < 2 or not is_tree(g):
         return []
-    lt = adim_ladder(g)
-    lc = adim_ladder(join(complete(1), g))
+    lt, lc = _cone_ladders(g)
     out = []
     for k in (1, 2, 3):
         if k > len(lc):
@@ -468,8 +475,7 @@ def _check_cone_isolated_dichotomy(g: Graph) -> list:
     one isolated-vertex component."""
     if g.n < 2:
         return []
-    lh = adim_ladder(g)
-    lc = adim_ladder(join(complete(1), g))
+    lh, lc = _cone_ladders(g)
     if all(lc[k] == lh[k] for k in range(len(lc))):
         return []
     comps = components(g)
@@ -490,8 +496,7 @@ def check_cone_slack(h: Graph, k_range: Iterable[int]) -> list:
     """Violations of cone(H) <= adim_k(H) + k for the feasible k in range."""
     if h.n < 2:
         return []
-    lh = adim_ladder(h)
-    lc = adim_ladder(join(complete(1), h))
+    lh, lc = _cone_ladders(h)
     out = []
     for k in k_range:
         if not 1 <= k <= len(lc):
@@ -509,8 +514,7 @@ def _check_cone_equality(h: Graph) -> list:
 
     if h.n < 2:
         return []
-    lh = adim_ladder(h)
-    lc = adim_ladder(join(complete(1), h))
+    lh, lc = _cone_ladders(h)
     out = []
     for k in range(1, len(lc) + 1):
         holds = cone_equality_criterion(h, k).holds
@@ -657,7 +661,9 @@ def _sweep(
     units = list(combinations_with_replacement(_entries(corpus), arity))
     if jobs > 1:
         parts = jobs * 4
-        shards = [(checker, corpus, units[i::parts]) for i in range(parts)]
+        # each unit holds its own records; workers read only the filters
+        filters = replace(corpus, graph6_lines=None)
+        shards = [(checker, filters, units[i::parts]) for i in range(parts)]
         with Pool(jobs) as pool:
             for checked, violations in pool.imap_unordered(_sweep_shard, shards):
                 report.checked += checked

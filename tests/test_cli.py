@@ -306,6 +306,19 @@ def test_out_of_range_parameters_exit_2_with_the_range(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("sweep", "--theorem", "monotony", "--min-n", "4", "--max-n", "3"),
+    ("sweep", "--theorem", "monotony", "--min-n", "-1", "--max-n", "3"),
+    ("conjecture", "--min-n", "5", "--max-n", "2"),
+])
+def test_empty_or_negative_order_ranges_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "min_n <= max_n" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("--limit", "-1"),
     ("--from-mask", "-3", "--to-mask", "2"),
 ])

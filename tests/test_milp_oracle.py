@@ -11,7 +11,7 @@ import random
 import pytest
 
 from adimlab.graph import is_connected
-from adimlab.metric import build_table, metric_level
+from adimlab.metric import build_table, metric_table
 from adimlab.solver import is_k_generator, solve_adim, solve_dim
 
 from conftest import random_graph
@@ -44,7 +44,7 @@ def test_solves_match_the_integer_program(n):
         r = solve_adim(g, k)
         assert is_k_generator(adjacency, k, r.witness)
         assert r.dimension == len(r.witness) == milp_minimum(adjacency.pair_masks, n, k)
-    metric = build_table(g, metric_level(g))
+    metric = metric_table(g)
     r = solve_dim(g, 1)
     assert is_k_generator(metric, 1, r.witness)
     assert r.dimension == len(r.witness) == milp_minimum(metric.pair_masks, n, 1)

@@ -33,7 +33,7 @@ from adimlab.metric import (
     adjacency_dimensionality,
     build_table,
     forced_set,
-    metric_level,
+    metric_table,
 )
 from adimlab.solver import (
     adim_ladder,
@@ -216,8 +216,30 @@ def test_disconnected_rules():
     with pytest.raises(Disconnected):
         dim_ladder(g)
     with pytest.raises(Disconnected):
-        metric_level(g)
-    assert [metric_level(h) for h in (complete(1), complete(4), path(5))] == [1, 1, 4]
+        metric_table(g)
+    for h in (complete(1), complete(4), path(5), petersen(), fig2_graph()):
+        full = build_table(h, max(1, diameter(h)))
+        assert metric_table(h).pair_masks == full.pair_masks
+
+
+def test_a_stored_solve_dim_walks_once(monkeypatch):
+    # the full metric is level n, so a stored solve_dim needs only the one
+    # connectivity walk, not a walk from every vertex to find the diameter
+    from adimlab import graph, metric
+
+    walks = []
+    real = graph.bfs_layers
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    for module in (graph, metric):
+        monkeypatch.setattr(module, "bfs_layers", counting)
+    first = solve_dim(path(7), 1)
+    walks.clear()
+    assert solve_dim(path(7), 1) is first
+    assert len(walks) == 1
 
 
 def test_budget_exhaustion():

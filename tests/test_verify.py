@@ -11,7 +11,6 @@ from adimlab.errors import BadParameter, TooLarge, UnknownTheorem
 from adimlab.formulas import cone_equality_criterion
 from adimlab.graph import (
     complete,
-    diameter,
     fig3_graph,
     fig5_graph,
     from_graph6,
@@ -91,10 +90,10 @@ def test_tree_enumeration_rejects_orders_below_one():
 
 def test_dim_le_adim_walks_the_pairs_once(monkeypatch):
     # with both tables cached the check's only walk is its one diameter:
-    # a BFS from each of the n vertices
+    # a BFS from each of the n vertices; the full metric's table is level n
     g = path(7)
     build_table(g, 2)
-    build_table(g, diameter(g))
+    build_table(g, g.n)
     walks = []
     real = graph.bfs_layers
 
@@ -400,6 +399,45 @@ def test_graph6_corpus_uses_the_pool(monkeypatch):
     assert (serial.checked, serial.violations) == _labeled_reference(
         _edge_count_mod3, corpus
     )
+
+
+def test_pool_shards_carry_the_filters_not_the_records(monkeypatch):
+    # each unit holds its own record, so a shard's corpus needs no records
+    shards = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            for shard in items:
+                shards.append(shard)
+                yield fn(shard)
+
+    monkeypatch.setattr(verify, "Pool", InProcessPool)
+    monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
+    corpus = _g6_corpus(min_degree=1)
+    serial = sweep_theorem(corpus, "edges-mod-3")
+    pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
+    assert len(shards) == 8
+    assert {shard[1] for shard in shards} == {replace(corpus, graph6_lines=None)}
+    assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
+    assert serial.violations
+
+
+def test_corpus_refuses_empty_and_negative_order_ranges():
+    for min_n, max_n in ((4, 3), (-1, 3), (-2, -1)):
+        with pytest.raises(BadParameter, match="min_n"):
+            Corpus(min_n=min_n, max_n=max_n)
+    with pytest.raises(BadParameter):
+        Corpus(min_n=3, max_n=2, graph6_lines=("D~{",))
+    assert sum(1 for _ in Corpus(min_n=0, max_n=0)) == 1
 
 
 def test_cone_equality_sweep_reports_a_wrong_criterion(monkeypatch):
