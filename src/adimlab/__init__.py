@@ -51,7 +51,6 @@ from .solver import (
     greedy_bound,
     is_k_generator,
     solve_adim,
-    solve_adim_full,
     solve_dim,
 )
 

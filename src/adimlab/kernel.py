@@ -29,9 +29,9 @@ branch of a node reuses its columns without a call.
 A branch and bound from the greedy incumbent finds the minimum size; the
 lex pass then walks the vertices in index order to list the minimum covers
 lexicographically, asking the same branch and bound, bounded by that size,
-whether a cover agrees with each new decision.  Given a known minimum size
-and a cover of that size, ``enumerate_min_covers`` skips the greedy and the
-branch and bound and starts the lex pass from that cover.
+whether a cover agrees with each new decision.  ``solve_min_multicover``
+runs both and keeps the first cover; ``enumerate_min_covers`` is the lex
+pass alone, given a known minimum size and a cover of that size.
 ``cover_ladder`` is the one ladder, the minimum size at every level
 k = 1..C: a minimum search alone (greedy, then branch and bound) per level,
 all on one prepared table.
@@ -368,22 +368,17 @@ def solve_min_multicover(prepared, k, budget=None):
     return search.best_size, witnesses[0], search.nodes, (greedy_size, search_nodes)
 
 
-def enumerate_min_covers(prepared, k, limit=None, budget=None, start=None):
-    """All minimum covers in lexicographic order, found in one search: the
-    minimum size first, then the lex pass over covers of that size.  With
-    ``start`` = (size, cover), a known minimum size and a cover of that
-    size, the lex pass starts from that cover and the minimum search is
-    skipped.
+def enumerate_min_covers(prepared, k, start, limit=None, budget=None):
+    """All minimum covers in lexicographic order: the lex pass, started from
+    ``start`` = (size, cover), the minimum cover size and a cover of that
+    size.
 
-    Returns (covers, nodes, truncated), ``nodes`` counting the nodes this
-    call searched; with a ``limit``, at most that many covers are returned
-    and ``truncated`` reports whether more exist.
+    Returns (covers, nodes, truncated), ``nodes`` counting the nodes of the
+    lex pass; with a ``limit``, at most that many covers are returned and
+    ``truncated`` reports whether more exist.
     """
-    if start is None:
-        search, _ = _minimum(prepared, k, budget)
-    else:
-        search = _Search(prepared, k, budget)
-        search.best_size, search.best_mask = start
+    search = _Search(prepared, k, budget)
+    search.best_size, search.best_mask = start
     cap = 1 << 62 if limit is None else limit + 1
     covers = search.lex_covers(search.best_size, cap)
     truncated = limit is not None and len(covers) > limit

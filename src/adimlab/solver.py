@@ -68,8 +68,6 @@ class SolveResult:
     k: int
     dimension: int
     witness: VertexSet
-    all_bases: tuple[VertexSet, ...] | None = None
-    unique: bool | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
     def to_json_dict(self) -> dict:
@@ -77,7 +75,6 @@ class SolveResult:
             "k": self.k,
             "dimension": self.dimension,
             "witness": self.witness.to_list(),
-            "unique": self.unique,
             "nodes": self.stats.nodes,
             "millis": round(self.stats.millis, 3),
         }
@@ -157,49 +154,29 @@ def enumerate_bases(
     budget: int | None = None,
     t: int = 2,
 ) -> list[VertexSet]:
-    """All minimum k-generators in ascending lexicographic order, from one
-    kernel search; the node budget bounds the whole call.
+    """All minimum k-generators in ascending lexicographic order.
 
-    When ``solve_table`` has stored the minimum for this table and k, the
-    search is only the lex pass, started from the stored witness.  The
-    stored minimum search's nodes are then charged first and the lex pass
-    gets what is left of the budget."""
+    ``solve_table`` finds (or reads) the table's minimum for k, and the lex
+    pass lists the bases from its witness.  The node budget bounds the two
+    together: the solve's ``stats.nodes`` are charged first, stored or
+    fresh, and the lex pass gets what is left."""
     if limit is not None and limit < 0:
         raise BadParameter(f"basis limit must be an integer >= 0, got {limit}")
     table = build_table(g, t)
-    _check_k(table, k)
+    solved = solve_table(table, k, budget)
     budget = _budget(budget)
-    stored = table.minima.get(k)
-    if stored is None:
+    rest = None if budget is None else budget - solved.stats.nodes
+    try:
         covers, _, truncated = kernel.enumerate_min_covers(
-            table.prepared, k, limit, budget
+            table.prepared, k, (solved.dimension, solved.witness.mask), limit, rest
         )
-    else:
-        spent = stored.stats.search_nodes
-        if budget is not None and spent > budget:
-            raise _exhausted(budget)
-        try:
-            covers, _, truncated = kernel.enumerate_min_covers(
-                table.prepared, k, limit,
-                budget=None if budget is None else budget - spent,
-                start=(stored.dimension, stored.witness.mask),
-            )
-        except BudgetExhausted:
-            raise _exhausted(budget) from None
+    except BudgetExhausted:
+        raise _exhausted(budget) from None
     if truncated:
         raise BasisCountExceeded(
             f"more than {limit} minimum {k}-generators; raise the limit"
         )
     return [VertexSet(table.n, m) for m in covers]
-
-
-def solve_adim_full(g: Graph, k: int, budget: int | None = None) -> SolveResult:
-    """solve_adim plus the complete basis list and uniqueness flag."""
-    bases = enumerate_bases(g, k, None, budget)
-    first = bases[0]
-    return SolveResult(
-        k, len(first), first, all_bases=tuple(bases), unique=len(bases) == 1
-    )
 
 
 def adim_ladder(g: Graph) -> list[int]:

@@ -61,7 +61,7 @@ def _check_order(n: int) -> None:
             f"labeled enumeration is capped at n <= {ENUMERATION_MAX_N}, got {n}"
         )
     if n < 0:
-        raise TooLarge("n must be non-negative")
+        raise BadParameter(f"n must be non-negative, got {n}")
 
 
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:

@@ -69,12 +69,13 @@ def test_traced_counters_read_node_counts():
         ("kernel", "enumerate_min_covers"): 1,
     }
     prepared = build_table(petersen(), 2).prepared
+    start = kernel.solve_min_multicover(prepared, 2)[:2]
     calls = {
         "solve_min_multicover": lambda budget: kernel.solve_min_multicover(
             prepared, 2, budget
         ),
         "enumerate_min_covers": lambda budget: kernel.enumerate_min_covers(
-            prepared, 2, budget=budget
+            prepared, 2, start, budget=budget
         ),
     }
     for (_, fn_name), index in counters.items():

@@ -55,7 +55,7 @@ def test_compute_json_round_trip(capsys):
     for row in rows:
         witness = VertexSet.from_iterable(24, row["witness"])
         assert is_k_generator(table, row["k"], witness)
-        assert set(row) == {"k", "dimension", "witness", "unique", "nodes", "millis"}
+        assert set(row) == {"k", "dimension", "witness", "nodes", "millis"}
 
 
 def test_dim_subcommand(capsys):

@@ -43,7 +43,6 @@ from adimlab.solver import (
     greedy_bound,
     is_k_generator,
     solve_adim,
-    solve_adim_full,
     solve_dim,
     solve_table,
 )
@@ -172,12 +171,9 @@ def test_enumerate_matches_brute_force_enumeration():
         assert [b.to_list() for b in bases] == expected
 
 
-def test_solve_adim_full_uniqueness():
-    res = solve_adim_full(fig5_graph(), 3)
-    assert res.unique is True
-    assert len(res.all_bases) == 1
-    res = solve_adim_full(fig4_graph(), 3)
-    assert res.unique is False and len(res.all_bases) == 6
+def test_basis_counts_of_fig4_and_fig5():
+    assert len(enumerate_bases(fig5_graph(), 3)) == 1
+    assert len(enumerate_bases(fig4_graph(), 3)) == 6
 
 
 def test_greedy_bound_properties():
@@ -287,11 +283,13 @@ def test_budget_env_bounds_every_ladder(monkeypatch):
 
 
 def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):
-    # one kernel search finds the size and lists the bases; its node count
-    # is the budget that just suffices, from the argument or the environment
+    # the solve's nodes plus its lex pass's are the budget that just
+    # suffices, from the argument or the environment
     table = build_table(fig4_graph(), 2)
     prepared = kernel.prepare(table.pair_masks, 9)
-    covers, nodes, _ = kernel.enumerate_min_covers(prepared, 3)
+    solved = kernel.solve_min_multicover(prepared, 3)
+    covers, lex, _ = kernel.enumerate_min_covers(prepared, 3, solved[:2])
+    nodes = solved[2] + lex
     assert len(covers) == 6
     assert len(enumerate_bases(fig4_graph(), 3, budget=nodes)) == 6
     with pytest.raises(BudgetExhausted):
@@ -375,7 +373,7 @@ def test_full_dimension_iff_forced_covers():
 def test_stats_and_json_schema():
     res = solve_adim(petersen(), 3)
     d = res.to_json_dict()
-    assert set(d) == {"k", "dimension", "witness", "unique", "nodes", "millis"}
+    assert set(d) == {"k", "dimension", "witness", "nodes", "millis"}
     assert d["k"] == 3 and d["dimension"] == 7
     assert d["witness"] == res.witness.to_list()
     assert res.stats.greedy_size >= res.dimension
@@ -400,9 +398,10 @@ def test_solve_result_survives_pickle():
     # results cross process boundaries, so their vertex sets must pickle
     import pickle
 
-    res = solve_adim_full(cycle(6), 1)
-    twin = pickle.loads(pickle.dumps(res))
-    assert twin == res and twin.all_bases == res.all_bases
+    res = solve_adim(cycle(6), 1)
+    assert pickle.loads(pickle.dumps(res)) == res
+    bases = enumerate_bases(cycle(6), 1)
+    assert pickle.loads(pickle.dumps(bases)) == bases
 
 
 def _random_tables(seed, count):
@@ -422,7 +421,8 @@ def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
         build_table.cache_clear()
         table = build_table(g, t)
         cold_bases = enumerate_bases(g, k, t=t)
-        assert not table.minima
+        # the enumeration's solve stored the minimum it found
+        assert list(table.minima) == [k]
         solved = solve_table(table, k)
         assert table.minima == {k: solved}
         # a table that never stored anything solves to the same answer, with
@@ -441,22 +441,63 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
         build_table.cache_clear()
         table = build_table(g, t)
         solved = solve_table(table, k)
-        nodes, spent = solved.stats.nodes, solved.stats.search_nodes
+        nodes = solved.stats.nodes
         # a hit raises exactly when the search it stores used more nodes
         assert solve_table(table, k, budget=nodes) is solved
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
             solve_table(table, k, budget=nodes - 1)
-        # an enumeration hit charges the stored minimum search, then its lex
-        # pass; the kernel counts the lex pass alone
+        # an enumeration hit charges the stored solve, then its lex pass;
+        # the kernel counts the lex pass alone
         covers, lex, _ = kernel.enumerate_min_covers(
-            table.prepared, k, start=(solved.dimension, solved.witness.mask)
+            table.prepared, k, (solved.dimension, solved.witness.mask)
         )
-        assert [b.mask for b in enumerate_bases(g, k, budget=spent + lex, t=t)] == covers
-        with pytest.raises(BudgetExhausted, match=f"node budget {spent - 1} "):
-            enumerate_bases(g, k, budget=spent - 1, t=t)
+        assert [b.mask for b in enumerate_bases(g, k, budget=nodes + lex, t=t)] == covers
+        with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
+            enumerate_bases(g, k, budget=nodes - 1, t=t)
         if lex:
-            with pytest.raises(BudgetExhausted, match=f"node budget {spent + lex - 1} "):
-                enumerate_bases(g, k, budget=spent + lex - 1, t=t)
+            with pytest.raises(BudgetExhausted, match=f"node budget {nodes + lex - 1} "):
+                enumerate_bases(g, k, budget=nodes + lex - 1, t=t)
+
+
+def _enumeration(g, k, t, budget):
+    """The bases of one budgeted enumeration, or BudgetExhausted."""
+    try:
+        return enumerate_bases(g, k, budget=budget, t=t)
+    except BudgetExhausted:
+        return BudgetExhausted
+
+
+def test_a_basis_budget_holds_whatever_the_cache_holds():
+    # enumerate_bases succeeds exactly when the table's solve plus its lex
+    # pass fits the budget, on a cold table and after solve_table stored
+    # the minimum alike; the minimum search and the lex pass without the
+    # witness's own lex pass do not suffice
+    for g, t, k in [(fig2_graph(), 2, 2)] + _random_tables(1804, 200):
+        prepared = build_table(g, t).prepared
+        solved = kernel.solve_min_multicover(prepared, k)
+        lex = kernel.enumerate_min_covers(prepared, k, solved[:2])[1]
+        threshold = solved[2] + lex
+        for budget in (threshold, threshold - 1, solved[3][1] + lex):
+            build_table.cache_clear()
+            cold = _enumeration(g, k, t, budget)
+            build_table.cache_clear()
+            solve_table(build_table(g, t), k)
+            assert _enumeration(g, k, t, budget) == cold
+            assert (cold is BudgetExhausted) == (budget < threshold)
+
+
+def test_an_enumeration_stores_the_minimum_it_solved(monkeypatch):
+    build_table.cache_clear()
+    bases = enumerate_bases(fig2_graph(), 2)
+    stored = build_table(fig2_graph(), 2).minima[2]
+    assert (stored.dimension, stored.witness) == (14, bases[0])
+    calls = []
+    search = kernel.solve_min_multicover
+    monkeypatch.setattr(
+        kernel, "solve_min_multicover", lambda *a: calls.append(a) or search(*a)
+    )
+    assert solve_adim(fig2_graph(), 2) is stored
+    assert calls == []
 
 
 def test_pickled_and_copied_tables_store_nothing():

@@ -39,6 +39,11 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_all_graphs(4)) == 64
     with pytest.raises(TooLarge):
         next(enumerate_all_graphs(8))
+    # a negative order is a bad parameter, not one above the cap
+    with pytest.raises(BadParameter):
+        next(enumerate_all_graphs(-1))
+    with pytest.raises(BadParameter):
+        _classes(-1)
 
 
 def test_enumeration_is_exact_and_distinct():
