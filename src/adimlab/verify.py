@@ -10,7 +10,9 @@ Every statement is invariant under isomorphism, so an internal corpus is
 swept one isomorphism class (for pair theorems, one multiset of two) at a
 time: the checker runs once on the least labeled masks and counts with the
 labeled graphs or pairs they stand for.  Only a failing unit is expanded
-into its labeled members, each reported under its own graph6.
+into its labeled members, each reported under its own graph6.  Each order's
+class list depends on n alone, so it is walked once per process and kept
+(at most 8 lists, n <= 7); the relabel tables behind the walk are not kept.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
 from multiprocessing import Pool
 from operator import or_
 from typing import NamedTuple
 
-from .errors import BadParameter, TooLarge, UnknownTheorem
+from .errors import AdimlabError, BadParameter, TooLarge, UnknownTheorem
 from .graph import (
     INFINITE,
     Graph,
@@ -78,7 +80,9 @@ def _relabel_tables(n: int) -> tuple[int, list[list[array]]]:
     mask is the OR of its chunks' images.  Three chunks cost two ORs per
     image and, at n = 7, 3 * 2^7 arrays of 5040 entries (15 MB)."""
     pairs = list(combinations(range(n), 2))
-    bit = {pair: b for b, pair in enumerate(pairs)}
+    index = [[0] * n for _ in range(n)]
+    for b, (i, j) in enumerate(pairs):
+        index[i][j] = index[j][i] = 1 << b
     perms = list(permutations(range(n)))
     width = max(1, -(-len(pairs) // 3))
     tables = []
@@ -89,8 +93,7 @@ def _relabel_tables(n: int) -> tuple[int, list[list[array]]]:
                 table.append(array("L", map(or_, table[v & -v], table[v & (v - 1)])))
             else:
                 i, j = pairs[lo + v.bit_length() - 1]
-                images = (1 << bit[min(p[i], p[j]), max(p[i], p[j])] for p in perms)
-                table.append(array("L", images))
+                table.append(array("L", [index[p[i]][p[j]] for p in perms]))
         tables.append(table)
     return width, tables
 
@@ -105,11 +108,13 @@ def _orbit(relabel: tuple[int, list[list[array]]], mask: int) -> set[int]:
     return set(images)
 
 
-def _classes(n: int) -> list[tuple[int, int]]:
+@cache
+def _classes(n: int) -> tuple[tuple[int, int], ...]:
     """(rep_mask, orbit_size) per isomorphism class of graphs on n vertices,
     in mask order; the representative is the least labeled mask of its
     orbit.  Walks the masks once, marking each orbit when its first member
-    comes up."""
+    comes up.  Kept per process: ``_check_order`` raises before anything
+    is stored, so at most 8 lists are kept."""
     _check_order(n)
     relabel = _relabel_tables(n)
     seen = bytearray(1 << (n * (n - 1) // 2))
@@ -121,7 +126,7 @@ def _classes(n: int) -> list[tuple[int, int]]:
             seen[mask] = 1
         out.append((rep, len(orbit)))
         rep = seen.find(0, rep + 1)
-    return out
+    return tuple(out)
 
 
 def _rooted_code(g: Graph, root: int, parent: int) -> str:
@@ -575,9 +580,16 @@ PAIR_THEOREMS: dict[str, Callable[[Graph, Graph], list]] = {
 
 def _graph_of(key: tuple) -> Graph:
     """The graph a key names: ``(n, mask)`` in the internal enumeration,
-    ``(index, graph6)`` for a record of a graph6 corpus."""
+    ``(index, graph6)`` for a record of a graph6 corpus.  A record that does
+    not decode raises its decode error, naming the record's 1-based index
+    and its text."""
     a, b = key
-    return from_graph6(b) if isinstance(b, str) else from_pair_mask(a, b)
+    if not isinstance(b, str):
+        return from_pair_mask(a, b)
+    try:
+        return from_graph6(b)
+    except AdimlabError as exc:
+        raise type(exc)(f"graph6 record {a + 1} {b!r}: {exc}") from exc
 
 
 def _members(key: tuple, relabel: dict) -> list[tuple]:
@@ -598,8 +610,8 @@ def _entries(corpus: Corpus) -> list[tuple[tuple, int]]:
     if corpus.graph6_lines is None:
         orders = range(corpus.min_n, corpus.max_n + 1)
         return [((n, rep), size) for n in orders for rep, size in _classes(n)]
-    records = (line.strip() for line in corpus.graph6_lines)
-    return [((i, r), 1) for i, r in enumerate(records) if r]
+    records = filter(None, (line.strip() for line in corpus.graph6_lines))
+    return [((i, r), 1) for i, r in enumerate(records)]
 
 
 def _check_units(
@@ -699,6 +711,11 @@ def check_cone_conjecture(
 ) -> SweepReport:
     """Re-run the cone conjecture over the corpus: for every H and feasible
     k, the cone dimension never exceeds adim_k(H) + k.  Any violation is a
-    publishable counterexample, so it carries the full witness."""
-    checker = partial(_cone_slack_at, tuple(k_range))
+    publishable counterexample, so it carries the full witness.  Levels
+    below 1 or an empty ``k_range`` raise ``BadParameter``: no level would
+    be checked."""
+    ks = tuple(k_range)
+    if not ks or min(ks) < 1:
+        raise BadParameter(f"cone conjecture levels must be >= 1, got {list(ks)}")
+    checker = partial(_cone_slack_at, ks)
     return _sweep("cone-conjecture", checker, corpus, jobs, on_violation)

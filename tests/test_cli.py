@@ -10,6 +10,7 @@ import adimlab
 from adimlab import verify
 from adimlab.bitset import VertexSet
 from adimlab.cli import main, parse_graph_spec
+from adimlab.errors import MalformedHeader
 from adimlab.graph import (
     complement,
     cycle,
@@ -296,6 +297,8 @@ def test_truncation_level_flag(capsys):
     ("sweep", "--theorem", "monotony", "--max-n", "4", "--jobs", "0"),
     ("sweep", "--theorem", "monotony", "--max-n", "4", "--jobs", "-2"),
     ("conjecture", "--max-n", "3", "--jobs", "0"),
+    ("conjecture", "--max-n", "5", "--k", "0"),
+    ("conjecture", "--max-n", "5", "--k", "0..2"),
 ])
 def test_out_of_range_parameters_exit_2_with_the_range(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -353,6 +356,22 @@ def test_unparsable_input_exits_2(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_names_an_undecodable_graph6_record(tmp_path, capsys, jobs):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("D~{\nCF\nD~{xx\nDQc\n")
+    code, out, err = run(
+        capsys, "sweep", "--theorem", "monotony", "--g6-file", str(bad),
+        "--jobs", jobs,
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: graph6 record 3 'D~{xx': 2 trailing bytes\n"
+    with pytest.raises(MalformedHeader, match="record 3 'D~{xx'"):
+        verify.sweep_theorem(verify.Corpus.from_file(str(bad)), "monotony", int(jobs))
 
 
 def test_unparsable_budget_variable_exits_2(capsys, monkeypatch):

@@ -190,6 +190,10 @@ def test_conjecture_small_corpus():
     report = check_cone_conjecture(Corpus(min_n=2, max_n=5), range(1, 5))
     assert report.passed
     assert report.checked == 1098
+    # a level below 1 or an empty range would check no level at all
+    for ks in ([], [0], range(0, 3), [-1]):
+        with pytest.raises(BadParameter, match=">= 1"):
+            check_cone_conjecture(Corpus(min_n=2, max_n=4), ks)
 
 
 def test_conjecture_slack_fixtures():
@@ -260,6 +264,28 @@ def test_class_walk_counts_and_representatives():
         for rep, size in walk:
             orbit = _orbit_by_relabeling(n, rep)
             assert min(orbit) == rep and len(orbit) == size
+
+
+def test_class_list_is_walked_once_per_order(monkeypatch):
+    _classes.cache_clear()
+    builds = Counter()
+    real_tables = verify._relabel_tables
+
+    def counting_tables(n):
+        builds[n] += 1
+        return real_tables(n)
+
+    monkeypatch.setattr(verify, "_relabel_tables", counting_tables)
+    corpus = Corpus(min_n=2, max_n=6)
+    reports = [sweep_theorem(corpus, "monotony") for _ in range(2)]
+    reports.append(sweep_theorem(corpus, "monotony", jobs=2))
+    assert builds == Counter(range(2, 7))
+    assert {(r.checked, tuple(r.violations)) for r in reports} == {(33866, ())}
+    assert isinstance(_classes(6), tuple)
+    with pytest.raises(TooLarge):
+        _classes(8)
+    with pytest.raises(BadParameter):
+        _classes(-1)
 
 
 def _labeled_reference(checker, corpus):
