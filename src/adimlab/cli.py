@@ -267,15 +267,17 @@ def cmd_family(args) -> int:
 
 
 def _make_corpus(args) -> verify_mod.Corpus:
-    filters = dict(
-        min_n=args.min_n,
-        max_n=args.max_n,
-        connected=args.connected,
-        min_degree=args.min_degree,
-    )
-    if args.g6_file:
-        return verify_mod.Corpus.from_file(args.g6_file, **filters)
-    return verify_mod.Corpus(**filters)
+    filters = dict(connected=args.connected, min_degree=args.min_degree)
+    orders = dict(min_n=args.min_n, max_n=args.max_n)
+    orders = {k: v for k, v in orders.items() if v is not None}
+    if not args.g6_file:
+        return verify_mod.Corpus(**orders, **filters)
+    if orders:
+        raise BadParameter(
+            "--min-n and --max-n choose the enumeration's orders; "
+            "a --g6-file is swept whole"
+        )
+    return verify_mod.Corpus.from_file(args.g6_file, **filters)
 
 
 def _run_sweep(args, run) -> int:
@@ -365,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--theorem", required=True)
         else:
             p.add_argument("--k", default="1..4", help="levels, e.g. 1..4")
-        p.add_argument("--min-n", type=int, default=2, dest="min_n")
-        p.add_argument("--max-n", type=int, default=5, dest="max_n")
+        p.add_argument("--min-n", type=int, dest="min_n")
+        p.add_argument("--max-n", type=int, dest="max_n")
         p.add_argument("--connected", action="store_true")
         p.add_argument("--min-degree", type=int, default=0, dest="min_degree")
         p.add_argument("--g6-file", default=None, dest="g6_file")

@@ -11,8 +11,8 @@ swept one isomorphism class (for pair theorems, one multiset of two) at a
 time: the checker runs once on the least labeled masks and counts with the
 labeled graphs or pairs they stand for.  Only a failing unit is expanded
 into its labeled members, each reported under its own graph6.  Each order's
-class list depends on n alone, so it is walked once per process and kept
-(at most 8 lists, n <= 7); the relabel tables behind the walk are not kept.
+class list depends on n alone, so it is walked once per process and kept,
+graphs included (at most 8 lists, n <= 7); the relabel tables are not kept.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
@@ -49,7 +49,6 @@ from .metric import (
     build_table,
     cone_dimensionality,
     dimensionality,
-    forced_set,
     join_dimensionality,
 )
 from .solver import _ladder, adim_ladder
@@ -109,12 +108,12 @@ def _orbit(relabel: tuple[int, list[list[array]]], mask: int) -> set[int]:
 
 
 @cache
-def _classes(n: int) -> tuple[tuple[int, int], ...]:
-    """(rep_mask, orbit_size) per isomorphism class of graphs on n vertices,
-    in mask order; the representative is the least labeled mask of its
-    orbit.  Walks the masks once, marking each orbit when its first member
-    comes up.  Kept per process: ``_check_order`` raises before anything
-    is stored, so at most 8 lists are kept."""
+def _classes(n: int) -> tuple[tuple[int, int, Graph], ...]:
+    """(rep_mask, orbit_size, graph) per isomorphism class of graphs on n
+    vertices, in mask order; the representative is the least labeled mask of
+    its orbit.  Walks the masks once, marking each orbit when its first
+    member comes up.  Kept per process: ``_check_order`` raises before
+    anything is stored, so at most 8 lists are kept."""
     _check_order(n)
     relabel = _relabel_tables(n)
     seen = bytearray(1 << (n * (n - 1) // 2))
@@ -124,7 +123,7 @@ def _classes(n: int) -> tuple[tuple[int, int], ...]:
         orbit = _orbit(relabel, rep)
         for mask in orbit:
             seen[mask] = 1
-        out.append((rep, len(orbit)))
+        out.append((rep, len(orbit), from_pair_mask(n, rep)))
         rep = seen.find(0, rep + 1)
     return tuple(out)
 
@@ -184,8 +183,10 @@ def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
 class Corpus:
     """Graph source plus filters.
 
-    Internal enumeration covers orders min_n..max_n; alternatively
-    ``graph6_lines`` streams records from a file-like iterable.
+    ``min_n``..``max_n`` choose the orders of the internal enumeration;
+    alternatively ``graph6_lines`` holds the records of a file, which is
+    taken whole, whatever the orders.  ``connected`` and ``min_degree`` filter
+    the graphs of either source.
     """
 
     min_n: int = 2
@@ -199,10 +200,10 @@ class Corpus:
             raise BadParameter(
                 f"orders need 0 <= min_n <= max_n, got {self.min_n}..{self.max_n}"
             )
+        if self.min_degree < 0:
+            raise BadParameter(f"min_degree must be >= 0, got {self.min_degree}")
 
     def _accept(self, g: Graph) -> bool:
-        if not self.min_n <= g.n <= self.max_n:
-            return False
         if self.min_degree and g.min_degree() < self.min_degree:
             return False
         if self.connected and not is_connected(g):
@@ -455,13 +456,15 @@ def _check_k1t_trees(g: Graph) -> list:
 
 
 def _check_full_dimension(g: Graph) -> list:
+    # imported on first use, as in _check_cone_equality
+    from .formulas import full_dimension_criteria
+
     if g.n < 2:
         return []
-    table = build_table(g, 2)
     ladder = adim_ladder(g)
     out = []
     for k in range(1, len(ladder) + 1):
-        forced_full = len(forced_set(table, k)) == g.n
+        forced_full = full_dimension_criteria(g, k).holds
         if (ladder[k - 1] == g.n) != forced_full:
             out.append((k, ladder[k - 1], f"forced-covers-all={forced_full}"))
     return out
@@ -578,65 +581,53 @@ PAIR_THEOREMS: dict[str, Callable[[Graph, Graph], list]] = {
 }
 
 
-def _graph_of(key: tuple) -> Graph:
-    """The graph a key names: ``(n, mask)`` in the internal enumeration,
-    ``(index, graph6)`` for a record of a graph6 corpus.  A record that does
-    not decode raises its decode error, naming the record's 1-based index
-    and its text."""
-    a, b = key
-    if not isinstance(b, str):
-        return from_pair_mask(a, b)
-    try:
-        return from_graph6(b)
-    except AdimlabError as exc:
-        raise type(exc)(f"graph6 record {a + 1} {b!r}: {exc}") from exc
-
-
-def _members(key: tuple, relabel: dict) -> list[tuple]:
-    """Keys of the labeled graphs an entry stands for: the orbit of a class
-    representative, or a graph6 record alone."""
+def _members(key: tuple, g: Graph, relabel: dict) -> list[tuple[tuple, Graph]]:
+    """(key, graph) per labeled graph an entry stands for: the orbit of a
+    class representative, or a graph6 record alone as its decoded graph."""
     n, rep = key
     if isinstance(rep, str):
-        return [key]
+        return [(key, g)]
     if n not in relabel:
         relabel[n] = _relabel_tables(n)
-    return [(n, mask) for mask in _orbit(relabel[n], rep)]
+    return [((n, mask), from_pair_mask(n, mask)) for mask in _orbit(relabel[n], rep)]
 
 
-def _entries(corpus: Corpus) -> list[tuple[tuple, int]]:
-    """(key, weight) per corpus entry: each isomorphism class of the internal
-    enumeration, weighted by its orbit size, or each graph6 record, weighted
-    1.  The corpus filters are applied to the entries' graphs later."""
+def _entries(corpus: Corpus) -> list[tuple[tuple, int, Graph]]:
+    """(key, weight, graph) per entry that passes the corpus filters: each
+    isomorphism class of the enumeration's orders, weighted by its orbit
+    size, or each graph6 record, weighted 1 and decoded once; a record that
+    does not decode raises its decode error, naming its 1-based index."""
     if corpus.graph6_lines is None:
         orders = range(corpus.min_n, corpus.max_n + 1)
-        return [((n, rep), size) for n in orders for rep, size in _classes(n)]
-    records = filter(None, (line.strip() for line in corpus.graph6_lines))
-    return [((i, r), 1) for i, r in enumerate(records)]
+        entries = [((n, rep), size, g) for n in orders for rep, size, g in _classes(n)]
+    else:
+        entries = []
+        for i, r in enumerate(filter(None, map(str.strip, corpus.graph6_lines))):
+            try:
+                entries.append(((i, r), 1, from_graph6(r)))
+            except AdimlabError as exc:
+                raise type(exc)(f"graph6 record {i + 1} {r!r}: {exc}") from exc
+    return [entry for entry in entries if corpus._accept(entry[2])]
 
 
 def _check_units(
     checker: Callable,
-    corpus: Corpus,
-    units: list[tuple[tuple[tuple, int], ...]],
+    units: list[tuple[tuple[tuple, int, Graph], ...]],
     emit: Callable[[Violation], None],
 ) -> int:
-    """Check each unit, a multiset of (key, weight) entries, once if its
-    graphs pass the corpus filters, and return the number of labeled
-    multisets the units stand for.  A failing unit is expanded into these,
-    each checked and emitted under its own graph6 names, as a labeled sweep
-    would report them."""
+    """Check each unit, a multiset of (key, weight, graph) entries, once, and
+    return the number of labeled multisets the units stand for.  A failing
+    unit is expanded into these, each checked and emitted under its own
+    graph6 names, as a labeled sweep would report them."""
     checked = 0
     relabel: dict[int, tuple] = {}
     for unit in units:
-        graphs = [_graph_of(key) for key, _ in unit]
-        if not all(map(corpus._accept, graphs)):
+        checked += prod(comb(w + c - 1, c) for (_, w, _), c in Counter(unit).items())
+        if not checker(*(g for _, _, g in unit)):
             continue
-        checked += prod(comb(w + c - 1, c) for (_, w), c in Counter(unit).items())
-        if not checker(*graphs):
-            continue
-        orbits = [_members(key, relabel) for key, _ in unit]
+        orbits = [_members(key, g, relabel) for key, _, g in unit]
         for members in sorted({tuple(sorted(p)) for p in product(*orbits)}):
-            graphs = [_graph_of(m) for m in members]
+            graphs = [g for _, g in members]
             name = "+".join(map(to_graph6, graphs))
             for k, observed, expected in checker(*graphs):
                 emit(Violation(name, k, observed, expected))
@@ -644,9 +635,9 @@ def _check_units(
 
 
 def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
-    checker, corpus, units = shard
+    checker, units = shard
     violations: list[Violation] = []
-    return _check_units(checker, corpus, units, violations.append), violations
+    return _check_units(checker, units, violations.append), violations
 
 
 def _sweep(
@@ -659,30 +650,35 @@ def _sweep(
 ) -> SweepReport:
     """The one sweep path.  A unit is a multiset of ``arity`` corpus
     entries, counted with the number of labeled multisets it stands for;
-    units run serially or over ``jobs * 4`` interleaved slices in a pool."""
+    units run serially or over ``jobs * 4`` interleaved slices in a pool.
+    A corpus the filters leave empty raises ``BadParameter``."""
     if jobs < 1:
         raise BadParameter(f"jobs must be >= 1, got {jobs}")
-    report = SweepReport(theorem)
     start = time.perf_counter()
+    entries = _entries(corpus)
+    if not entries:
+        raise BadParameter(
+            f"no corpus graph passes connected={corpus.connected}, "
+            f"min_degree={corpus.min_degree}: nothing to check"
+        )
+    report = SweepReport(theorem)
 
     def emit(v: Violation) -> None:
         report.violations.append(v)
         if on_violation:
             on_violation(v)
 
-    units = list(combinations_with_replacement(_entries(corpus), arity))
+    units = list(combinations_with_replacement(entries, arity))
     if jobs > 1:
         parts = jobs * 4
-        # each unit holds its own records; workers read only the filters
-        filters = replace(corpus, graph6_lines=None)
-        shards = [(checker, filters, units[i::parts]) for i in range(parts)]
+        shards = [(checker, units[i::parts]) for i in range(parts)]
         with Pool(jobs) as pool:
             for checked, violations in pool.imap_unordered(_sweep_shard, shards):
                 report.checked += checked
                 for v in violations:
                     emit(v)
     else:
-        report.checked = _check_units(checker, corpus, units, emit)
+        report.checked = _check_units(checker, units, emit)
     report.violations.sort(key=lambda v: (v.graph6, v.k))
     report.elapsed = time.perf_counter() - start
     return report

@@ -1,5 +1,8 @@
+import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +302,7 @@ def test_truncation_level_flag(capsys):
     ("conjecture", "--max-n", "3", "--jobs", "0"),
     ("conjecture", "--max-n", "5", "--k", "0"),
     ("conjecture", "--max-n", "5", "--k", "0..2"),
+    ("sweep", "--theorem", "monotony", "--max-n", "4", "--min-degree", "-1"),
 ])
 def test_out_of_range_parameters_exit_2_with_the_range(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -393,3 +397,80 @@ def test_python_dash_m_runs_the_command():
     )
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
+
+
+def _petersen_and_p5(target):
+    target.write_text(f"{to_graph6(petersen())}\n{to_graph6(path(5))}\n")
+    return str(target)
+
+
+def test_a_graph6_file_is_swept_whole(tmp_path, capsys):
+    # records above the enumeration's default orders are checked too
+    g6_file = _petersen_and_p5(tmp_path / "mixed.g6")
+    for argv in (("sweep", "--theorem", "monotony"), ("conjecture", "--k", "1..2")):
+        code, out, _ = run(capsys, *argv, "--g6-file", g6_file)
+        assert code == 0
+        assert json.loads(out)["checked"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--theorem", "monotony", "--min-n", "2"),
+    ("sweep", "--theorem", "monotony", "--max-n", "12"),
+    ("conjecture", "--min-n", "2", "--max-n", "5"),
+])
+def test_order_flags_next_to_a_graph6_file_exit_2(tmp_path, capsys, argv):
+    g6_file = _petersen_and_p5(tmp_path / "mixed.g6")
+    code, out, err = run(capsys, *argv, "--g6-file", g6_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--g6-file" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("", ()),
+    ("\n  \n", ()),
+    (None, ("--max-n", "4", "--min-degree", "9")),
+], ids=["empty-file", "blank-file", "filtered-orders"])
+@pytest.mark.parametrize(
+    "command", [("sweep", "--theorem", "monotony"), ("conjecture",)], ids=["sweep", "conjecture"]
+)
+def test_a_sweep_that_would_check_nothing_exits_2(tmp_path, capsys, text, flags, command):
+    if text is not None:
+        empty = tmp_path / "empty.g6"
+        empty.write_text(text)
+        flags = ("--g6-file", str(empty))
+    code, out, err = run(capsys, *command, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nothing to check" in err
+    assert "Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _petersen_and_p5(tmp_path / "graphs.g6")  # the file the README sweeps
+    lines = [
+        line
+        for block in _readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("adimlab ")
+    ]
+    assert len(lines) >= 11
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    capsys.readouterr()
+    (library,) = _readme_blocks("python")
+    exec(library, {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [ln.split("# ")[1] for ln in library.splitlines() if "print(" in ln]
+    assert [c.split()[0] for c in comments] == ["6", "one", "9", "True"]
+    assert printed[0] == "6" and printed[2:] == ["9", "True"]
+    assert len(ast.literal_eval(printed[1])) == 1

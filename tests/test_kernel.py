@@ -119,8 +119,8 @@ def test_cover_ladder_matches_brute_force_and_repeated_solves():
     # every class with n <= 6 and its cone, at t = 2 and 3, against
     # brute force level by level
     for n in range(2, 7):
-        for rep, _ in _classes(n):
-            h = from_pair_mask(n, rep)
+        for rep, _, h in _classes(n):
+            assert h == from_pair_mask(n, rep)
             for g in (h, join(complete(1), h)):
                 for t in (2, 3):
                     table = build_table(g, t)

@@ -1,4 +1,5 @@
 import json
+import pickle
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -8,7 +9,7 @@ import pytest
 
 from adimlab import formulas, graph, verify
 from adimlab.errors import BadParameter, TooLarge, UnknownTheorem
-from adimlab.formulas import cone_equality_criterion
+from adimlab.formulas import cone_equality_criterion, full_dimension_criteria
 from adimlab.graph import (
     complete,
     fig3_graph,
@@ -16,6 +17,7 @@ from adimlab.graph import (
     from_graph6,
     join,
     path,
+    petersen,
     to_graph6,
 )
 from adimlab.metric import build_table
@@ -258,10 +260,11 @@ def test_class_walk_counts_and_representatives():
     # A000088: graphs on n unlabeled vertices
     assert [len(w) for w in walks] == [1, 1, 2, 4, 11, 34, 156, 1044]
     for n, walk in enumerate(walks):
-        assert sum(size for _, size in walk) == 2 ** comb(n, 2)
-        assert [r for r, _ in walk] == sorted(r for r, _ in walk)
+        assert sum(size for _, size, _ in walk) == 2 ** comb(n, 2)
+        assert [r for r, _, _ in walk] == sorted(r for r, _, _ in walk)
+        assert all(g == graph.from_pair_mask(n, rep) for rep, _, g in walk)
     for n, walk in enumerate(walks[:7]):
-        for rep, size in walk:
+        for rep, size, _ in walk:
             orbit = _orbit_by_relabeling(n, rep)
             assert min(orbit) == rep and len(orbit) == size
 
@@ -432,8 +435,9 @@ def test_graph6_corpus_uses_the_pool(monkeypatch):
     )
 
 
-def test_pool_shards_carry_the_filters_not_the_records(monkeypatch):
-    # each unit holds its own record, so a shard's corpus needs no records
+def test_pool_shards_carry_only_the_checker_and_units(monkeypatch):
+    # each unit holds its entries' graphs, filtered already, so a shard needs
+    # no corpus
     shards = []
 
     class InProcessPool:
@@ -457,7 +461,10 @@ def test_pool_shards_carry_the_filters_not_the_records(monkeypatch):
     serial = sweep_theorem(corpus, "edges-mod-3")
     pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
     assert len(shards) == 8
-    assert {shard[1] for shard in shards} == {replace(corpus, graph6_lines=None)}
+    for shard in shards:
+        checker, units = shard
+        assert checker is _edge_count_mod3 and units
+        assert b"Corpus" not in pickle.dumps(shard)
     assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
     assert serial.violations
 
@@ -484,3 +491,74 @@ def test_cone_equality_sweep_reports_a_wrong_criterion(monkeypatch):
     assert len(report.violations) == sum(
         len(adim_ladder(join(complete(1), h))) for h in corpus
     )
+
+
+def test_full_dimension_sweep_reports_a_wrong_criterion(monkeypatch):
+    # with the criterion's verdict flipped, every feasible (G, k) must fail
+    def flipped(g, k):
+        report = full_dimension_criteria(g, k)
+        return replace(report, holds=not report.holds)
+
+    monkeypatch.setattr(formulas, "full_dimension_criteria", flipped)
+    corpus = Corpus(min_n=2, max_n=4)
+    report = sweep_theorem(corpus, "full-dimension")
+    assert report.checked == 74
+    assert len(report.violations) == sum(len(adim_ladder(g)) for g in corpus)
+
+
+def test_graph6_corpus_is_taken_whole_whatever_the_orders(tmp_path):
+    # the order bounds choose the enumeration's orders, not a file's records
+    f = tmp_path / "mixed.g6"
+    f.write_text(f"{to_graph6(petersen())}\n{to_graph6(path(5))}\n")
+    for corpus in (Corpus.from_file(str(f)), Corpus.from_file(str(f), max_n=3)):
+        assert len(list(corpus)) == 2
+        report = sweep_theorem(corpus, "monotony")
+        assert (report.checked, report.violations) == (2, [])
+    report = sweep_theorem(Corpus.from_file(str(f), min_degree=2), "monotony")
+    assert report.checked == 1
+
+
+def test_pair_sweep_decodes_each_record_once(monkeypatch):
+    decoded = []
+    real = verify.from_graph6
+
+    def counting(text):
+        decoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(verify, "from_graph6", counting)
+    monkeypatch.setitem(PAIR_THEOREMS, "edge-sum-mod-3", _edge_sum_mod3)
+    lines = tuple(to_graph6(g) for g in Corpus(min_n=4, max_n=4))[:12]
+    for jobs in (1, 2):
+        decoded.clear()
+        report = sweep_theorem(
+            Corpus(graph6_lines=lines), "edge-sum-mod-3", jobs
+        )
+        assert report.checked == 12 * 13 // 2 and report.violations
+        assert sorted(decoded) == sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        Corpus(graph6_lines=()),
+        Corpus(graph6_lines=("", "  ")),
+        Corpus(graph6_lines=("C?",), connected=True),
+        Corpus(min_n=2, max_n=4, min_degree=9),
+    ],
+    ids=["empty-file", "blank-file", "file-filtered", "orders-filtered"],
+)
+def test_a_sweep_that_would_check_nothing_is_refused(corpus):
+    for run in (
+        lambda: sweep_theorem(corpus, "monotony"),
+        lambda: sweep_theorem(corpus, "join-lower", jobs=2),
+        lambda: check_cone_conjecture(corpus),
+    ):
+        with pytest.raises(BadParameter, match="min_degree=.*nothing to check"):
+            run()
+
+
+def test_corpus_refuses_a_negative_min_degree():
+    with pytest.raises(BadParameter, match="min_degree must be >= 0"):
+        Corpus(min_degree=-1)
+    assert sum(1 for _ in Corpus(min_n=3, max_n=3, min_degree=0)) == 8
