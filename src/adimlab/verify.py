@@ -13,10 +13,22 @@ labeled graphs or pairs they stand for.  Only a failing unit is expanded
 into its labeled members, each reported under its own graph6.  Each order's
 class list depends on n alone, so it is walked once per process and kept,
 graphs included (at most 8 lists, n <= 7); the relabel tables are not kept.
+
+A sweep with ``jobs > 1`` runs in the process's one worker pool, made on
+its first pooled sweep and kept for the next ones.  It is replaced when
+``jobs`` or ``ADIMLAB_BUDGET`` differs from the pool's (a forked worker
+keeps the environment it was made with), dropped when an exception leaves
+a pooled sweep, so a failed sweep's queued shards never run ahead of the
+next sweep's, and terminated at interpreter exit.  A worker checks each
+shard from an empty table cache, so no answer comes from a table or stored
+minimum left by an earlier sweep.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
+import os
 import time
 from array import array
 from collections import Counter
@@ -25,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
-from multiprocessing import Pool
 from operator import or_
 from typing import NamedTuple
 
@@ -51,7 +62,7 @@ from .metric import (
     dimensionality,
     join_dimensionality,
 )
-from .solver import _ladder, adim_ladder
+from .solver import BUDGET_ENV, _ladder, adim_ladder
 
 ENUMERATION_MAX_N = 7
 
@@ -215,8 +226,7 @@ class Corpus:
             orders = range(self.min_n, self.max_n + 1)
             graphs = (g for n in orders for g in enumerate_all_graphs(n))
         else:
-            records = (line.strip() for line in self.graph6_lines)
-            graphs = (from_graph6(r) for r in records if r)
+            graphs = (g for _, g in _records(self.graph6_lines))
         return filter(self._accept, graphs)
 
     @classmethod
@@ -592,21 +602,27 @@ def _members(key: tuple, g: Graph, relabel: dict) -> list[tuple[tuple, Graph]]:
     return [((n, mask), from_pair_mask(n, mask)) for mask in _orbit(relabel[n], rep)]
 
 
+def _records(lines: Iterable[str]) -> Iterator[tuple[tuple[int, str], Graph]]:
+    """((index, record), graph) per non-empty graph6 record, decoded; a
+    record that does not decode raises its decode error, naming its 1-based
+    index and its text."""
+    for i, r in enumerate(filter(None, map(str.strip, lines))):
+        try:
+            g = from_graph6(r)
+        except AdimlabError as exc:
+            raise type(exc)(f"graph6 record {i + 1} {r!r}: {exc}") from exc
+        yield (i, r), g
+
+
 def _entries(corpus: Corpus) -> list[tuple[tuple, int, Graph]]:
     """(key, weight, graph) per entry that passes the corpus filters: each
     isomorphism class of the enumeration's orders, weighted by its orbit
-    size, or each graph6 record, weighted 1 and decoded once; a record that
-    does not decode raises its decode error, naming its 1-based index."""
+    size, or each graph6 record, weighted 1 and decoded once."""
     if corpus.graph6_lines is None:
         orders = range(corpus.min_n, corpus.max_n + 1)
         entries = [((n, rep), size, g) for n in orders for rep, size, g in _classes(n)]
     else:
-        entries = []
-        for i, r in enumerate(filter(None, map(str.strip, corpus.graph6_lines))):
-            try:
-                entries.append(((i, r), 1, from_graph6(r)))
-            except AdimlabError as exc:
-                raise type(exc)(f"graph6 record {i + 1} {r!r}: {exc}") from exc
+        entries = [(key, 1, g) for key, g in _records(corpus.graph6_lines)]
     return [entry for entry in entries if corpus._accept(entry[2])]
 
 
@@ -636,8 +652,43 @@ def _check_units(
 
 def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
     checker, units = shard
+    build_table.cache_clear()
     violations: list[Violation] = []
     return _check_units(checker, units, violations.append), violations
+
+
+# the process's pool and what it was made for: (jobs, ADIMLAB_BUDGET), pool
+_pool: tuple[tuple[int, str | None], multiprocessing.pool.Pool] | None = None
+
+
+def _kept_pool(jobs: int) -> multiprocessing.pool.Pool:
+    """The process's pool of ``jobs`` workers, made on first use and
+    replaced when ``jobs`` or ``ADIMLAB_BUDGET`` differs from its own."""
+    global _pool
+    made_for = (jobs, os.environ.get(BUDGET_ENV))
+    if _pool is not None and _pool[0] != made_for:
+        _close_pool()
+    if _pool is None:
+        _pool = made_for, multiprocessing.Pool(jobs)
+    return _pool[1]
+
+
+def _close_pool() -> None:
+    """Terminate the kept pool, if any; the next pooled sweep makes one."""
+    global _pool
+    if _pool is not None:
+        _pool[1].terminate()
+        _forget_pool()
+
+
+def _forget_pool() -> None:
+    # a forked child does not own its parent's workers
+    global _pool
+    _pool = None
+
+
+atexit.register(_close_pool)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _sweep(
@@ -650,8 +701,8 @@ def _sweep(
 ) -> SweepReport:
     """The one sweep path.  A unit is a multiset of ``arity`` corpus
     entries, counted with the number of labeled multisets it stands for;
-    units run serially or over ``jobs * 4`` interleaved slices in a pool.
-    A corpus the filters leave empty raises ``BadParameter``."""
+    units run serially or over ``jobs * 4`` interleaved slices in the kept
+    pool.  A corpus the filters leave empty raises ``BadParameter``."""
     if jobs < 1:
         raise BadParameter(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
@@ -672,11 +723,16 @@ def _sweep(
     if jobs > 1:
         parts = jobs * 4
         shards = [(checker, units[i::parts]) for i in range(parts)]
-        with Pool(jobs) as pool:
-            for checked, violations in pool.imap_unordered(_sweep_shard, shards):
+        try:
+            for checked, violations in _kept_pool(jobs).imap_unordered(
+                _sweep_shard, shards
+            ):
                 report.checked += checked
                 for v in violations:
                     emit(v)
+        except BaseException:
+            _close_pool()
+            raise
     else:
         report.checked = _check_units(checker, units, emit)
     report.violations.sort(key=lambda v: (v.graph6, v.k))

@@ -1,8 +1,18 @@
+import multiprocessing
 import random
 
+import pytest
 from hypothesis import strategies as st
 
+from adimlab import verify
 from adimlab.graph import Graph, from_pair_mask
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_process_left_running():
+    yield
+    verify._close_pool()
+    assert multiprocessing.active_children() == []
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

@@ -386,6 +386,41 @@ def test_unparsable_budget_variable_exits_2(capsys, monkeypatch):
     assert "ADIMLAB_BUDGET must be an integer >= 0, got 'abc'" in err
 
 
+POOLED_LIBRARY_SWEEP = """
+import multiprocessing
+from adimlab.verify import Corpus, sweep_theorem
+report = sweep_theorem(Corpus(min_n=2, max_n=4), "monotony", jobs=2)
+print(report.checked, *(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def test_pooled_sweeps_leave_no_process_running():
+    # the kept pool outlives every sweep but not the interpreter: once a
+    # process exits, neither it nor a worker is left in its process group
+    src = str(Path(adimlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cli = [sys.executable, "-m", "adimlab", "sweep", "--theorem", "monotony",
+           "--max-n", "4", "--jobs", "2"]
+    library = [sys.executable, "-c", POOLED_LIBRARY_SWEEP]
+    outputs = []
+    for argv in (cli, library):
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        outputs.append(out)
+    assert json.loads(outputs[0])["checked"] == 74
+    checked, *workers = map(int, outputs[1].split())
+    assert checked == 74 and len(workers) == 2
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 def test_python_dash_m_runs_the_command():
     src = str(Path(adimlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

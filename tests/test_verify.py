@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import pickle
 from collections import Counter
 from dataclasses import replace
@@ -8,7 +10,13 @@ from math import comb
 import pytest
 
 from adimlab import formulas, graph, verify
-from adimlab.errors import BadParameter, TooLarge, UnknownTheorem
+from adimlab.errors import (
+    BadParameter,
+    BudgetExhausted,
+    MalformedHeader,
+    TooLarge,
+    UnknownTheorem,
+)
 from adimlab.formulas import cone_equality_criterion, full_dimension_criteria
 from adimlab.graph import (
     complete,
@@ -335,20 +343,32 @@ def test_class_sweep_reports_every_labeled_violation(monkeypatch, jobs, corpus):
     assert Counter(streamed) == Counter(violations)
 
 
+def _recording_pool(monkeypatch) -> list[int]:
+    """The jobs of every pooled sweep from now on, each handed the real kept
+    pool."""
+    asked = []
+    real = verify._kept_pool
+
+    def recording(jobs):
+        asked.append(jobs)
+        return real(jobs)
+
+    monkeypatch.setattr(verify, "_kept_pool", recording)
+    return asked
+
+
+def _worker_pids() -> set[int]:
+    # the kept pool's workers are this process's only multiprocessing children
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 def test_conjecture_pool_for_any_k_range(monkeypatch):
-    built = []
-    real_pool = verify.Pool
-
-    def recording_pool(processes, *args, **kwargs):
-        built.append(processes)
-        return real_pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "Pool", recording_pool)
+    asked = _recording_pool(monkeypatch)
     corpus = Corpus(min_n=2, max_n=5)
     serial = check_cone_conjecture(corpus, range(1, 3))
-    assert built == []
+    assert asked == []
     pooled = check_cone_conjecture(corpus, range(1, 3), jobs=2)
-    assert built == [2]
+    assert asked == [2] and len(_worker_pids()) == 2
     assert pooled.checked == serial.checked == 1098
     assert pooled.violations == serial.violations
 
@@ -414,20 +434,13 @@ def test_pair_theorems_match_labeled_pair_reference(theorem):
 
 
 def test_graph6_corpus_uses_the_pool(monkeypatch):
-    built = []
-    real_pool = verify.Pool
-
-    def recording_pool(processes, *args, **kwargs):
-        built.append(processes)
-        return real_pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "Pool", recording_pool)
+    asked = _recording_pool(monkeypatch)
     monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
     corpus = _g6_corpus()
     serial = sweep_theorem(corpus, "edges-mod-3")
-    assert built == []
+    assert asked == []
     pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
-    assert built == [2]
+    assert asked == [2] and len(_worker_pids()) == 2
     assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
     assert serial.checked == len(corpus.graph6_lines) - 1 and serial.violations
     assert (serial.checked, serial.violations) == _labeled_reference(
@@ -438,35 +451,137 @@ def test_graph6_corpus_uses_the_pool(monkeypatch):
 def test_pool_shards_carry_only_the_checker_and_units(monkeypatch):
     # each unit holds its entries' graphs, filtered already, so a shard needs
     # no corpus
-    shards = []
+    asked, shards = [], []
 
     class InProcessPool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def imap_unordered(self, fn, items):
             for shard in items:
                 shards.append(shard)
                 yield fn(shard)
 
-    monkeypatch.setattr(verify, "Pool", InProcessPool)
+    def in_process_pool(jobs):
+        asked.append(jobs)
+        return InProcessPool()
+
+    monkeypatch.setattr(verify, "_kept_pool", in_process_pool)
     monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
     corpus = _g6_corpus(min_degree=1)
     serial = sweep_theorem(corpus, "edges-mod-3")
+    assert asked == []
     pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
-    assert len(shards) == 8
+    assert asked == [2] and len(shards) == 8
     for shard in shards:
         checker, units = shard
         assert checker is _edge_count_mod3 and units
         assert b"Corpus" not in pickle.dumps(shard)
     assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
     assert serial.violations
+
+
+def _worker_pid(g):
+    # one report per graph, naming the process that checked it
+    return [(0, os.getpid(), "checked in this process")]
+
+
+def _pooled_pids(corpus, jobs):
+    report = sweep_theorem(corpus, "worker-pid", jobs)
+    return {v.observed for v in report.violations}
+
+
+def test_pooled_sweeps_reuse_the_workers_of_one_pool(monkeypatch):
+    monkeypatch.setitem(THEOREMS, "worker-pid", _worker_pid)
+    corpus = Corpus(min_n=2, max_n=4)
+    first = _pooled_pids(corpus, 2)
+    workers = _worker_pids()
+    second = _pooled_pids(corpus, 2)
+    assert len(workers) == 2 and _worker_pids() == workers
+    assert first | second <= workers
+    # a different jobs replaces the pool: its workers are all new
+    wider = _pooled_pids(corpus, 4)
+    assert len(_worker_pids()) == 4 and not _worker_pids() & workers
+    assert wider <= _worker_pids()
+
+
+def _table_was_cached(g):
+    hits = build_table.cache_info().hits
+    build_table(g, 2)
+    if build_table.cache_info().hits > hits:
+        return [(0, "table from the cache", "table built for this shard")]
+    return []
+
+
+def test_a_worker_checks_each_shard_from_an_empty_table_cache(monkeypatch):
+    # every class graph is its own graph, so within one sweep no table is
+    # asked for twice; a hit would be a table kept from an earlier sweep
+    monkeypatch.setitem(THEOREMS, "table-cached", _table_was_cached)
+    corpus = Corpus(min_n=2, max_n=5)
+    sweep_theorem(corpus, "monotony")  # caches tables a new pool would inherit
+    for _ in range(2):
+        assert sweep_theorem(corpus, "table-cached", jobs=2).violations == []
+
+
+def test_a_kept_pool_follows_the_budget_variable(monkeypatch):
+    # a worker reads the environment it was forked with, so a pool made
+    # without a budget must not answer once ADIMLAB_BUDGET is set
+    monkeypatch.delenv("ADIMLAB_BUDGET", raising=False)
+    corpus = Corpus(min_n=2, max_n=4)
+    assert check_cone_conjecture(corpus, jobs=2).passed
+    monkeypatch.setenv("ADIMLAB_BUDGET", "0")
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExhausted):
+            check_cone_conjecture(corpus, jobs=jobs)
+
+
+def _fails_on_the_triangle(g):
+    if g.n == 3 and g.edge_count() == 3:
+        raise RuntimeError("checker failed")
+    return []
+
+
+def test_a_failed_pooled_sweep_drops_its_pool(monkeypatch):
+    monkeypatch.setitem(THEOREMS, "fails", _fails_on_the_triangle)
+    monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
+    corpus = Corpus(min_n=2, max_n=5)
+    serial = sweep_theorem(corpus, "edges-mod-3")
+    sweep_theorem(corpus, "edges-mod-3", jobs=2)
+    workers = _worker_pids()
+    with pytest.raises(RuntimeError, match="checker failed"):
+        sweep_theorem(corpus, "fails", jobs=2)
+    assert _worker_pids() == set()
+    pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
+    assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
+    assert len(_worker_pids()) == 2 and not _worker_pids() & workers
+
+
+def _sweep_in_child(queue):
+    report = sweep_theorem(Corpus(min_n=2, max_n=4), "worker-pid", jobs=2)
+    queue.put({v.observed for v in report.violations})
+
+
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    # the parent's kept pool is not the child's: its workers are not the
+    # child's children, and using it there would wait forever
+    monkeypatch.setitem(THEOREMS, "worker-pid", _worker_pid)
+    _pooled_pids(Corpus(min_n=2, max_n=3), 2)
+    workers = _worker_pids()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_sweep_in_child, args=(queue,))
+    child.start()
+    try:
+        pids = queue.get(timeout=30)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert pids and not pids & workers and child.pid not in pids
+    assert _worker_pids() == workers
+
+
+def test_corpus_iteration_names_an_undecodable_record():
+    with pytest.raises(MalformedHeader, match=r"graph6 record 2 'D~\{xx': 2 trailing"):
+        list(Corpus(graph6_lines=("CF", "D~{xx")))
 
 
 def test_corpus_refuses_empty_and_negative_order_ranges():
