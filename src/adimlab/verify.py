@@ -15,18 +15,23 @@ class list depends on n alone, so it is walked once per process and kept,
 graphs included (at most 8 lists, n <= 7); the relabel tables are not kept.
 
 A sweep with ``jobs > 1`` runs in the process's one worker pool, made on
-its first pooled sweep and kept for the next ones.  It is replaced when
-``jobs`` or ``ADIMLAB_BUDGET`` differs from the pool's (a forked worker
-keeps the environment it was made with), dropped when an exception leaves
-a pooled sweep, so a failed sweep's queued shards never run ahead of the
-next sweep's, and terminated at interpreter exit.  A worker checks each
-shard from an empty table cache, so no answer comes from a table or stored
-minimum left by an earlier sweep.
+its first pooled sweep and kept for the next ones, so only a process that
+runs several pooled sweeps (a script, a notebook, the test suite) saves
+the start-up; a CLI ``sweep`` or ``conjecture`` runs one sweep and forks
+its workers once.  A forked worker keeps the module state and
+environment it was made with, so the pool is replaced when ``jobs``,
+``ADIMLAB_BUDGET`` or the checker differs from the pool's: a checker
+defined or redefined since then gets new workers.  Other state changed
+after the workers were forked (a library function the checker calls,
+patched later) does not reach them.  The pool is dropped when an
+exception leaves a pooled sweep, so a failed sweep's queued shards never
+run ahead of the next sweep's, and a worker starts each sweep from an
+empty table cache, so no answer comes from a table or stored minimum left
+by an earlier sweep.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import time
@@ -35,7 +40,13 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    count,
+    permutations,
+    product,
+)
 from math import comb, prod
 from operator import or_
 from typing import NamedTuple
@@ -650,22 +661,36 @@ def _check_units(
     return checked
 
 
-def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
+# the sweep whose tables this worker's cache holds; the parent numbers sweeps
+_cache_sweep: int | None = None
+_sweep_ids = count()
+
+
+def _sweep_shard(sweep: int, shard: tuple) -> tuple[int, list[Violation]]:
+    global _cache_sweep
     checker, units = shard
-    build_table.cache_clear()
+    if sweep != _cache_sweep:
+        build_table.cache_clear()
+        _cache_sweep = sweep
     violations: list[Violation] = []
     return _check_units(checker, units, violations.append), violations
 
 
-# the process's pool and what it was made for: (jobs, ADIMLAB_BUDGET), pool
-_pool: tuple[tuple[int, str | None], multiprocessing.pool.Pool] | None = None
+# the process's pool and what it was made for: (jobs, ADIMLAB_BUDGET,
+# checker), pool
+_pool: tuple[tuple, multiprocessing.pool.Pool] | None = None
 
 
-def _kept_pool(jobs: int) -> multiprocessing.pool.Pool:
+def _kept_pool(jobs: int, checker: Callable) -> multiprocessing.pool.Pool:
     """The process's pool of ``jobs`` workers, made on first use and
-    replaced when ``jobs`` or ``ADIMLAB_BUDGET`` differs from its own."""
+    replaced when ``jobs``, ``ADIMLAB_BUDGET`` or the checker differs from
+    its own.  A worker unpickles the checker by name from the module state
+    it was forked with, so a checker made since then needs new workers; a
+    ``partial`` is compared by its function and arguments."""
     global _pool
-    made_for = (jobs, os.environ.get(BUDGET_ENV))
+    if isinstance(checker, partial):
+        checker = checker.func, checker.args, checker.keywords
+    made_for = (jobs, os.environ.get(BUDGET_ENV), checker)
     if _pool is not None and _pool[0] != made_for:
         _close_pool()
     if _pool is None:
@@ -687,7 +712,6 @@ def _forget_pool() -> None:
     _pool = None
 
 
-atexit.register(_close_pool)
 os.register_at_fork(after_in_child=_forget_pool)
 
 
@@ -723,9 +747,10 @@ def _sweep(
     if jobs > 1:
         parts = jobs * 4
         shards = [(checker, units[i::parts]) for i in range(parts)]
+        run = partial(_sweep_shard, next(_sweep_ids))
         try:
-            for checked, violations in _kept_pool(jobs).imap_unordered(
-                _sweep_shard, shards
+            for checked, violations in _kept_pool(jobs, checker).imap_unordered(
+                run, shards
             ):
                 report.checked += checked
                 for v in violations:

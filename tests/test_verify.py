@@ -2,13 +2,18 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import adimlab
 from adimlab import formulas, graph, verify
 from adimlab.errors import (
     BadParameter,
@@ -349,9 +354,9 @@ def _recording_pool(monkeypatch) -> list[int]:
     asked = []
     real = verify._kept_pool
 
-    def recording(jobs):
+    def recording(jobs, checker):
         asked.append(jobs)
-        return real(jobs)
+        return real(jobs, checker)
 
     monkeypatch.setattr(verify, "_kept_pool", recording)
     return asked
@@ -459,7 +464,7 @@ def test_pool_shards_carry_only_the_checker_and_units(monkeypatch):
                 shards.append(shard)
                 yield fn(shard)
 
-    def in_process_pool(jobs):
+    def in_process_pool(jobs, checker):
         asked.append(jobs)
         return InProcessPool()
 
@@ -510,7 +515,7 @@ def _table_was_cached(g):
     return []
 
 
-def test_a_worker_checks_each_shard_from_an_empty_table_cache(monkeypatch):
+def test_a_worker_starts_each_sweep_from_an_empty_table_cache(monkeypatch):
     # every class graph is its own graph, so within one sweep no table is
     # asked for twice; a hit would be a table kept from an earlier sweep
     monkeypatch.setitem(THEOREMS, "table-cached", _table_was_cached)
@@ -518,6 +523,17 @@ def test_a_worker_checks_each_shard_from_an_empty_table_cache(monkeypatch):
     sweep_theorem(corpus, "monotony")  # caches tables a new pool would inherit
     for _ in range(2):
         assert sweep_theorem(corpus, "table-cached", jobs=2).violations == []
+
+
+def test_a_worker_keeps_its_tables_across_the_shards_of_one_sweep(monkeypatch):
+    # a pair sweep's entries recur in every shard, so a worker clears its
+    # cache on its first shard of a sweep only
+    monkeypatch.setattr(verify, "_cache_sweep", None)
+    g = path(4)
+    shard = (_table_was_cached, [(((0, to_graph6(g)), 1, g),)])
+    assert verify._sweep_shard(-1, shard) == (1, [])
+    assert verify._sweep_shard(-1, shard)[1]  # the sweep's table, kept
+    assert verify._sweep_shard(-2, shard) == (1, [])
 
 
 def test_a_kept_pool_follows_the_budget_variable(monkeypatch):
@@ -551,6 +567,43 @@ def test_a_failed_pooled_sweep_drops_its_pool(monkeypatch):
     pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
     assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
     assert len(_worker_pids()) == 2 and not _worker_pids() & workers
+
+
+LATE_CHECKER = """
+from adimlab.verify import THEOREMS, Corpus, sweep_theorem
+corpus = Corpus(min_n=2, max_n=4)
+sweep_theorem(corpus, "monotony", jobs=2)
+def late(g):
+    return []
+THEOREMS["late"] = late
+first = sweep_theorem(corpus, "late", jobs=2)
+def late(g):
+    return [(0, "redefined", "checker")]
+THEOREMS["late"] = late
+second = sweep_theorem(corpus, "late", jobs=2)
+print(first.checked, len(first.violations), len(second.violations))
+"""
+
+
+def test_a_checker_made_after_the_pool_gets_new_workers():
+    # a worker unpickles the checker by name from the module state it was
+    # forked with: a checker __main__ defines after the first pooled sweep
+    # would kill the worker and leave the sweep waiting forever, and one it
+    # redefines would run its old definition
+    src = str(Path(adimlab.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", LATE_CHECKER], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert out.split() == ["74", "0", "74"]
 
 
 def _sweep_in_child(queue):
