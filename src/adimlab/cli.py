@@ -34,6 +34,7 @@ from .graph import (
     fig4_graph,
     fig5_graph,
     from_graph6,
+    graph6_records,
     hypercube,
     join,
     path,
@@ -112,12 +113,12 @@ def load_graph(args) -> Graph:
     records = [line.strip() for line in text.splitlines() if line.strip()]
     if records and records[0].split()[0].isdigit():
         return read_edge_list(text)
-    if len(records) > 1:
+    if len(records) != 1:
         raise AdimlabError(
             f"{args.file} holds {len(records)} graph6 records; "
             "this command takes one graph"
         )
-    return from_graph6(records[0] if records else "")
+    return next(graph6_records(records))[2]
 
 
 def parse_k_range(raw: str) -> list[int]:

@@ -74,14 +74,18 @@ def enumerate_family(
 ) -> Iterator[Graph]:
     """The family members in free-edge mask order 0, 1, 2, ..., from
     ``from_mask`` up to (not including) ``to_mask``, at most ``limit`` of
-    them; a negative limit or start, or an end below the start, raises
-    ``BadParameter`` here rather than on the first member.
+    them; a start outside the family, a negative limit or an end below the
+    start raises ``BadParameter`` here rather than on the first member.
 
     The free pairs are numbered lexicographically by vertex index, so member
     masks are reproducible and a mask range can be verified in shards.
     """
     _check_range(limit, from_mask, to_mask)
     spec = family_spec(g, b)
+    if from_mask >= spec.family_size:
+        raise BadParameter(
+            f"from_mask must be < the family size {spec.family_size}, got {from_mask}"
+        )
     pairs = _free_pairs(spec.free_vertices)
     if len(pairs) > _NO_LIMIT_MAX_PAIRS and limit is None and to_mask is None:
         raise LimitRequired(

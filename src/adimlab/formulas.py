@@ -17,7 +17,7 @@ from .errors import (
     OutOfProvenRange,
     TooSmall,
 )
-from .graph import Graph, complete, is_tree, join, twin_partition
+from .graph import SINGLETON, Graph, complete, is_tree, join, twin_partition
 from .metric import (
     adjacency_dimensionality,
     build_table,
@@ -335,12 +335,10 @@ def full_dimension_twin_criterion(g: Graph) -> CriterionReport:
     if g.n < 2:
         raise TooSmall("needs at least 2 vertices")
     part = twin_partition(g)
-    if part.all_vertices_in_nontrivial_classes():
-        return CriterionReport("full-dimension-twin-2", True)
     for cls, kind in zip(part.classes, part.kinds):
-        if kind == "singleton":
+        if kind == SINGLETON:
             return CriterionReport("full-dimension-twin-2", False, cls.members()[0])
-    raise AssertionError("unreachable")
+    return CriterionReport("full-dimension-twin-2", True)
 
 
 def cone_full_dimension_criterion(h: Graph) -> CriterionReport:
@@ -353,7 +351,7 @@ def cone_full_dimension_criterion(h: Graph) -> CriterionReport:
         return CriterionReport("full-dimension-cone-2", False)
     part = twin_partition(h)
     for cls, kind in zip(part.classes, part.kinds):
-        if kind == "singleton":
+        if kind == SINGLETON:
             v = cls.members()[0]
             if h.degree(v) < n - 1:
                 return CriterionReport("full-dimension-cone-2", False, v)

@@ -8,10 +8,12 @@ between threads and used as cache keys.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from .bitset import VertexSet, bits_of
 from .errors import (
+    AdimlabError,
     BadParameter,
     MalformedHeader,
     NonCanonicalPadding,
@@ -157,7 +159,9 @@ def from_pair_mask(n: int, mask: int, name: str | None = None) -> Graph:
             bit += 1
     if mask >> bit:
         raise OutOfRange(f"pair mask has bits beyond the {bit} pairs of K_{n}")
-    return Graph(n, rows, name)
+    if n < 0:
+        raise BadParameter("vertex count must be non-negative")
+    return _trusted(n, rows, name)
 
 
 def read_edge_list(text: str, name: str | None = None) -> Graph:
@@ -199,52 +203,54 @@ def format_edge_list(g: Graph) -> str:
 
 # -- graph6 ----------------------------------------------------------------
 
+# graph6 stores six bits per byte as the bytes 63..126; str.translate spells
+# each byte's six bits as two octal digits, so int(..., 8) reads a whole run
+_G6_BYTES = bytes(range(63, 127))
+_G6_OCTAL = {b: f"{b - 63:02o}" for b in _G6_BYTES}
 
-def _g6_encode_size(n: int) -> bytes:
+
+def _g6_int(data: bytes, what: str) -> int:
+    """The graph6 bytes ``data`` as one integer, first byte highest; a byte
+    outside 63..126 raises, naming it as ``what``."""
+    bad = data.translate(None, _G6_BYTES)
+    if bad:
+        raise MalformedHeader(f"{what} {bad[0]} outside graph6 range")
+    return int(data.decode("ascii").translate(_G6_OCTAL) or "0", 8)
+
+
+def _g6_size_header(n: int) -> bytes:
+    """The size header of order n: one byte up to 62, then 126 and three
+    bytes up to 258047, then 126, 126 and six bytes up to 2^36 - 1."""
     if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    if n <= 68719476735:
-        return bytes([126, 126]) + bytes(((n >> s) & 63) + 63 for s in range(30, -1, -6))
-    raise BadParameter(f"graph6 cannot encode order {n}")
+        return bytes((n + 63,))
+    if n >> 36:
+        raise BadParameter(f"graph6 cannot encode order {n}")
+    prefix, top = (b"~", 12) if n <= 258047 else (b"~~", 30)
+    return prefix + bytes(((n >> s) & 63) + 63 for s in range(top, -1, -6))
 
 
-def _g6_decode_size(data: bytes) -> tuple[int, int]:
-    """Return (n, header length)."""
+def _g6_size(data: bytes) -> tuple[int, bytes]:
+    """The order of a graph6 record and the bytes after its size header; a
+    header longer than the one ``_g6_size_header`` writes for it raises."""
     if not data:
         raise MalformedHeader("empty record")
-    b0 = data[0] - 63
-    if b0 < 0 or data[0] > 126:
-        raise MalformedHeader(f"byte {data[0]} outside graph6 range")
-    if b0 < 63:
-        return b0, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise MalformedHeader("long-form size needs 8 bytes")
-        n = 0
-        for b in data[2:8]:
-            if not 63 <= b <= 126:
-                raise MalformedHeader(f"size byte {b} outside graph6 range")
-            n = (n << 6) | (b - 63)
-        if n <= 258047:
-            raise MalformedHeader("long-long size form used for a small order")
-        return n, 8
-    if len(data) < 4:
-        raise MalformedHeader("extended size needs 4 bytes")
-    n = 0
-    for b in data[1:4]:
-        if not 63 <= b <= 126:
-            raise MalformedHeader(f"size byte {b} outside graph6 range")
-        n = (n << 6) | (b - 63)
-    if n <= 62:
-        raise MalformedHeader("extended size form used for a small order")
-    return n, 4
+    if data[0] != 126:
+        return _g6_int(data[:1], "byte"), data[1:]
+    if data[1:2] == b"~":
+        start, end, short, form = 2, 8, "long-form size needs 8 bytes", "long-long"
+    else:
+        start, end, short, form = 1, 4, "extended size needs 4 bytes", "extended"
+    if len(data) < end:
+        raise MalformedHeader(short)
+    n = _g6_int(data[start:end], "size byte")
+    if len(_g6_size_header(n)) < end:
+        raise MalformedHeader(f"{form} size form used for a small order")
+    return n, data[end:]
 
 
 def to_graph6(g: Graph) -> str:
     """Encode in graph6: column-major upper triangle, 6 bits per byte, +63."""
-    out = bytearray(_g6_encode_size(g.n))
+    out = bytearray(_g6_size_header(g.n))
     acc = 0
     nbits = 0
     for j in range(1, g.n):
@@ -262,39 +268,43 @@ def to_graph6(g: Graph) -> str:
 
 def from_graph6(text: str, name: str | None = None) -> Graph:
     """Decode one graph6 record (an optional ``>>graph6<<`` prefix is accepted)."""
-    if text.startswith(">>graph6<<"):
-        text = text[len(">>graph6<<"):]
     if not text.isascii():
         raise MalformedHeader("graph6 records are ASCII")
-    data = text.strip().encode("ascii")
-    n, off = _g6_decode_size(data)
+    data = text.strip().removeprefix(">>graph6<<").lstrip().encode("ascii")
+    n, payload = _g6_size(data)
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
-    payload = data[off:]
     if len(payload) < nbytes:
         raise TruncatedPayload(f"need {nbytes} payload bytes, got {len(payload)}")
     if len(payload) > nbytes:
         raise MalformedHeader(f"{len(payload) - nbytes} trailing bytes")
+    bits = _g6_int(payload, "payload byte")
+    pos = 6 * nbytes
+    if bits & ((1 << (pos - npairs)) - 1):
+        raise NonCanonicalPadding("non-zero padding bits")
     rows = [0] * n
-    pos = 0
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    for b in payload:
-        val = b - 63
-        if not 0 <= val <= 63:
-            raise MalformedHeader(f"payload byte {b} outside graph6 range")
-        for shift in range(5, -1, -1):
-            bit = (val >> shift) & 1
-            if pos < npairs:
-                if bit:
-                    i, j = next(pairs)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                else:
-                    next(pairs)
-            elif bit:
-                raise NonCanonicalPadding("non-zero padding bits")
-            pos += 1
-    return Graph(n, rows, name)
+    for j in range(1, n):
+        # column j holds the pairs (0, j) .. (j - 1, j), highest bit first
+        pos -= j
+        col = (bits >> pos) & ((1 << j) - 1)
+        while col:
+            i = j - col.bit_length()
+            col ^= 1 << (j - 1 - i)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return _trusted(n, rows, name)
+
+
+def graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str, Graph]]:
+    """(index, record, graph) per non-empty graph6 record of ``lines``,
+    numbered from 0; a record that does not decode raises its decode error,
+    naming its 1-based index and its text."""
+    for i, r in enumerate(filter(None, map(str.strip, lines))):
+        try:
+            g = from_graph6(r)
+        except AdimlabError as exc:
+            raise type(exc)(f"graph6 record {i + 1} {r!r}: {exc}") from exc
+        yield i, r, g
 
 
 # -- generators ------------------------------------------------------------
@@ -502,29 +512,11 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and is_connected(g) and g.edge_count() == g.n - 1
 
 
-class TwinPartition:
-    """Twin equivalence classes of a graph with per-class kind."""
+class TwinPartition(NamedTuple):
+    """Twin classes of a graph, ordered by lowest vertex, and their kinds."""
 
-    __slots__ = ("classes", "kinds")
-
-    def __init__(self, classes: Sequence[VertexSet], kinds: Sequence[str]):
-        object.__setattr__(self, "classes", tuple(classes))
-        object.__setattr__(self, "kinds", tuple(kinds))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TwinPartition is immutable")
-
-    def __reduce__(self):
-        return TwinPartition, (self.classes, self.kinds)
-
-    def all_vertices_in_nontrivial_classes(self) -> bool:
-        return all(kind != SINGLETON for kind in self.kinds)
-
-    def __repr__(self) -> str:
-        parts = [
-            f"{sorted(cls)}:{kind}" for cls, kind in zip(self.classes, self.kinds)
-        ]
-        return f"TwinPartition({', '.join(parts)})"
+    classes: tuple[VertexSet, ...]
+    kinds: tuple[str, ...]
 
 
 def twin_partition(g: Graph) -> TwinPartition:
@@ -534,32 +526,20 @@ def twin_partition(g: Graph) -> TwinPartition:
     neighborhood equality are false twins, classes of closed-neighborhood
     equality are true twins, and no vertex can sit in both kinds at once.
     """
-    by_open: dict[int, list[int]] = {}
-    by_closed: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_open.setdefault(g.rows[v], []).append(v)
-        by_closed.setdefault(g.closed_row(v), []).append(v)
-    classes = []
-    kinds = []
-    grouped = 0
-    for members in sorted(by_open.values(), key=lambda ms: ms[0]):
-        if len(members) > 1:
-            classes.append(VertexSet.from_iterable(g.n, members))
-            kinds.append(FALSE_TWIN)
-            for v in members:
-                grouped |= 1 << v
-    for members in sorted(by_closed.values(), key=lambda ms: ms[0]):
-        if len(members) > 1:
-            classes.append(VertexSet.from_iterable(g.n, members))
-            kinds.append(TRUE_TWIN)
-            for v in members:
-                grouped |= 1 << v
-    for v in range(g.n):
-        if not (grouped >> v) & 1:
-            classes.append(VertexSet(g.n, 1 << v))
+    # keys enter by lowest vertex, so the classes come out in that order
+    groups: dict[tuple[str, int], int] = {}
+    for v, row in enumerate(g.rows):
+        for key in ((FALSE_TWIN, row), (TRUE_TWIN, row | 1 << v)):
+            groups[key] = groups.get(key, 0) | 1 << v
+    classes, kinds = [], []
+    for (kind, row), members in groups.items():
+        if members & (members - 1):
+            classes.append(VertexSet(g.n, members))
+            kinds.append(kind)
+        elif kind == FALSE_TWIN and groups[TRUE_TWIN, row | members] == members:
+            classes.append(VertexSet(g.n, members))
             kinds.append(SINGLETON)
-    order = sorted(range(len(classes)), key=lambda i: classes[i].mask & -classes[i].mask)
-    return TwinPartition([classes[i] for i in order], [kinds[i] for i in order])
+    return TwinPartition(tuple(classes), tuple(kinds))
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:

@@ -51,7 +51,7 @@ from math import comb, prod
 from operator import or_
 from typing import NamedTuple
 
-from .errors import AdimlabError, BadParameter, TooLarge, UnknownTheorem
+from .errors import BadParameter, TooLarge, UnknownTheorem
 from .graph import (
     INFINITE,
     Graph,
@@ -59,8 +59,8 @@ from .graph import (
     complete,
     components,
     diameter,
-    from_graph6,
     from_pair_mask,
+    graph6_records,
     is_connected,
     is_tree,
     join,
@@ -206,8 +206,8 @@ class Corpus:
     """Graph source plus filters.
 
     ``min_n``..``max_n`` choose the orders of the internal enumeration;
-    alternatively ``graph6_lines`` holds the records of a file, which is
-    taken whole, whatever the orders.  ``connected`` and ``min_degree`` filter
+    alternatively ``graph6_lines`` holds the lines of a graph6 file, which
+    is taken whole, whatever the orders.  ``connected`` and ``min_degree`` filter
     the graphs of either source.
     """
 
@@ -237,13 +237,12 @@ class Corpus:
             orders = range(self.min_n, self.max_n + 1)
             graphs = (g for n in orders for g in enumerate_all_graphs(n))
         else:
-            graphs = (g for _, g in _records(self.graph6_lines))
+            graphs = (g for _, _, g in graph6_records(self.graph6_lines))
         return filter(self._accept, graphs)
 
     @classmethod
     def from_file(cls, path: str, **kw) -> "Corpus":
-        lines = tuple(ln.strip() for ln in read_ascii(path).splitlines() if ln.strip())
-        return cls(graph6_lines=lines, **kw)
+        return cls(graph6_lines=tuple(read_ascii(path).splitlines()), **kw)
 
 
 class Violation(NamedTuple):
@@ -613,18 +612,6 @@ def _members(key: tuple, g: Graph, relabel: dict) -> list[tuple[tuple, Graph]]:
     return [((n, mask), from_pair_mask(n, mask)) for mask in _orbit(relabel[n], rep)]
 
 
-def _records(lines: Iterable[str]) -> Iterator[tuple[tuple[int, str], Graph]]:
-    """((index, record), graph) per non-empty graph6 record, decoded; a
-    record that does not decode raises its decode error, naming its 1-based
-    index and its text."""
-    for i, r in enumerate(filter(None, map(str.strip, lines))):
-        try:
-            g = from_graph6(r)
-        except AdimlabError as exc:
-            raise type(exc)(f"graph6 record {i + 1} {r!r}: {exc}") from exc
-        yield (i, r), g
-
-
 def _entries(corpus: Corpus) -> list[tuple[tuple, int, Graph]]:
     """(key, weight, graph) per entry that passes the corpus filters: each
     isomorphism class of the enumeration's orders, weighted by its orbit
@@ -633,7 +620,7 @@ def _entries(corpus: Corpus) -> list[tuple[tuple, int, Graph]]:
         orders = range(corpus.min_n, corpus.max_n + 1)
         entries = [((n, rep), size, g) for n in orders for rep, size, g in _classes(n)]
     else:
-        entries = [(key, 1, g) for key, g in _records(corpus.graph6_lines)]
+        entries = [((i, r), 1, g) for i, r, g in graph6_records(corpus.graph6_lines)]
     return [entry for entry in entries if corpus._accept(entry[2])]
 
 

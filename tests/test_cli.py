@@ -337,6 +337,14 @@ def test_family_rejects_bad_member_ranges(capsys, argv):
     assert ">= 0" in err
 
 
+def test_family_rejects_a_start_past_the_family(capsys):
+    code, out, err = run(
+        capsys, "family", "--graph", "fig3", "--k", "2", "--from-mask", "5000"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: from_mask must be < the family size 1024, got 5000\n"
+
+
 NON_ASCII_FILE = object()
 
 
@@ -360,6 +368,20 @@ def test_unparsable_input_exits_2(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_a_single_graph_file_names_an_undecodable_record(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("D~{xx\n")
+    code, out, err = run(capsys, "info", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: graph6 record 1 'D~{xx': 2 trailing bytes\n"
+    bad.write_text("\n \n")
+    code, out, err = run(capsys, "info", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {bad} holds 0 graph6 records; this command takes one graph\n"
+    )
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

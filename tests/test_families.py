@@ -106,7 +106,8 @@ def test_report_json_shape():
 
 
 @pytest.mark.parametrize("limit,from_mask,to_mask", [
-    (-1, 0, None), (None, -3, 2), (None, 5, 4),
+    (-1, 0, None), (None, -3, 2), (None, 5, 4), (None, 1024, None),
+    (None, 5000, None),
 ])
 def test_bad_member_ranges_raise_bad_parameter(limit, from_mask, to_mask):
     g = fig3_graph()

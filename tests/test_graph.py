@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 import pytest
@@ -33,6 +34,8 @@ from adimlab.graph import (
     fig5_graph,
     format_edge_list,
     from_edge_list,
+    from_graph6,
+    from_pair_mask,
     hypercube,
     is_connected,
     is_tree,
@@ -40,6 +43,7 @@ from adimlab.graph import (
     path,
     petersen,
     read_edge_list,
+    to_graph6,
     twin_partition,
     wheel,
 )
@@ -215,6 +219,12 @@ def test_twin_classes_are_neighborhood_equalities(g):
                 elif kind == FALSE_TWIN:
                     assert g.rows[u] == g.rows[v]
     assert covered == g.n
+    # classes are maximal: twins always share one
+    home = {v: c for c, cls in enumerate(part.classes) for v in cls}
+    for u, v in combinations(range(g.n), 2):
+        assert (home[u] == home[v]) == are_twins(g, u, v)
+    lowest = [cls.members()[0] for cls in part.classes]
+    assert lowest == sorted(lowest)
 
 
 def test_vertexset_operations():
@@ -268,6 +278,26 @@ def test_complement_and_disjoint_union_equal_the_checked_constructor():
             assert built.name is None
         assert co.edge_count() == g.n * (g.n - 1) // 2 - g.edge_count()
         assert union.edge_count() == g.edge_count() + h.edge_count()
+
+
+def test_decoders_equal_the_checked_constructor():
+    # from_graph6 and from_pair_mask skip the constructor's checks as well
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        pairs = list(combinations(range(n), 2))
+        mask = rng.getrandbits(len(pairs))
+        edges = [p for bit, p in enumerate(pairs) if (mask >> bit) & 1]
+        g = from_pair_mask(n, mask, "g")
+        decoded = from_graph6(to_graph6(g), "h")
+        for built, name in ((g, "g"), (decoded, "h")):
+            checked = Graph(built.n, built.rows)
+            assert built == checked == from_edge_list(n, edges)
+            assert type(built.rows) is tuple and built.name == name
+    with pytest.raises(BadParameter):
+        from_pair_mask(-1, 0)
+    with pytest.raises(OutOfRange):
+        from_pair_mask(3, 1 << 3)
 
 
 def test_graph_equality_hash():

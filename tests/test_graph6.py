@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 
 from adimlab.errors import (
+    BadParameter,
     MalformedHeader,
     NonCanonicalPadding,
     TruncatedPayload,
 )
 from adimlab.graph import (
+    _g6_size,
+    _g6_size_header,
     complete,
+    empty_graph,
     from_graph6,
     path,
     petersen,
@@ -78,6 +82,9 @@ def test_long_form_round_trip():
 
 def test_header_prefix_accepted():
     assert from_graph6(">>graph6<<A_") == complete(2)
+    # surrounding whitespace is dropped before the prefix is looked for
+    for text in (" >>graph6<<A_", "\t>>graph6<< A_\n", " A_"):
+        assert from_graph6(text) == complete(2)
 
 
 def test_malformed_header():
@@ -107,3 +114,58 @@ def test_extended_size_must_be_large():
     bad = "~" + chr(63) + chr(63) + chr(63 + 5)
     with pytest.raises(MalformedHeader):
         from_graph6(bad)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("", MalformedHeader, "empty record"),
+    (">>graph6<<", MalformedHeader, "empty record"),
+    ("~?", MalformedHeader, "extended size needs 4 bytes"),
+    ("~~", MalformedHeader, "long-form size needs 8 bytes"),
+    ("~~?????", MalformedHeader, "long-form size needs 8 bytes"),
+    ("!", MalformedHeader, "byte 33 outside graph6 range"),
+    ("\x7f", MalformedHeader, "byte 127 outside graph6 range"),
+    ("~?@!", MalformedHeader, "size byte 33 outside graph6 range"),
+    ("~~??!???", MalformedHeader, "size byte 33 outside graph6 range"),
+    ("A!", MalformedHeader, "payload byte 33 outside graph6 range"),
+    ("A\x7f", MalformedHeader, "payload byte 127 outside graph6 range"),
+    ("D", TruncatedPayload, "need 2 payload bytes, got 0"),
+    ("D?", TruncatedPayload, "need 2 payload bytes, got 1"),
+    ("~?~~", TruncatedPayload, "need 1397078 payload bytes, got 0"),
+    ("A_?", MalformedHeader, "1 trailing bytes"),
+    ("A`", NonCanonicalPadding, "non-zero padding bits"),
+    ("B~", NonCanonicalPadding, "non-zero padding bits"),
+    ("~??D", MalformedHeader, "extended size form used for a small order"),
+    ("~??}", MalformedHeader, "extended size form used for a small order"),
+    ("~~??????", MalformedHeader, "long-long size form used for a small order"),
+    ("~~?????~", MalformedHeader, "long-long size form used for a small order"),
+    ("D\u00e9{", MalformedHeader, "graph6 records are ASCII"),
+])
+def test_each_format_error_has_its_type_and_message(text, error, message):
+    with pytest.raises(error) as info:
+        from_graph6(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("n,header", [
+    (0, b"?"),
+    (62, b"}"),
+    (63, b"~??~"),
+    (258047, b"~}~~"),
+    (258048, b"~~???~??"),
+    (68719476735, b"~~~~~~~~"),
+])
+def test_size_headers_round_trip_at_each_form_boundary(n, header):
+    assert _g6_size_header(n) == header
+    assert _g6_size(header + b"rest") == (n, b"rest")
+
+
+def test_orders_beyond_the_long_form_are_refused():
+    with pytest.raises(BadParameter, match="cannot encode order 68719476736"):
+        _g6_size_header(68719476736)
+
+
+def test_empty_and_extended_form_graphs_round_trip():
+    for n in (62, 63, 64):
+        g = empty_graph(n)
+        assert from_graph6(to_graph6(g)) == g
+    assert to_graph6(empty_graph(63))[:4] == "~??~"

@@ -688,13 +688,13 @@ def test_graph6_corpus_is_taken_whole_whatever_the_orders(tmp_path):
 
 def test_pair_sweep_decodes_each_record_once(monkeypatch):
     decoded = []
-    real = verify.from_graph6
+    real = graph.from_graph6
 
     def counting(text):
         decoded.append(text)
         return real(text)
 
-    monkeypatch.setattr(verify, "from_graph6", counting)
+    monkeypatch.setattr(graph, "from_graph6", counting)
     monkeypatch.setitem(PAIR_THEOREMS, "edge-sum-mod-3", _edge_sum_mod3)
     lines = tuple(to_graph6(g) for g in Corpus(min_n=4, max_n=4))[:12]
     for jobs in (1, 2):
