@@ -40,6 +40,53 @@ FAMILIES = (
 
 _PETERSEN_LADDER = (3, 4, 7, 8, 9, 10)
 
+_TWIN_BOUND = "n >= 2 and k <= 2 (the twin-class bound)"
+
+
+def _fifths(n: int) -> int:
+    return (2 * n + 2) // 5
+
+
+# family -> (range a refusal names for an unlisted k, {k: (proven range,
+# pieces)}); a piece (n0, value) serves every n from n0 up to the next
+# piece's n0, value a constant or a function of n, and an n below the first
+# piece is refused with that k's range
+_CLOSED_FORMS = {
+    "path": ("k <= 3", {
+        1: ("n >= 2", ((2, 1), (4, _fifths))),
+        2: ("n >= 4", ((4, lambda n: (n + 2) // 2),)),
+        3: ("n >= 4", ((4, lambda n: n - (n - 4) // 5),)),
+    }),
+    "cycle": ("k <= 4 and n >= 5", {
+        1: ("n >= 4", ((4, _fifths),)),
+        2: ("k <= 4 and n >= 5", ((5, lambda n: (n + 1) // 2),)),
+        3: ("k <= 4 and n >= 5", ((5, lambda n: n - n // 5),)),
+        4: ("k <= 4 and n >= 5", ((5, lambda n: n),)),
+    }),
+    "complete": (_TWIN_BOUND, {
+        1: (_TWIN_BOUND, ((2, lambda n: n - 1),)),
+        2: (_TWIN_BOUND, ((2, lambda n: n),)),
+    }),
+    "fan": ("k <= 3", {
+        1: ("n >= 1", ((1, 1), (2, 2), (6, 3), (7, _fifths))),
+        2: ("n >= 2", ((2, 3), (3, 4), (6, lambda n: (n + 2) // 2))),
+        3: ("n >= 4", ((4, 5), (6, lambda n: n - (n - 4) // 5))),
+    }),
+    "wheel": ("k <= 4", {
+        1: ("n >= 3", ((3, 3), (4, _fifths), (6, 3), (7, _fifths))),
+        2: ("n >= 3", ((3, 4), (7, lambda n: (n + 1) // 2))),
+        3: ("n >= 5", ((5, 5), (7, lambda n: n - n // 5))),
+        4: ("n >= 5", ((5, 6), (7, lambda n: n))),
+    }),
+}
+_CLOSED_FORMS["empty"] = _CLOSED_FORMS["complete"]
+
+# family -> (parameter count, how a wrong count is named); the rest take n
+_ARITY = {
+    "complete_bipartite": (2, "parameters r, s"),
+    "petersen": (0, "no parameters"),
+}
+
 
 @dataclass(frozen=True)
 class FormulaQuery:
@@ -61,130 +108,41 @@ class CriterionReport:
         return {"criterion": self.criterion, "holds": self.holds, "witness": w}
 
 
-def _refuse(family: str, k: int, rng: str):
-    raise OutOfProvenRange(f"{family} with k={k} is only proven for {rng}")
-
-
-def _one_param(q: FormulaQuery) -> int:
-    if len(q.params) != 1:
-        raise OutOfProvenRange(f"{q.family} takes exactly one parameter n")
-    return q.params[0]
-
-
 def formula_adim(q: FormulaQuery) -> int:
     """Closed-form minimum k-generator size for the supported families."""
     fam, k = q.family, q.k
-    if fam == "path":
-        n = _one_param(q)
-        if k == 1:
-            if n in (2, 3):
-                return 1
-            if n >= 4:
-                return (2 * n + 2) // 5
-            _refuse(fam, k, "n >= 2")
-        if k == 2:
-            if n >= 4:
-                return (n + 2) // 2
-            _refuse(fam, k, "n >= 4")
-        if k == 3:
-            if n >= 4:
-                return n - (n - 4) // 5
-            _refuse(fam, k, "n >= 4")
-        _refuse(fam, k, "k <= 3")
-    if fam == "cycle":
-        n = _one_param(q)
-        if k == 1:
-            if n >= 4:
-                return (2 * n + 2) // 5
-            _refuse(fam, k, "n >= 4")
-        if 2 <= k <= 4 and n >= 5:
-            return ((n + 1) // 2, n - n // 5, n)[k - 2]
-        _refuse(fam, k, "k <= 4 and n >= 5")
-    if fam in ("complete", "empty"):
-        n = _one_param(q)
-        if n >= 2 and k in (1, 2):
-            return n - 1 if k == 1 else n
-        _refuse(fam, k, "n >= 2 and k <= 2 (the twin-class bound)")
-    if fam == "complete_bipartite":
-        if len(q.params) != 2:
-            raise OutOfProvenRange("complete_bipartite takes parameters r, s")
+    if fam not in FAMILIES:
+        raise OutOfProvenRange(f"unknown family {fam!r}; pick one of {FAMILIES}")
+    arity, named = _ARITY.get(fam, (1, "exactly one parameter n"))
+    if len(q.params) != arity:
+        raise OutOfProvenRange(f"{fam} takes {named}")
+    value = None
+    if k < 1:
+        rng = "k >= 1"
+    elif fam == "petersen":
+        rng = "k <= 6"
+        if k <= len(_PETERSEN_LADDER):
+            value = _PETERSEN_LADDER[k - 1]
+    elif fam == "complete_bipartite":
         r, s = q.params
-        if k == 1:
-            if r + s >= 3:
-                return r + s - 2
-            _refuse(fam, k, "r + s >= 3")
-        if k == 2:
-            if (r >= 2 and s >= 2) or (r == 1 and s == 1):
-                return r + s
-            _refuse(fam, k, "r, s >= 2 (every vertex twinned) or r = s = 1")
-        _refuse(fam, k, "k <= 2 (the twin-class bound)")
-    if fam == "fan":
-        n = _one_param(q)
-        return _fan_value(n, k)
-    if fam == "wheel":
-        n = _one_param(q)
-        return _wheel_value(n, k)
-    if fam == "petersen":
-        if 1 <= k <= 6:
-            return _PETERSEN_LADDER[k - 1]
-        _refuse(fam, k, "k <= 6")
-    raise OutOfProvenRange(f"unknown family {fam!r}; pick one of {FAMILIES}")
-
-
-def _fan_value(n: int, k: int) -> int:
-    if k == 1:
-        if n == 1:
-            return 1
-        if 2 <= n <= 5:
-            return 2
-        if n == 6:
-            return 3
-        if n >= 7:
-            return (2 * n + 2) // 5
-        _refuse("fan", k, "n >= 1")
-    if k == 2:
-        if n == 2:
-            return 3
-        if n in (3, 4, 5):
-            return 4
-        if n >= 6:
-            return (n + 2) // 2
-        _refuse("fan", k, "n >= 2")
-    if k == 3:
-        if n in (4, 5):
-            return 5
-        if n >= 6:
-            return n - (n - 4) // 5
-        _refuse("fan", k, "n >= 4")
-    _refuse("fan", k, "k <= 3")
-
-
-def _wheel_value(n: int, k: int) -> int:
-    if k == 1:
-        if n in (3, 6):
-            return 3
-        if n >= 3:
-            return (2 * n + 2) // 5
-        _refuse("wheel", k, "n >= 3")
-    if k == 2:
-        if 3 <= n <= 6:
-            return 4
-        if n >= 7:
-            return (n + 1) // 2
-        _refuse("wheel", k, "n >= 3")
-    if k == 3:
-        if n in (5, 6):
-            return 5
-        if n >= 7:
-            return n - n // 5
-        _refuse("wheel", k, "n >= 5")
-    if k == 4:
-        if n in (5, 6):
-            return 6
-        if n >= 7:
-            return n
-        _refuse("wheel", k, "n >= 5")
-    _refuse("wheel", k, "k <= 4")
+        rng = {
+            1: "r + s >= 3",
+            2: "r, s >= 2 (every vertex twinned) or r = s = 1",
+        }.get(k, "k <= 2 (the twin-class bound)")
+        if k == 1 and r + s >= 3:
+            value = r + s - 2
+        elif k == 2 and (r >= 2 and s >= 2 or r == s == 1):
+            value = r + s
+    else:
+        (n,) = q.params
+        unlisted, by_k = _CLOSED_FORMS[fam]
+        rng, pieces = by_k.get(k, (unlisted, ()))
+        value = next((v for n0, v in reversed(pieces) if n0 <= n), None)
+        if callable(value):
+            value = value(n)
+    if value is None:
+        raise OutOfProvenRange(f"{fam} with k={k} is only proven for {rng}")
+    return value
 
 
 # -- cone and join criteria --------------------------------------------------
@@ -200,8 +158,9 @@ def _check_cone_k(h: Graph, k: int) -> None:
         )
 
 
-def _basis_outside_neighborhood(h: Graph, basis: VertexSet, y: int) -> int:
-    return (basis.mask & ~h.rows[y]).bit_count()
+def _outside(h: Graph, basis: VertexSet) -> list[int]:
+    """For each vertex y of H, how many basis vertices lie outside N(y)."""
+    return [(basis.mask & ~row).bit_count() for row in h.rows]
 
 
 def cone_equality_criterion(
@@ -211,7 +170,7 @@ def cone_equality_criterion(
     open neighborhood; equivalent to the cone K1+H having equal dimension."""
     _check_cone_k(h, k)
     for basis in enumerate_bases(h, k, basis_cap):
-        if all(_basis_outside_neighborhood(h, basis, y) >= k for y in range(h.n)):
+        if min(_outside(h, basis)) >= k:
             return CriterionReport("cone-equality", True, basis)
     return CriterionReport("cone-equality", False)
 
@@ -225,7 +184,7 @@ def cone_plus_one_criterion(
     _check_cone_k(h, k)
     witness = None
     for basis in enumerate_bases(h, k, basis_cap):
-        outs = [_basis_outside_neighborhood(h, basis, y) for y in range(h.n)]
+        outs = _outside(h, basis)
         if min(outs) != k - 1:
             return CriterionReport("cone-plus-one", False)
         if witness is None:
@@ -303,9 +262,7 @@ def join_equality_criterion(
     def best(graph: Graph) -> tuple[int, VertexSet]:
         score, argmax = -1, None
         for basis in enumerate_bases(graph, k, basis_cap):
-            s = min(
-                _basis_outside_neighborhood(graph, basis, y) for y in range(graph.n)
-            )
+            s = min(_outside(graph, basis))
             if s > score:
                 score, argmax = s, basis
         return score, argmax

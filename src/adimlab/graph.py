@@ -149,6 +149,8 @@ def from_edge_list(
 def from_pair_mask(n: int, mask: int, name: str | None = None) -> Graph:
     """Build a graph from an edge bitmask over the pairs (i, j), i < j,
     ordered lexicographically: bit 0 is (0, 1), bit 1 is (0, 2), ..."""
+    if n < 0:
+        raise BadParameter("vertex count must be non-negative")
     rows = [0] * n
     bit = 0
     for i in range(n):
@@ -159,8 +161,6 @@ def from_pair_mask(n: int, mask: int, name: str | None = None) -> Graph:
             bit += 1
     if mask >> bit:
         raise OutOfRange(f"pair mask has bits beyond the {bit} pairs of K_{n}")
-    if n < 0:
-        raise BadParameter("vertex count must be non-negative")
     return _trusted(n, rows, name)
 
 

@@ -25,6 +25,7 @@ from .bitset import VertexSet
 from .errors import (
     BadParameter,
     Disconnected,
+    KExceedsDimensionality,
     KTooLarge,
     OutOfRange,
     SamePair,
@@ -189,6 +190,8 @@ def forced_set(table: DistinguishTable, k: int) -> VertexSet:
     Every k-generator at this table's level contains the returned set.
     """
     dim = dimensionality(table)
+    if k < 1:
+        raise KExceedsDimensionality(f"k must be >= 1, got {k}")
     if k > dim:
         raise KTooLarge(f"k={k} exceeds the dimensionality bound {dim}")
     return VertexSet(table.n, kernel.forced(table.pair_masks, k))

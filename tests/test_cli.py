@@ -95,6 +95,17 @@ def test_formulas_refusal_mentions_range(capsys):
     assert "n >= 4" in err
 
 
+@pytest.mark.parametrize("family, params, k, message", [
+    ("petersen", "5", "1", "petersen takes no parameters"),
+    ("path", "7", "0", "path with k=0 is only proven for k >= 1"),
+])
+def test_formulas_refuse_wrong_parameters_and_levels(capsys, family, params, k,
+                                                    message):
+    code, out, err = run(capsys, "formulas", "--family", family,
+                         "--params", params, "--k", k)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bases_subcommand(capsys):
     code, out, _ = run(
         capsys, "bases", "--graph", "fig5", "--k", "3", "--format", "json"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -71,41 +72,126 @@ def test_formula_refusals_carry_range():
         formula_adim(q("fan", 3, 3))
     with pytest.raises(OutOfProvenRange):
         formula_adim(q("unknown_family", 3, 1))
+    with pytest.raises(OutOfProvenRange, match="^petersen takes no parameters$"):
+        formula_adim(q("petersen", 5, 1))
+
+
+# one row per (family, k) of the closed-form table: the lowest n served, the
+# values at the next twelve orders, and the refusal one order below; an
+# unlisted k is refused at every n with the family's range
+TABLE_ROWS = [
+    ("path", 1, 2, (1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5), "n >= 2"),
+    ("path", 2, 4, (3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8), "n >= 4"),
+    ("path", 3, 4, (4, 5, 6, 7, 8, 8, 9, 10, 11, 12, 12, 13), "n >= 4"),
+    ("path", 4, None, (), "k <= 3"),
+    ("cycle", 1, 4, (2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6), "n >= 4"),
+    ("cycle", 2, 5, (3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8), "k <= 4 and n >= 5"),
+    ("cycle", 3, 5, (4, 5, 6, 7, 8, 8, 9, 10, 11, 12, 12, 13),
+     "k <= 4 and n >= 5"),
+    ("cycle", 4, 5, (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
+     "k <= 4 and n >= 5"),
+    ("cycle", 5, None, (), "k <= 4 and n >= 5"),
+    ("complete", 1, 2, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+     "n >= 2 and k <= 2 (the twin-class bound)"),
+    ("complete", 2, 2, (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+     "n >= 2 and k <= 2 (the twin-class bound)"),
+    ("complete", 3, None, (), "n >= 2 and k <= 2 (the twin-class bound)"),
+    ("empty", 1, 2, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+     "n >= 2 and k <= 2 (the twin-class bound)"),
+    ("empty", 2, 2, (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+     "n >= 2 and k <= 2 (the twin-class bound)"),
+    ("empty", 3, None, (), "n >= 2 and k <= 2 (the twin-class bound)"),
+    ("fan", 1, 1, (1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5), "n >= 1"),
+    ("fan", 2, 2, (3, 4, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7), "n >= 2"),
+    ("fan", 3, 4, (5, 5, 6, 7, 8, 8, 9, 10, 11, 12, 12, 13), "n >= 4"),
+    ("fan", 4, None, (), "k <= 3"),
+    ("wheel", 1, 3, (3, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 6), "n >= 3"),
+    ("wheel", 2, 3, (4, 4, 4, 4, 4, 4, 5, 5, 6, 6, 7, 7), "n >= 3"),
+    ("wheel", 3, 5, (5, 5, 6, 7, 8, 8, 9, 10, 11, 12, 12, 13), "n >= 5"),
+    ("wheel", 4, 5, (6, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), "n >= 5"),
+    ("wheel", 5, None, (), "k <= 4"),
+]
+
+
+@pytest.mark.parametrize("family, k, first_n, values, rng", TABLE_ROWS)
+def test_closed_form_table_rows(family, k, first_n, values, rng):
+    if first_n is None:
+        refused, served = (-1, 0, 7, 45), range(0)
+    else:
+        refused, served = (-1, first_n - 2, first_n - 1), range(first_n, 46)
+    for n in refused:
+        with pytest.raises(OutOfProvenRange) as err:
+            formula_adim(q(family, n, k))
+        assert str(err.value) == f"{family} with k={k} is only proven for {rng}"
+    got = tuple(formula_adim(q(family, n, k)) for n in served)
+    assert got[:len(values)] == values
+
+
+@pytest.mark.parametrize("family, params, k, answer", [
+    ("complete_bipartite", (1, 2), 1, 1),
+    ("complete_bipartite", (1, 1), 1,
+     "complete_bipartite with k=1 is only proven for r + s >= 3"),
+    ("complete_bipartite", (2, 2), 2, 4),
+    ("complete_bipartite", (1, 1), 2, 2),
+    ("complete_bipartite", (1, 3), 2, "complete_bipartite with k=2 is only "
+     "proven for r, s >= 2 (every vertex twinned) or r = s = 1"),
+    ("complete_bipartite", (2, 3), 3,
+     "complete_bipartite with k=3 is only proven for k <= 2 (the twin-class bound)"),
+    ("petersen", (), 1, 3),
+    ("petersen", (), 6, 10),
+    ("petersen", (), 7, "petersen with k=7 is only proven for k <= 6"),
+    ("path", (), 1, "path takes exactly one parameter n"),
+    ("empty", (3, 3), 1, "empty takes exactly one parameter n"),
+    ("complete_bipartite", (3,), 1, "complete_bipartite takes parameters r, s"),
+    ("petersen", (10,), 0, "petersen takes no parameters"),
+    ("wheel", (), 0, "wheel takes exactly one parameter n"),
+    ("", (7,), 0, "unknown family ''; pick one of ('path', 'cycle', 'complete', "
+     "'empty', 'complete_bipartite', 'fan', 'wheel', 'petersen')"),
+    ("path", (7,), 0, "path with k=0 is only proven for k >= 1"),
+    ("cycle", (9,), -1, "cycle with k=-1 is only proven for k >= 1"),
+    ("complete_bipartite", (2, 3), 0,
+     "complete_bipartite with k=0 is only proven for k >= 1"),
+    ("petersen", (), 0, "petersen with k=0 is only proven for k >= 1"),
+])
+def test_bipartite_petersen_and_refusal_order(family, params, k, answer):
+    # the unknown family wins over the parameter count, which wins over k < 1
+    if isinstance(answer, int):
+        assert formula_adim(q(family, params, k)) == answer
+        return
+    with pytest.raises(OutOfProvenRange) as err:
+        formula_adim(q(family, params, k))
+    assert str(err.value) == answer
 
 
 def test_formulas_match_solver_everywhere_in_range():
+    # a refusal inside a proven range would be skipped below, so the count of
+    # points served per family is pinned too
+    served = Counter()
+
+    def check(family, params, k, ladder):
+        try:
+            value = formula_adim(q(family, params, k))
+        except OutOfProvenRange:
+            return
+        served[family] += 1
+        assert value == ladder[k - 1], (family, params, k)
+
     for n in range(2, 15):
         ladder = adim_ladder(path(n))
         for k in (1, 2, 3):
-            try:
-                value = formula_adim(q("path", n, k))
-            except OutOfProvenRange:
-                continue
-            assert value == ladder[k - 1], (n, k)
+            check("path", n, k, ladder)
     for n in range(3, 15):
         ladder = adim_ladder(cycle(n))
         for k in (1, 2, 3, 4):
-            try:
-                value = formula_adim(q("cycle", n, k))
-            except OutOfProvenRange:
-                continue
-            assert value == ladder[k - 1], (n, k)
+            check("cycle", n, k, ladder)
     for n in range(1, 15):
-        ladder = adim_ladder(fan(n)) if n >= 1 else []
+        ladder = adim_ladder(fan(n))
         for k in (1, 2, 3):
-            try:
-                value = formula_adim(q("fan", n, k))
-            except OutOfProvenRange:
-                continue
-            assert value == ladder[k - 1], (n, k)
+            check("fan", n, k, ladder)
     for n in range(3, 15):
         ladder = adim_ladder(wheel(n))
         for k in (1, 2, 3, 4):
-            try:
-                value = formula_adim(q("wheel", n, k))
-            except OutOfProvenRange:
-                continue
-            assert value == ladder[k - 1], (n, k)
+            check("wheel", n, k, ladder)
     for n in range(2, 15):
         assert formula_adim(q("complete", n, 1)) == adim_ladder(complete(n))[0]
         assert formula_adim(q("complete", n, 2)) == adim_ladder(complete(n))[1]
@@ -114,13 +200,12 @@ def test_formulas_match_solver_everywhere_in_range():
         for s in range(r, 15 - r + 1):
             ladder = adim_ladder(complete_bipartite(r, s))
             for k in (1, 2):
-                try:
-                    value = formula_adim(q("complete_bipartite", (r, s), k))
-                except OutOfProvenRange:
-                    continue
-                assert value == ladder[k - 1], (r, s, k)
+                check("complete_bipartite", (r, s), k, ladder)
     for k in range(1, 7):
         assert formula_adim(q("petersen", (), k)) == adim_ladder(petersen())[k - 1]
+    assert served == {
+        "path": 35, "cycle": 41, "fan": 38, "wheel": 44, "complete_bipartite": 94,
+    }
 
 
 def test_cone_equality_fixtures():
@@ -301,6 +386,9 @@ def test_full_dimension_criteria():
     rep = full_dimension_criteria(path(5), 2)
     assert not rep.holds and isinstance(rep.witness, int)
     assert full_dimension_criteria(cycle(5), 4).holds
+    for k in (0, -1):
+        with pytest.raises(KExceedsDimensionality, match=f"^k must be >= 1, got {k}$"):
+            full_dimension_criteria(path(4), k)
     assert full_dimension_twin_criterion(complete_bipartite(2, 3)).holds
     assert not full_dimension_twin_criterion(path(5)).holds
 

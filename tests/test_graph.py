@@ -294,8 +294,9 @@ def test_decoders_equal_the_checked_constructor():
             checked = Graph(built.n, built.rows)
             assert built == checked == from_edge_list(n, edges)
             assert type(built.rows) is tuple and built.name == name
-    with pytest.raises(BadParameter):
-        from_pair_mask(-1, 0)
+    for mask in (0, 5):
+        with pytest.raises(BadParameter, match="^vertex count must be non-negative$"):
+            from_pair_mask(-1, mask)
     with pytest.raises(OutOfRange):
         from_pair_mask(3, 1 << 3)
 

@@ -7,7 +7,13 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 
-from adimlab.errors import BadParameter, KTooLarge, SamePair, TooSmall
+from adimlab.errors import (
+    BadParameter,
+    KExceedsDimensionality,
+    KTooLarge,
+    SamePair,
+    TooSmall,
+)
 from adimlab.graph import (
     bfs_distances,
     complement,
@@ -122,6 +128,9 @@ def test_forced_set_values():
     assert forced_set(pet, 2).to_list() == []
     with pytest.raises(KTooLarge):
         forced_set(p6, 4)
+    for k in (0, -1):
+        with pytest.raises(KExceedsDimensionality, match=f"^k must be >= 1, got {k}$"):
+            forced_set(p6, k)
 
 
 def test_cone_join_dimensionality_closed_forms():
