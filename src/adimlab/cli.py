@@ -121,10 +121,12 @@ def load_graph(args) -> Graph:
     return next(graph6_records(records))[2]
 
 
-def parse_k_range(raw: str) -> list[int]:
+def parse_k_range(raw: str) -> range:
+    """The levels of ``--k``: one level, or lo..hi with lo <= hi.  The range
+    stays lazy, so a wide one costs only the levels that are visited."""
     lo, sep, hi = raw.partition("..")
     try:
-        ks = list(range(int(lo), int(hi if sep else lo) + 1))
+        ks = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         ks = None
     if not ks:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet
 from .errors import (
+    BadParameter,
     KExceedsDimensionality,
     NotATree,
     OutOfProvenRange,
@@ -116,6 +117,10 @@ def formula_adim(q: FormulaQuery) -> int:
     arity, named = _ARITY.get(fam, (1, "exactly one parameter n"))
     if len(q.params) != arity:
         raise OutOfProvenRange(f"{fam} takes {named}")
+    if fam == "complete_bipartite" and min(q.params) < 1:
+        # no graph has such a part; the generator refuses it the same way
+        r, s = q.params
+        raise BadParameter(f"complete_bipartite needs r, s >= 1, got {r}, {s}")
     value = None
     if k < 1:
         rng = "k >= 1"

@@ -519,6 +519,21 @@ class TwinPartition(NamedTuple):
     kinds: tuple[str, ...]
 
 
+def _twin_groups(g: Graph) -> dict[int, int]:
+    """Vertices grouped by open row and by closed row, each row its own key:
+    every vertex enters twice, and a group of two or more is a twin class.
+    An open row N(u) never equals another vertex's closed row N[v]: v in
+    N(u) puts u in N(v), so u would lie in N(u).  Keys enter by lowest
+    vertex."""
+    groups: dict[int, int] = {}
+    get = groups.get
+    for v, row in enumerate(g.rows):
+        bit = 1 << v
+        groups[row] = get(row, 0) | bit
+        groups[row | bit] = get(row | bit, 0) | bit
+    return groups
+
+
 def twin_partition(g: Graph) -> TwinPartition:
     """Group vertices by twin equivalence.
 
@@ -526,20 +541,31 @@ def twin_partition(g: Graph) -> TwinPartition:
     neighborhood equality are false twins, classes of closed-neighborhood
     equality are true twins, and no vertex can sit in both kinds at once.
     """
-    # keys enter by lowest vertex, so the classes come out in that order
-    groups: dict[tuple[str, int], int] = {}
-    for v, row in enumerate(g.rows):
-        for key in ((FALSE_TWIN, row), (TRUE_TWIN, row | 1 << v)):
-            groups[key] = groups.get(key, 0) | 1 << v
+    groups = _twin_groups(g)
     classes, kinds = [], []
-    for (kind, row), members in groups.items():
+    for row, members in groups.items():
+        # a closed row holds its own vertices, an open row none of them
         if members & (members - 1):
             classes.append(VertexSet(g.n, members))
-            kinds.append(kind)
-        elif kind == FALSE_TWIN and groups[TRUE_TWIN, row | members] == members:
+            kinds.append(TRUE_TWIN if row & members else FALSE_TWIN)
+        elif not row & members and groups[row | members] == members:
             classes.append(VertexSet(g.n, members))
             kinds.append(SINGLETON)
     return TwinPartition(tuple(classes), tuple(kinds))
+
+
+def twin_prefix(g: Graph) -> int:
+    """Mask of every twin-class member except the class's highest vertex.
+
+    Swapping two twins is an automorphism, so at every feasible k some
+    minimum k-generator of any truncated metric of ``g`` holds this whole
+    mask, and the lexicographically smallest one does: trading a later twin
+    for an earlier one gives an earlier cover of the same size."""
+    out = 0
+    for members in _twin_groups(g).values():
+        if members & (members - 1):
+            out |= members ^ 1 << (members.bit_length() - 1)
+    return out
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:

@@ -40,7 +40,14 @@ The reduced masks and their columns depend on the masks alone, not on k,
 so ``prepare`` makes them once as a ``Prepared`` table
 (``DistinguishTable.prepared`` keeps one per distinguish table).  Every
 search takes one, with a column per vertex, and seeds itself with
-``forced``, the masks of exactly k bits, which every k-fold cover contains.
+``forced``, the masks of exactly k bits, which every k-fold cover contains,
+ORed with the table's ``prefix``: vertices the lexicographically smallest
+minimum cover is known to hold at every feasible k.  A distinguish table's
+prefix is its graph's twin prefix (``graph.twin_prefix``); ``prepare`` on
+raw masks carries none, since a 2-bit mask of a general instance says
+nothing of symmetry.  The witness pass of ``solve_min_multicover`` takes
+the prefix too, so its probes search only covers that hold it;
+``enumerate_min_covers`` never does, and lists every minimum cover.
 """
 
 from __future__ import annotations
@@ -81,16 +88,19 @@ def _columns(masks, n: int) -> list[int]:
 
 
 class Prepared(NamedTuple):
-    """A table ready for search: the reduced masks and their columns."""
+    """A table ready for search: the reduced masks, their columns and the
+    ``prefix``, vertices that the lexicographically smallest minimum cover
+    holds at every feasible k (0 when nothing is known of the table)."""
 
     masks: tuple[int, ...]
     cols: tuple[int, ...]
+    prefix: int
 
 
-def prepare(masks, n: int) -> Prepared:
+def prepare(masks, n: int, prefix: int = 0) -> Prepared:
     """Reduce ``masks`` and lay them out in columns over ``n`` vertices."""
     reduced = _reduce(masks)
-    return Prepared(tuple(reduced), tuple(_columns(reduced, n)))
+    return Prepared(tuple(reduced), tuple(_columns(reduced, n)), prefix)
 
 
 def forced(masks, k: int) -> int:
@@ -127,7 +137,7 @@ def greedy_cover(prepared: Prepared, k: int, seed: int = 0) -> int:
     """Valid (not necessarily minimum) cover grown from ``seed`` by always
     adding the vertex hitting the most deficient reduced masks, ties to low
     index."""
-    masks, cols = prepared
+    masks, cols = prepared.masks, prepared.cols
     planes = _planes(cols, k, len(masks), seed)
     chosen = seed
     while planes[-1]:
@@ -155,7 +165,7 @@ class _Search:
                  "best_mask", "floor")
 
     def __init__(self, prepared, k, budget):
-        self.masks, self.cols = prepared
+        self.masks, self.cols = prepared.masks, prepared.cols
         self.k = k
         self.n = len(self.cols)
         self.budget = budget
@@ -279,11 +289,11 @@ class _Search:
             del hits[(avail & (bit - 1)).bit_count()]
             avail &= ~bit
 
-    def lex_covers(self, size, limit):
-        """Covers of exactly ``size`` vertices in ascending lexicographic
-        order of their sorted member tuples, at most ``limit`` of them.
-        ``size`` must be the minimum cover size and ``best_mask`` a cover
-        of that size.
+    def lex_covers(self, size, limit, prefix):
+        """Covers of exactly ``size`` vertices holding ``prefix``, in
+        ascending lexicographic order of their sorted member tuples, at most
+        ``limit`` of them.  ``size`` must be the minimum size of such a
+        cover and ``best_mask`` one of them.
 
         Vertices are decided in index order, including first.  A branch is
         entered only with a witness: a cover of ``size`` vertices that agrees
@@ -308,7 +318,14 @@ class _Search:
 
         def extend(v, chosen, count, planes):
             """A cover of ``size`` vertices extending ``chosen`` by vertices
-            from v..n-1, or None."""
+            from v..n-1, or None.  The prefix vertices from v on are taken
+            first, and are no longer available to the search."""
+            more = prefix & -(1 << v)
+            if more:
+                chosen |= more
+                count += more.bit_count()
+                for u in bits_of(more):
+                    planes = _pick(planes, cols[u])
             if count + k - planes.count(0) > size:
                 return None
             here = room[v]
@@ -316,7 +333,7 @@ class _Search:
                 if planes[k - i] & ~here[i - 1]:
                     return None
             self.best_size = size + 1
-            self.branch_bound(chosen, count, (1 << n) - (1 << v), planes)
+            self.branch_bound(chosen, count, (1 << n) - (1 << v) & ~more, planes)
             return self.best_mask if self.best_size == size else None
 
         def rec(v, chosen, count, planes, witness):
@@ -329,6 +346,8 @@ class _Search:
                 v + 1, chosen | bit, count + 1, taken)
             if inner is not None and rec(v + 1, chosen | bit, count + 1, taken, inner):
                 return True
+            if bit & prefix:
+                return False
             outer = extend(v + 1, chosen, count, planes) if witness & bit else witness
             return outer is not None and rec(v + 1, chosen, count, planes, outer)
 
@@ -340,9 +359,9 @@ class _Search:
 def _minimum(prepared, k, budget):
     """A search on ``prepared`` whose ``best_size`` is the minimum cover
     size: the greedy incumbent, then branch and bound, both seeded with the
-    forced masks.  Returns (search, greedy_size)."""
+    forced masks and the prefix.  Returns (search, greedy_size)."""
     search = _Search(prepared, k, budget)
-    seed = forced(search.masks, k)
+    seed = forced(search.masks, k) | prepared.prefix
     incumbent = greedy_cover(prepared, k, seed)
     search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
@@ -364,7 +383,7 @@ def solve_min_multicover(prepared, k, budget=None):
     """
     search, greedy_size = _minimum(prepared, k, budget)
     search_nodes = search.nodes
-    witnesses = search.lex_covers(search.best_size, 1)
+    witnesses = search.lex_covers(search.best_size, 1, prepared.prefix)
     return search.best_size, witnesses[0], search.nodes, (greedy_size, search_nodes)
 
 
@@ -380,7 +399,7 @@ def enumerate_min_covers(prepared, k, start, limit=None, budget=None):
     search = _Search(prepared, k, budget)
     search.best_size, search.best_mask = start
     cap = 1 << 62 if limit is None else limit + 1
-    covers = search.lex_covers(search.best_size, cap)
+    covers = search.lex_covers(search.best_size, cap, 0)
     truncated = limit is not None and len(covers) > limit
     return covers[:limit], search.nodes, truncated
 

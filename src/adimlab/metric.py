@@ -31,7 +31,7 @@ from .errors import (
     SamePair,
     TooSmall,
 )
-from .graph import Graph, bfs_layers, is_connected
+from .graph import Graph, bfs_layers, is_connected, twin_prefix
 
 _TABLE_CACHE_SIZE = 1024
 
@@ -76,11 +76,13 @@ class DistinguishTable:
 
     @property
     def prepared(self) -> kernel.Prepared:
-        """The reduced masks and their columns; they do not depend on k."""
+        """The reduced masks, their columns and the graph's twin prefix;
+        none of them depends on k."""
         if self._prepared is None:
-            object.__setattr__(
-                self, "_prepared", kernel.prepare(self.pair_masks, self.n)
+            prepared = kernel.prepare(
+                self.pair_masks, self.n, twin_prefix(self.graph)
             )
+            object.__setattr__(self, "_prepared", prepared)
         return self._prepared
 
     def pair_mask(self, x: int, y: int) -> int:

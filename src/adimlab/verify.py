@@ -37,7 +37,7 @@ import os
 import time
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import (
@@ -515,23 +515,23 @@ def _check_cone_isolated_dichotomy(g: Graph) -> list:
     return [(0, f"components={shape}", "connected or one isolated vertex")]
 
 
-def _cone_slack_at(ks: tuple[int, ...], g: Graph) -> list:
+def _cone_slack_at(ks: Collection[int], g: Graph) -> list:
     """``check_cone_slack`` bound to a k range, picklable for pool workers."""
     return check_cone_slack(g, ks)
 
 
-def check_cone_slack(h: Graph, k_range: Iterable[int]) -> list:
-    """Violations of cone(H) <= adim_k(H) + k for the feasible k in range."""
+def check_cone_slack(h: Graph, k_range: Collection[int]) -> list:
+    """Violations of cone(H) <= adim_k(H) + k for the feasible k in range,
+    in ascending k.  Only the cone ladder's levels are visited, so a wide
+    range costs no more than the levels it shares with the ladder."""
     if h.n < 2:
         return []
     lh, lc = _cone_ladders(h)
-    out = []
-    for k in k_range:
-        if not 1 <= k <= len(lc):
-            continue
-        if lc[k - 1] > lh[k - 1] + k:
-            out.append((k, lc[k - 1], f"<= {lh[k - 1] + k}"))
-    return out
+    return [
+        (k, lc[k - 1], f"<= {lh[k - 1] + k}")
+        for k in range(1, len(lc) + 1)
+        if k in k_range and lc[k - 1] > lh[k - 1] + k
+    ]
 
 
 def _check_cone_equality(h: Graph) -> list:
@@ -769,7 +769,7 @@ def sweep_theorem(
 
 def check_cone_conjecture(
     corpus: Corpus,
-    k_range: Iterable[int] = range(1, 5),
+    k_range: Collection[int] = range(1, 5),
     jobs: int = 1,
     on_violation: Callable[[Violation], None] | None = None,
 ) -> SweepReport:
@@ -777,9 +777,13 @@ def check_cone_conjecture(
     k, the cone dimension never exceeds adim_k(H) + k.  Any violation is a
     publishable counterexample, so it carries the full witness.  Levels
     below 1 or an empty ``k_range`` raise ``BadParameter``: no level would
-    be checked."""
-    ks = tuple(k_range)
-    if not ks or min(ks) < 1:
-        raise BadParameter(f"cone conjecture levels must be >= 1, got {list(ks)}")
+    be checked.  A range is kept as it is, never listed: its ends and its
+    membership test cost the same at any width."""
+    ks = k_range if isinstance(k_range, range) else tuple(k_range)
+    if not ks:
+        raise BadParameter("cone conjecture levels must be >= 1, got none")
+    low = min(ks[0], ks[-1]) if isinstance(ks, range) else min(ks)
+    if low < 1:
+        raise BadParameter(f"cone conjecture levels must be >= 1, got {low}")
     checker = partial(_cone_slack_at, ks)
     return _sweep("cone-conjecture", checker, corpus, jobs, on_violation)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,35 @@ def test_formulas_refuse_wrong_parameters_and_levels(capsys, family, params, k,
     code, out, err = run(capsys, "formulas", "--family", family,
                          "--params", params, "--k", k)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("params", ["0,3", "-1,11"])
+def test_formulas_refuse_empty_bipartite_parts(capsys, params):
+    # refused as the generator refuses them, before any level is looked at
+    code, out, err = run(capsys, "formulas", "--family", "complete_bipartite",
+                         f"--params={params}", "--k", "1..2")
+    r, s = params.split(",")
+    message = f"error: complete_bipartite needs r, s >= 1, got {r}, {s}\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_wide_k_ranges_visit_only_the_levels_a_ladder_has(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--graph", "cycle:5",
+                         "--k", "1..1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: no 5-generator exists: the dimensionality bound is 4\n"
+    reports, seconds = [], []
+    for ks in ("1..7", "1..1000000000"):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "conjecture", "--max-n", "6", "--k", ks)
+        seconds.append(time.perf_counter() - start)
+        report = json.loads(out)
+        del report["elapsed"]
+        reports.append((code, report))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    assert seconds[1] < 2 * seconds[0] + 1
 
 
 def test_bases_subcommand(capsys):

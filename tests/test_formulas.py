@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from adimlab.errors import (
+    BadParameter,
     KExceedsDimensionality,
     NotATree,
     OutOfProvenRange,
@@ -161,6 +162,18 @@ def test_bipartite_petersen_and_refusal_order(family, params, k, answer):
     with pytest.raises(OutOfProvenRange) as err:
         formula_adim(q(family, params, k))
     assert str(err.value) == answer
+
+
+@pytest.mark.parametrize("params", [(0, 3), (-1, 11)])
+def test_complete_bipartite_refuses_empty_parts(params):
+    # with the generator's own message, ahead of any level's range
+    with pytest.raises(BadParameter) as made:
+        complete_bipartite(*params)
+    for k in (0, 1, 2):
+        with pytest.raises(BadParameter) as err:
+            formula_adim(q("complete_bipartite", params, k))
+        assert str(err.value) == str(made.value)
+    assert str(made.value) == "complete_bipartite needs r, s >= 1, got %d, %d" % params
 
 
 def test_formulas_match_solver_everywhere_in_range():

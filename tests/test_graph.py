@@ -45,8 +45,10 @@ from adimlab.graph import (
     read_edge_list,
     to_graph6,
     twin_partition,
+    twin_prefix,
     wheel,
 )
+from adimlab.verify import _classes
 
 from conftest import graphs, random_graph
 
@@ -225,6 +227,23 @@ def test_twin_classes_are_neighborhood_equalities(g):
         assert (home[u] == home[v]) == are_twins(g, u, v)
     lowest = [cls.members()[0] for cls in part.classes]
     assert lowest == sorted(lowest)
+
+
+def test_twin_prefix_is_every_class_but_its_top_vertex():
+    # every labeled graph with n <= 5 and every class with n <= 7
+    graphs = [
+        from_pair_mask(n, m) for n in range(6) for m in range(1 << math.comb(n, 2))
+    ]
+    graphs += [g for n in range(6, 8) for _, _, g in _classes(n)]
+    for g in graphs:
+        expected = 0
+        for cls in twin_partition(g).classes:
+            if len(cls) > 1:
+                expected |= cls.mask ^ 1 << max(cls)
+        assert twin_prefix(g) == expected, g
+    assert twin_prefix(complete(4)) == 0b0111
+    assert twin_prefix(complete_bipartite(2, 3)) == 0b01101
+    assert twin_prefix(path(4)) == 0
 
 
 def test_vertexset_operations():

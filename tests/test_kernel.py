@@ -8,9 +8,20 @@ import pytest
 from adimlab import kernel, solver
 from adimlab.bitset import bits_of
 from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge
-from adimlab.graph import complete, fig2_graph, from_pair_mask, join, path, petersen
+from adimlab.graph import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    empty_graph,
+    fig2_graph,
+    from_pair_mask,
+    join,
+    path,
+    petersen,
+)
 from adimlab.metric import build_table, dimensionality, forced_set
-from adimlab.solver import brute_force_adim, enumerate_bases, solve_table
+from adimlab.solver import brute_force_adim, enumerate_bases, solve_adim, solve_table
 from adimlab.verify import _classes
 
 from conftest import random_graph
@@ -233,3 +244,93 @@ def test_search_answers_and_node_counts_are_pinned(pinned_graphs, name, k):
     )
     with pytest.raises(BudgetExhausted):
         kernel.enumerate_min_covers(prepared, k, start, 5, enum_nodes - 1)
+
+
+def test_twin_prefix_keeps_every_answer_on_small_classes():
+    # a table's own prepared form forces its graph's twin prefix; the raw
+    # masks carry none, so they search as the kernel did before the prefix
+    fast_nodes = slow_nodes = 0
+    for n in range(2, 8):
+        for _, _, h in _classes(n):
+            for g in (h, join(complete(1), h)):
+                for t in (2, 3):
+                    table = build_table(g, t)
+                    raw = kernel.prepare(table.pair_masks, g.n)
+                    assert table.prepared[:2] == raw[:2]
+                    for k in range(1, dimensionality(table) + 1):
+                        fast = kernel.solve_min_multicover(table.prepared, k)
+                        slow = kernel.solve_min_multicover(raw, k)
+                        assert fast[:2] == slow[:2], (g, t, k)
+                        assert kernel.enumerate_min_covers(
+                            table.prepared, k, fast[:2]
+                        ) == kernel.enumerate_min_covers(raw, k, slow[:2])
+                        if table.prepared.prefix & ~kernel.forced(raw.masks, k):
+                            # the greedy incumbent grown from the prefix can
+                            # be larger, so only the sum must not grow
+                            fast_nodes += fast[2]
+                            slow_nodes += slow[2]
+                        else:
+                            # the same search; a probe of the witness pass
+                            # that left the prefix available would cost more
+                            assert fast[3] == slow[3]
+                            assert fast[2] <= slow[2], (g, t, k)
+    assert 2 * fast_nodes < slow_nodes
+
+
+def _lexicographic(g, h):
+    """G∘H: (a, b) ~ (c, d) when a ~ c, or a = c and b ~ d; vertex a·|H| + b."""
+    block = (1 << h.n) - 1
+    rows = []
+    for a in range(g.n):
+        around = sum(block << c * h.n for c in bits_of(g.rows[a]))
+        rows += [around | r << a * h.n for r in h.rows]
+    return Graph(g.n * h.n, rows)
+
+
+def _corona(g, h):
+    """G⊙H: G on 0..|G|-1, then copy a of H on |G| + a·|H| onwards, each of
+    its vertices joined to vertex a."""
+    base = g.n
+    rows = [r | ((1 << h.n) - 1) << base + a * h.n for a, r in enumerate(g.rows)]
+    for a in range(g.n):
+        rows += [r << base + a * h.n | 1 << a for r in h.rows]
+    return Graph(g.n * (h.n + 1), rows)
+
+
+@pytest.mark.parametrize("name, graph, size, nodes", [
+    ("C7∘K4", lambda: _lexicographic(cycle(7), complete(4)), 21, (21837, 1)),
+    ("C10⊙K2", lambda: _corona(cycle(10), complete(2)), 14, (8210, 6)),
+])
+def test_twin_prefix_on_product_graphs(name, graph, size, nodes):
+    # the greedy incumbent is optimal in both; without the prefix the search
+    # proves it again over every choice of twin
+    table = build_table(graph(), 2)
+    raw = kernel.prepare(table.pair_masks, table.n)
+    slow = kernel.solve_min_multicover(raw, 1)
+    fast = kernel.solve_min_multicover(table.prepared, 1)
+    assert (slow[0], slow[2]) == (size, nodes[0])
+    assert (fast[0], fast[2]) == (size, nodes[1])
+    assert fast[1] == slow[1]
+    assert fast[1] & table.prepared.prefix == table.prepared.prefix
+
+
+def test_twin_prefix_brings_petersen_corona_within_budget():
+    g = _corona(petersen(), path(3))
+    table = build_table(g, 2)
+    assert g.n == 40
+    size, _, nodes, _ = kernel.solve_min_multicover(table.prepared, 1, 20_000)
+    assert (size, nodes) == (19, 14169)
+    with pytest.raises(BudgetExhausted):
+        kernel.solve_min_multicover(kernel.prepare(table.pair_masks, g.n), 1, 20_000)
+
+
+@pytest.mark.parametrize("graph", [
+    _lexicographic(cycle(4), complete(3)),
+    complete_bipartite(3, 4),
+    join(complete(4), empty_graph(5)),
+])
+def test_twin_heavy_graphs_match_brute_force(graph):
+    for k in (1, 2):
+        slow = brute_force_adim(graph, k)
+        fast = solve_adim(graph, k)
+        assert (fast.dimension, fast.witness) == (slow.dimension, slow.witness)

@@ -211,6 +211,18 @@ def test_conjecture_small_corpus():
             check_cone_conjecture(Corpus(min_n=2, max_n=4), ks)
 
 
+def test_conjecture_keeps_a_wide_level_range_lazy():
+    # only the cone ladder's levels are visited, and a range's lowest level
+    # is read from its ends whatever its step
+    corpus = Corpus(min_n=2, max_n=5)
+    narrow = check_cone_conjecture(corpus, range(1, 8))
+    wide = check_cone_conjecture(corpus, range(1, 10**18))
+    assert (wide.checked, wide.violations) == (narrow.checked, narrow.violations)
+    with pytest.raises(BadParameter, match="got 0"):
+        check_cone_conjecture(corpus, range(10**18, -1, -1))
+    assert check_cone_slack(fig3_graph(), range(2, 10**18)) == []
+
+
 def test_conjecture_slack_fixtures():
     # fig3 at level 2 leaves slack 1; fig5 at level 3 is tight (slack 0)
     g3 = fig3_graph()
