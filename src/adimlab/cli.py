@@ -285,7 +285,8 @@ def _make_corpus(args) -> verify_mod.Corpus:
 
 def _run_sweep(args, run) -> int:
     """Emit ``run(corpus, on_violation)``'s report on the flags' corpus,
-    streaming violations to ``--violations`` as NDJSON while it runs."""
+    writing each violation to ``--violations`` as NDJSON when the sweep
+    hands it over."""
     corpus = _make_corpus(args)
     out = open(args.violations, "w", encoding="utf-8") if args.violations else None
     with out or nullcontext():
@@ -385,9 +386,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the options that take no value; every other option takes one
+_SWITCHES = ("--connected", "--help", "-h")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with each spaced option value that starts with one '-'
+    joined to its option, ``--k -1..2`` read as ``--k=-1..2``.  Left
+    spaced, argparse takes such a value for an option of its own, unless
+    it is a plain negative number, and refuses the command."""
+    out: list[str] = []
+    for arg in argv:
+        opt = out[-1] if out else ""
+        takes_value = (
+            opt.startswith("--")
+            and "=" not in opt
+            and not any(switch.startswith(opt) for switch in _SWITCHES)
+        )
+        dashed = arg.startswith("-") and not arg.startswith("--")
+        if takes_value and dashed and arg not in _SWITCHES:
+            out[-1] = f"{opt}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except AdimlabError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bitset import VertexSet
 from .errors import BadParameter, LimitRequired, OutOfRange
@@ -22,8 +22,7 @@ from .solver import is_k_generator, solve_adim
 _NO_LIMIT_MAX_PAIRS = 40
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     base: Graph
     basis: VertexSet
     free_vertices: VertexSet
@@ -98,13 +97,15 @@ def enumerate_family(
     return (_member(g, b.mask, pairs, mask) for mask in masks)
 
 
-@dataclass
-class FamilyReport:
+class FamilyReport(NamedTuple):
+    """A family check's outcome, built once when the check ends; the
+    default violation list is shared, so a report is never appended to."""
+
     k: int
     basis: VertexSet
     family_size: int
     checked: int = 0
-    violations: list[tuple[int, str]] = field(default_factory=list)
+    violations: list[tuple[int, str]] = []
     elapsed: float = 0.0
 
     @property
@@ -139,24 +140,25 @@ def verify_family_theorem(
     base = solve_adim(g, k)
     basis = base.witness
     spec = family_spec(g, basis)
-    report = FamilyReport(k, basis, spec.family_size)
     start = time.perf_counter()
     rigid = None
     if base.dimension == k + 1 and g.n >= 4:
         rigid = k + 1
     elif base.dimension == k + 2 and g.n >= 7:
         rigid = k + 2
+    checked = 0
+    violations = []
     for mask, member in enumerate(
         enumerate_family(g, basis, limit, from_mask, to_mask), start=from_mask
     ):
-        report.checked += 1
+        checked += 1
         if not is_k_generator(build_table(member, 2), k, basis):
-            report.violations.append((mask, "basis is not a generator"))
+            violations.append((mask, "basis is not a generator"))
             continue
         dim = solve_adim(member, k).dimension
         if dim > base.dimension:
-            report.violations.append((mask, f"dimension rose to {dim}"))
+            violations.append((mask, f"dimension rose to {dim}"))
         elif rigid is not None and dim != rigid:
-            report.violations.append((mask, f"dimension {dim} != rigid {rigid}"))
-    report.elapsed = time.perf_counter() - start
-    return report
+            violations.append((mask, f"dimension {dim} != rigid {rigid}"))
+    elapsed = time.perf_counter() - start
+    return FamilyReport(k, basis, spec.family_size, checked, violations, elapsed)

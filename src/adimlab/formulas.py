@@ -8,7 +8,7 @@ enumeration (an optional cap aborts with a typed error instead of sampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitset import VertexSet
 from .errors import (
@@ -89,15 +89,13 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class FormulaQuery:
+class FormulaQuery(NamedTuple):
     family: str
     params: tuple[int, ...]
     k: int
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     criterion: str
     holds: bool
     witness: VertexSet | int | None = None
@@ -197,8 +195,7 @@ def cone_plus_one_criterion(
     return CriterionReport("cone-plus-one", True, witness)
 
 
-@dataclass(frozen=True)
-class ConeBound:
+class ConeBound(NamedTuple):
     """Upper bound for the 2-level cone dimension with equality detection."""
 
     bound: int

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from . import kernel
 from .bitset import VertexSet
@@ -51,8 +51,7 @@ def _budget(budget: int | None) -> int | None:
     return budget
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """What one search cost: ``nodes`` in all, of which ``search_nodes``
     found the minimum size; the lex pass that found the witness took the
     rest."""
@@ -63,12 +62,11 @@ class SolveStats:
     search_nodes: int = 0
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     k: int
     dimension: int
     witness: VertexSet
-    stats: SolveStats = field(default_factory=SolveStats)
+    stats: SolveStats = SolveStats()
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,7 +4,9 @@ A corpus is either the internal labeled enumeration (every graph on n
 vertices appears exactly once, edge-mask order) or a stream of graph6
 records.  Sweeps re-check one statement per graph, or per unordered pair of
 graphs, and report violations; a violation would be a counterexample, so
-reports carry full witness data and stream as NDJSON while sweeps run.
+reports carry full witness data.  An ``on_violation`` hook sees each
+violation as a serial sweep finds it, and a pooled sweep's violations
+only when the shard that found them ends.
 
 Every statement is invariant under isomorphism, so an internal corpus is
 swept one isomorphism class (for pair theorems, one multiset of two) at a
@@ -18,27 +20,26 @@ A sweep with ``jobs > 1`` runs in the process's one worker pool, made on
 its first pooled sweep and kept for the next ones, so only a process that
 runs several pooled sweeps (a script, a notebook, the test suite) saves
 the start-up; a CLI ``sweep`` or ``conjecture`` runs one sweep and forks
-its workers once.  A forked worker keeps the module state and
-environment it was made with, so the pool is replaced when ``jobs``,
-``ADIMLAB_BUDGET`` or the checker differs from the pool's: a checker
-defined or redefined since then gets new workers.  Other state changed
-after the workers were forked (a library function the checker calls,
-patched later) does not reach them.  The pool is dropped when an
-exception leaves a pooled sweep, so a failed sweep's queued shards never
-run ahead of the next sweep's, and a worker starts each sweep from an
-empty table cache, so no answer comes from a table or stored minimum left
-by an earlier sweep.
+its workers once.  ``multiprocessing`` is imported by that first pooled
+sweep, so a serial sweep and every other command never load it.  A forked
+worker keeps the module state and environment it was made with, so the
+pool is replaced when ``jobs``, ``ADIMLAB_BUDGET`` or the checker differs
+from the pool's: a checker defined or redefined since then gets new
+workers.  Other state changed after the workers were forked (a library
+function the checker calls, patched later) does not reach them.  The pool
+is dropped when an exception leaves a pooled sweep, so a failed sweep's
+queued shards never run ahead of the next sweep's, and a worker starts
+each sweep from an empty table cache, so no answer comes from a table or
+stored minimum left by an earlier sweep.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from array import array
 from collections import Counter
 from collections.abc import Callable, Collection, Iterator
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import (
     combinations,
@@ -49,7 +50,7 @@ from itertools import (
 )
 from math import comb, prod
 from operator import or_
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadParameter, TooLarge, UnknownTheorem
 from .graph import (
@@ -74,6 +75,9 @@ from .metric import (
     join_dimensionality,
 )
 from .solver import BUDGET_ENV, _ladder, adim_ladder
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 ENUMERATION_MAX_N = 7
 
@@ -201,29 +205,55 @@ def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
     return out
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Graph source plus filters.
+    """Immutable graph source plus filters.
 
     ``min_n``..``max_n`` choose the orders of the internal enumeration;
     alternatively ``graph6_lines`` holds the lines of a graph6 file, which
     is taken whole, whatever the orders.  ``connected`` and ``min_degree`` filter
-    the graphs of either source.
+    the graphs of either source.  Equality, hash and repr go by these five
+    fields.
     """
 
-    min_n: int = 2
-    max_n: int = 5
-    graph6_lines: tuple[str, ...] | None = None
-    connected: bool = False
-    min_degree: int = 0
+    __slots__ = ("min_n", "max_n", "graph6_lines", "connected", "min_degree")
 
-    def __post_init__(self):
-        if not 0 <= self.min_n <= self.max_n:
+    def __init__(
+        self,
+        min_n: int = 2,
+        max_n: int = 5,
+        graph6_lines: tuple[str, ...] | None = None,
+        connected: bool = False,
+        min_degree: int = 0,
+    ):
+        if not 0 <= min_n <= max_n:
             raise BadParameter(
-                f"orders need 0 <= min_n <= max_n, got {self.min_n}..{self.max_n}"
+                f"orders need 0 <= min_n <= max_n, got {min_n}..{max_n}"
             )
-        if self.min_degree < 0:
-            raise BadParameter(f"min_degree must be >= 0, got {self.min_degree}")
+        if min_degree < 0:
+            raise BadParameter(f"min_degree must be >= 0, got {min_degree}")
+        fields = min_n, max_n, graph6_lines, connected, min_degree
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Corpus is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # through the constructor: __setattr__ refuses restored slot state
+        return Corpus, self._values()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Corpus) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._values())
+        return f"Corpus({', '.join(f'{name}={value!r}' for name, value in pairs)})"
 
     def _accept(self, g: Graph) -> bool:
         if self.min_degree and g.min_degree() < self.min_degree:
@@ -260,11 +290,13 @@ class Violation(NamedTuple):
         }
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
+    """A sweep's outcome, built once when the sweep ends; the default
+    violation list is shared, so a report is never appended to."""
+
     theorem: str
     checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = []
     elapsed: float = 0.0
 
     @property
@@ -665,15 +697,18 @@ def _sweep_shard(sweep: int, shard: tuple) -> tuple[int, list[Violation]]:
 
 # the process's pool and what it was made for: (jobs, ADIMLAB_BUDGET,
 # checker), pool
-_pool: tuple[tuple, multiprocessing.pool.Pool] | None = None
+_pool: tuple[tuple, Pool] | None = None
 
 
-def _kept_pool(jobs: int, checker: Callable) -> multiprocessing.pool.Pool:
+def _kept_pool(jobs: int, checker: Callable) -> Pool:
     """The process's pool of ``jobs`` workers, made on first use and
     replaced when ``jobs``, ``ADIMLAB_BUDGET`` or the checker differs from
     its own.  A worker unpickles the checker by name from the module state
     it was forked with, so a checker made since then needs new workers; a
     ``partial`` is compared by its function and arguments."""
+    # imported here, so a process that never pools never loads it
+    import multiprocessing
+
     global _pool
     if isinstance(checker, partial):
         checker = checker.func, checker.args, checker.keywords
@@ -723,10 +758,10 @@ def _sweep(
             f"no corpus graph passes connected={corpus.connected}, "
             f"min_degree={corpus.min_degree}: nothing to check"
         )
-    report = SweepReport(theorem)
+    violations: list[Violation] = []
 
     def emit(v: Violation) -> None:
-        report.violations.append(v)
+        violations.append(v)
         if on_violation:
             on_violation(v)
 
@@ -735,21 +770,20 @@ def _sweep(
         parts = jobs * 4
         shards = [(checker, units[i::parts]) for i in range(parts)]
         run = partial(_sweep_shard, next(_sweep_ids))
+        checked = 0
         try:
-            for checked, violations in _kept_pool(jobs, checker).imap_unordered(
-                run, shards
-            ):
-                report.checked += checked
-                for v in violations:
+            pool = _kept_pool(jobs, checker)
+            for shard_checked, found in pool.imap_unordered(run, shards):
+                checked += shard_checked
+                for v in found:
                     emit(v)
         except BaseException:
             _close_pool()
             raise
     else:
-        report.checked = _check_units(checker, units, emit)
-    report.violations.sort(key=lambda v: (v.graph6, v.k))
-    report.elapsed = time.perf_counter() - start
-    return report
+        checked = _check_units(checker, units, emit)
+    violations.sort(key=lambda v: (v.graph6, v.k))
+    return SweepReport(theorem, checked, violations, time.perf_counter() - start)
 
 
 def sweep_theorem(

@@ -117,6 +117,20 @@ def test_formulas_refuse_empty_bipartite_parts(capsys, params):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("head, flag, value, message", [
+    (("formulas", "--family", "complete_bipartite", "--k", "1"), "--params",
+     "-1,11", "complete_bipartite needs r, s >= 1, got -1, 11"),
+    (("compute", "--graph", "cycle:5"), "--k", "-1..2", "k must be >= 1, got -1"),
+], ids=["formulas", "compute"])
+def test_a_spaced_value_starting_with_a_dash_reaches_the_program(
+    capsys, head, flag, value, message
+):
+    # read as in the --flag=value form, not taken for a flag of its own
+    for tail in ((flag, value), (f"{flag}={value}",)):
+        code, out, err = run(capsys, *head, *tail)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_wide_k_ranges_visit_only_the_levels_a_ladder_has(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "compute", "--graph", "cycle:5",
@@ -495,6 +509,28 @@ def test_python_dash_m_runs_the_command():
     )
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
+
+
+COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import adimlab, adimlab.cli, adimlab.formulas, adimlab.families, adimlab.verify
+from adimlab.verify import Corpus, check_cone_conjecture
+report = check_cone_conjecture(Corpus(2, 4), jobs=1)
+print(report.checked, *sorted({"dataclasses", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_multiprocessing():
+    # every command starts a fresh interpreter: importing the package and
+    # running a serial sweep must not pay for either module
+    src = str(Path(adimlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", COLD_START, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["74"]
 
 
 def _petersen_and_p5(target):

@@ -6,7 +6,6 @@ import signal
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
@@ -662,7 +661,7 @@ def test_cone_equality_sweep_reports_a_wrong_criterion(monkeypatch):
     # with the criterion's verdict flipped, every feasible (H, k) must fail
     def flipped(h, k):
         report = cone_equality_criterion(h, k)
-        return replace(report, holds=not report.holds)
+        return report._replace(holds=not report.holds)
 
     monkeypatch.setattr(formulas, "cone_equality_criterion", flipped)
     corpus = Corpus(min_n=2, max_n=4)
@@ -677,7 +676,7 @@ def test_full_dimension_sweep_reports_a_wrong_criterion(monkeypatch):
     # with the criterion's verdict flipped, every feasible (G, k) must fail
     def flipped(g, k):
         report = full_dimension_criteria(g, k)
-        return replace(report, holds=not report.holds)
+        return report._replace(holds=not report.holds)
 
     monkeypatch.setattr(formulas, "full_dimension_criteria", flipped)
     corpus = Corpus(min_n=2, max_n=4)
