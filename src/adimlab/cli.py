@@ -83,17 +83,17 @@ def parse_graph_spec(spec: str) -> Graph:
         rest = spec[len("join:"):]
         left, sep, right = rest.partition("+")
         if not sep:
-            raise AdimlabError(f"join spec needs two '+'-separated parts: {spec!r}")
+            raise BadParameter(f"join spec needs two '+'-separated parts: {spec!r}")
         return join(parse_graph_spec(left), parse_graph_spec(right))
     if spec.startswith("complement:"):
         return complement(parse_graph_spec(spec[len("complement:"):]))
     name, _, raw = spec.partition(":")
     if name not in _GENERATORS:
-        raise AdimlabError(f"unknown generator {name!r}; {GRAPH_SPEC_HELP}")
+        raise BadParameter(f"unknown generator {name!r}; {GRAPH_SPEC_HELP}")
     fn, arity = _GENERATORS[name]
     params = _int_list(raw, f"{name} parameters")
     if len(params) != arity:
-        raise AdimlabError(f"{name} takes {arity} parameter(s), got {len(params)}")
+        raise BadParameter(f"{name} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
 
 
@@ -114,7 +114,7 @@ def load_graph(args) -> Graph:
     if records and records[0].split()[0].isdigit():
         return read_edge_list(text)
     if len(records) != 1:
-        raise AdimlabError(
+        raise BadParameter(
             f"{args.file} holds {len(records)} graph6 records; "
             "this command takes one graph"
         )
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="order, size, dimensionality, twin classes")
     _add_source_flags(p)
-    _add_flags(p, "--format", "--out")
+    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_flags(p, "--out")
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("formulas", help="closed-form values (refuses out of range)")

@@ -3,7 +3,7 @@
 Every formula is served only inside its proven parameter range; outside it
 the query is refused with the exact range in the message, never extrapolated.
 Criteria that quantify over all minimum generators are decided by full basis
-enumeration (an optional cap aborts with a typed error instead of sampling).
+enumeration.
 """
 
 from __future__ import annotations
@@ -166,27 +166,23 @@ def _outside(h: Graph, basis: VertexSet) -> list[int]:
     return [(basis.mask & ~row).bit_count() for row in h.rows]
 
 
-def cone_equality_criterion(
-    h: Graph, k: int, basis_cap: int | None = None
-) -> CriterionReport:
+def cone_equality_criterion(h: Graph, k: int) -> CriterionReport:
     """Some minimum k-generator A of H keeps >= k vertices outside every
     open neighborhood; equivalent to the cone K1+H having equal dimension."""
     _check_cone_k(h, k)
-    for basis in enumerate_bases(h, k, basis_cap):
+    for basis in enumerate_bases(h, k):
         if min(_outside(h, basis)) >= k:
             return CriterionReport("cone-equality", True, basis)
     return CriterionReport("cone-equality", False)
 
 
-def cone_plus_one_criterion(
-    h: Graph, k: int, basis_cap: int | None = None
-) -> CriterionReport:
+def cone_plus_one_criterion(h: Graph, k: int) -> CriterionReport:
     """Every minimum k-generator of H leaves exactly k-1 vertices outside
     some open neighborhood and never fewer; forces the cone dimension to
     exceed H's by exactly one."""
     _check_cone_k(h, k)
     witness = None
-    for basis in enumerate_bases(h, k, basis_cap):
+    for basis in enumerate_bases(h, k):
         outs = _outside(h, basis)
         if min(outs) != k - 1:
             return CriterionReport("cone-plus-one", False)
@@ -206,13 +202,13 @@ class ConeBound(NamedTuple):
         return {"bound": self.bound, "equality": self.equality, "reason": self.reason}
 
 
-def adim2_upper_cone(h: Graph, basis_cap: int | None = None) -> ConeBound:
+def adim2_upper_cone(h: Graph) -> ConeBound:
     """adim_2(H) + 2 bounds the cone; flags the two proven equality premises
     (a universal vertex outside all 2-bases, or an isolated vertex plus a
     degree n-2 vertex both outside all 2-bases)."""
     if h.n < 2:
         raise TooSmall("the bound needs a nontrivial graph")
-    bases = enumerate_bases(h, 2, basis_cap)
+    bases = enumerate_bases(h, 2)
     base = len(bases[0])
     in_some_basis = 0
     for basis in bases:
@@ -248,9 +244,7 @@ def join_bounds(g: Graph, h: Graph, k: int) -> tuple[int, int]:
     return lower, upper
 
 
-def join_equality_criterion(
-    g: Graph, h: Graph, k: int, basis_cap: int | None = None
-) -> CriterionReport:
+def join_equality_criterion(g: Graph, h: Graph, k: int) -> CriterionReport:
     """Some pair of minimum k-generators (A, B) keeps >= k vertices outside
     N(x) union N(y) for every cross pair; equivalent to additivity of the
     join dimension.  The two sides are disjoint, so the test reduces to
@@ -263,7 +257,7 @@ def join_equality_criterion(
 
     def best(graph: Graph) -> tuple[int, VertexSet]:
         score, argmax = -1, None
-        for basis in enumerate_bases(graph, k, basis_cap):
+        for basis in enumerate_bases(graph, k):
             s = min(_outside(graph, basis))
             if s > score:
                 score, argmax = s, basis

@@ -32,9 +32,9 @@ SINGLETON = "singleton"
 class Graph:
     """Immutable simple graph with bitmask adjacency rows."""
 
-    __slots__ = ("n", "rows", "name")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Sequence[int], name: str | None = None):
+    def __init__(self, n: int, rows: Sequence[int]):
         if n < 0:
             raise BadParameter("vertex count must be non-negative")
         if len(rows) != n:
@@ -50,7 +50,6 @@ class Graph:
                     raise BadParameter(f"adjacency not symmetric at ({i}, {j})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -58,7 +57,7 @@ class Graph:
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, since
         # __setattr__ refuses the slot state they would otherwise restore
-        return Graph, (self.n, self.rows, self.name)
+        return Graph, (self.n, self.rows)
 
     # -- basic queries ----------------------------------------------------
 
@@ -103,9 +102,6 @@ class Graph:
     def vertex_set(self) -> VertexSet:
         return VertexSet(self.n, (1 << self.n) - 1)
 
-    def relabel(self, name: str | None) -> "Graph":
-        return _trusted(self.n, self.rows, name)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -115,25 +111,21 @@ class Graph:
         return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
-        label = f" {self.name!r}" if self.name else ""
-        return f"<Graph{label} n={self.n} m={self.edge_count()}>"
+        return f"<Graph n={self.n} m={self.edge_count()}>"
 
 
-def _trusted(n: int, rows: Sequence[int], name: str | None = None) -> Graph:
+def _trusted(n: int, rows: Sequence[int]) -> Graph:
     """A Graph on rows known to be valid, without the constructor's checks."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", tuple(rows))
-    object.__setattr__(g, "name", name)
     return g
 
 
 # -- constructors ----------------------------------------------------------
 
 
-def from_edge_list(
-    n: int, edges: Iterable[tuple[int, int]], name: str | None = None
-) -> Graph:
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from (u, v) pairs; duplicates are merged."""
     rows = [0] * n
     for u, v in edges:
@@ -143,10 +135,10 @@ def from_edge_list(
             raise OutOfRange(f"edge ({u}, {v}) out of 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, name)
+    return Graph(n, rows)
 
 
-def from_pair_mask(n: int, mask: int, name: str | None = None) -> Graph:
+def from_pair_mask(n: int, mask: int) -> Graph:
     """Build a graph from an edge bitmask over the pairs (i, j), i < j,
     ordered lexicographically: bit 0 is (0, 1), bit 1 is (0, 2), ..."""
     if n < 0:
@@ -161,10 +153,10 @@ def from_pair_mask(n: int, mask: int, name: str | None = None) -> Graph:
             bit += 1
     if mask >> bit:
         raise OutOfRange(f"pair mask has bits beyond the {bit} pairs of K_{n}")
-    return _trusted(n, rows, name)
+    return _trusted(n, rows)
 
 
-def read_edge_list(text: str, name: str | None = None) -> Graph:
+def read_edge_list(text: str) -> Graph:
     """Parse the plain text format: first line "n m", then m lines "u v"."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -182,7 +174,7 @@ def read_edge_list(text: str, name: str | None = None) -> Graph:
         except ValueError as exc:
             raise BadParameter(f"bad edge line {ln!r}") from exc
         edges.append((u, v))
-    return from_edge_list(n, edges, name)
+    return from_edge_list(n, edges)
 
 
 def read_ascii(path: str) -> str:
@@ -266,7 +258,7 @@ def to_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
-def from_graph6(text: str, name: str | None = None) -> Graph:
+def from_graph6(text: str) -> Graph:
     """Decode one graph6 record (an optional ``>>graph6<<`` prefix is accepted)."""
     if not text.isascii():
         raise MalformedHeader("graph6 records are ASCII")
@@ -292,7 +284,7 @@ def from_graph6(text: str, name: str | None = None) -> Graph:
             col ^= 1 << (j - 1 - i)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return _trusted(n, rows, name)
+    return _trusted(n, rows)
 
 
 def graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str, Graph]]:
@@ -317,30 +309,30 @@ def _require(cond: bool, msg: str) -> None:
 
 def path(n: int) -> Graph:
     _require(n >= 1, f"path needs n >= 1, got {n}")
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)], f"P{n}")
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     _require(n >= 3, f"cycle needs n >= 3, got {n}")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)], f"C{n}")
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     _require(n >= 1, f"complete needs n >= 1, got {n}")
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << i) for i in range(n)], f"K{n}")
+    return Graph(n, [full ^ (1 << i) for i in range(n)])
 
 
 def empty_graph(n: int) -> Graph:
     _require(n >= 1, f"empty_graph needs n >= 1, got {n}")
-    return Graph(n, [0] * n, f"N{n}")
+    return Graph(n, [0] * n)
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
     _require(r >= 1 and s >= 1, f"complete_bipartite needs r, s >= 1, got {r}, {s}")
     left = ((1 << s) - 1) << r
     right = (1 << r) - 1
-    return Graph(r + s, [left] * r + [right] * s, f"K{r},{s}")
+    return Graph(r + s, [left] * r + [right] * s)
 
 
 def hypercube(r: int) -> Graph:
@@ -350,7 +342,7 @@ def hypercube(r: int) -> Graph:
     for v in range(n):
         for b in range(r):
             rows[v] |= 1 << (v ^ (1 << b))
-    return Graph(n, rows, f"Q{r}")
+    return Graph(n, rows)
 
 
 def petersen() -> Graph:
@@ -358,7 +350,7 @@ def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    return from_edge_list(10, edges, "Petersen")
+    return from_edge_list(10, edges)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -384,13 +376,13 @@ def complement(g: Graph) -> Graph:
 
 def fan(n: int) -> Graph:
     """K1 + P_n with the apex at index 0."""
-    return join(complete(1), path(n)).relabel(f"F(1,{n})")
+    return join(complete(1), path(n))
 
 
 def wheel(n: int) -> Graph:
     """K1 + C_n with the apex at index 0."""
     _require(n >= 3, f"wheel needs n >= 3, got {n}")
-    return join(complete(1), cycle(n)).relabel(f"W(1,{n})")
+    return join(complete(1), cycle(n))
 
 
 def fig1_graph(t: int) -> Graph:
@@ -402,7 +394,7 @@ def fig1_graph(t: int) -> Graph:
     _require(t >= 1, f"fig1_graph needs t >= 1, got {t}")
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     edges += [(4 + i, 5 + i) for i in range(t - 1)]
-    return from_edge_list(t + 4, edges, f"fig1({t})")
+    return from_edge_list(t + 4, edges)
 
 
 def fig2_graph() -> Graph:
@@ -415,7 +407,7 @@ def fig2_graph() -> Graph:
         edges += [(hub + i, hub + i + 1) for i in range(1, 5)]
         if b:
             edges.append((hub - 6, hub))
-    return from_edge_list(24, edges, "fig2")
+    return from_edge_list(24, edges)
 
 
 def fig3_graph() -> Graph:
@@ -423,7 +415,7 @@ def fig3_graph() -> Graph:
     cyclically consecutive rim vertices."""
     edges = [(0, i) for i in range(1, 5)]
     edges += [(5, 1), (5, 2), (6, 2), (6, 3), (7, 3), (7, 4), (8, 4), (8, 1)]
-    return from_edge_list(9, edges, "fig3")
+    return from_edge_list(9, edges)
 
 
 def fig4_graph() -> Graph:
@@ -437,7 +429,7 @@ def fig4_graph() -> Graph:
         (4, 5),
         (6, 0), (6, 1), (7, 2), (7, 3), (8, 4), (8, 5),
     ]
-    return from_edge_list(9, edges, "fig4")
+    return from_edge_list(9, edges)
 
 
 def fig5_graph() -> Graph:
@@ -445,7 +437,7 @@ def fig5_graph() -> Graph:
     edges = [(i, i + 1) for i in range(8)]
     edges += [(0, j) for j in (2, 4, 5, 6, 7, 8)]
     edges += [(1, j) for j in (5, 6, 7)]
-    return from_edge_list(9, edges, "fig5")
+    return from_edge_list(9, edges)
 
 
 # -- traversal and structure ------------------------------------------------

@@ -51,14 +51,14 @@ class DistinguishTable:
     first use, and ``minima``, the solved minimum for each k, which
     ``solver.solve_table`` stores.  Neither survives pickling or copying."""
 
-    __slots__ = ("graph", "t", "pair_masks", "pair_sizes", "minima", "_prepared")
+    __slots__ = ("graph", "t", "pair_masks", "_min_size", "minima", "_prepared")
 
     def __init__(self, graph: Graph, t: int, pair_masks: list[int]):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "pair_masks", tuple(pair_masks))
         object.__setattr__(
-            self, "pair_sizes", tuple(m.bit_count() for m in pair_masks)
+            self, "_min_size", min(map(int.bit_count, pair_masks), default=None)
         )
         object.__setattr__(self, "minima", {})
         object.__setattr__(self, "_prepared", None)
@@ -102,18 +102,9 @@ class DistinguishTable:
                 yield x, y, self.pair_masks[r]
                 r += 1
 
-    def min_pair_size(self) -> int:
-        return min(self.pair_sizes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "pairs": [
-                {"x": x, "y": y, "set": VertexSet(self.n, m).to_list()}
-                for x, y, m in self.pairs()
-            ],
-        }
+    def min_pair_size(self) -> int | None:
+        """The smallest pair set's size; None when the table has no pairs."""
+        return self._min_size
 
 
 def truncated_distance(g: Graph, t: int, x: int, y: int) -> int:

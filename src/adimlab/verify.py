@@ -52,10 +52,12 @@ from math import comb, prod
 from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
+from .bitset import bits_of
 from .errors import BadParameter, TooLarge, UnknownTheorem
 from .graph import (
     INFINITE,
     Graph,
+    bfs_layers,
     complement,
     complete,
     components,
@@ -80,6 +82,7 @@ if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
 ENUMERATION_MAX_N = 7
+_TREE_MAX_N = 16
 
 
 def _check_order(n: int) -> None:
@@ -162,17 +165,14 @@ def _rooted_code(g: Graph, root: int, parent: int) -> str:
 
 
 def _tree_code(g: Graph) -> str:
-    """Isomorphism-invariant code: root at the center(s) found by pruning."""
-    alive = set(range(g.n))
-    degree = dict(enumerate(g.degrees()))
-    while len(alive) > 2:
-        leaves = [v for v in alive if degree[v] <= 1]
-        for v in leaves:
-            alive.discard(v)
-            for u in g.neighbors(v):
-                if u in alive:
-                    degree[u] -= 1
-    centers = sorted(alive)
+    """Isomorphism-invariant code, rooted at the center(s): the middle of a
+    longest path a..b, found by two walks (a farthest from 0, b farthest
+    from a).  In a tree the path's vertex i is the one vertex at distance i
+    from a and d(a, b) - i from b."""
+    from_a = bfs_layers(g, bfs_layers(g, 0)[-1].bit_length() - 1)
+    from_b = bfs_layers(g, from_a[-1].bit_length() - 1)
+    lo, hi = (len(from_a) - 1) // 2, len(from_a) // 2
+    centers = list(bits_of(from_a[lo] & from_b[hi] | from_a[hi] & from_b[lo]))
     if len(centers) == 1:
         return _rooted_code(g, centers[0], -1)
     a, b = centers
@@ -183,12 +183,16 @@ def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
     """One representative per isomorphism class of trees, orders min..max.
 
     Grown by attaching a new leaf everywhere and deduplicating on the
-    canonical code; intended for small orders (the counts stay tiny).
+    canonical code; capped at small orders (the counts stay tiny).
     """
-    if max_n > 16:
-        raise TooLarge("tree enumeration is meant for small orders")
-    if min_n < 1:
-        raise BadParameter(f"tree orders start at 1, got min_n={min_n}")
+    if max_n > _TREE_MAX_N:
+        raise TooLarge(
+            f"tree enumeration is capped at n <= {_TREE_MAX_N}, got {max_n}"
+        )
+    if not 1 <= min_n <= max_n:
+        raise BadParameter(
+            f"tree orders need 1 <= min_n <= max_n, got {min_n}..{max_n}"
+        )
     levels: list[list[Graph]] = [[Graph(1, [0])]]
     for n in range(2, max_n + 1):
         seen: dict[str, Graph] = {}

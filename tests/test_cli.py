@@ -14,7 +14,7 @@ import adimlab
 from adimlab import verify
 from adimlab.bitset import VertexSet
 from adimlab.cli import main, parse_graph_spec
-from adimlab.errors import MalformedHeader
+from adimlab.errors import BadParameter, MalformedHeader
 from adimlab.graph import (
     complement,
     cycle,
@@ -78,6 +78,40 @@ def test_info_petersen(capsys):
     assert info["n"] == 10
     assert info["dimensionality"] == 6
     assert all(c["kind"] == "singleton" for c in info["twin_classes"])
+
+
+def test_info_prints_a_key_value_table_and_refuses_csv(capsys):
+    code, out, _ = run(capsys, "info", "--graph", "path:4")
+    assert code == 0
+    assert out.splitlines()[:8] == [
+        "n: 4",
+        "m: 3",
+        "graph6: Ch",
+        "degrees: {'min': 1, 'max': 2}",
+        "connected: True",
+        "diameter: 3",
+        "dimensionality: 3",
+        "metric_dimensionality: 3",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--graph", "path:4", "--format", "csv"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice: 'csv'" in out.err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("join:path:3", "join spec needs two '+'-separated parts: 'join:path:3'"),
+    ("nope:3", "unknown generator 'nope'; generator spec: "),
+    ("path:3,4", "path takes 1 parameter(s), got 2"),
+], ids=["join-without-plus", "unknown-generator", "parameter-count"])
+def test_bad_graph_specs_are_bad_parameters(capsys, spec, message):
+    with pytest.raises(BadParameter) as exc:
+        parse_graph_spec(spec)
+    assert str(exc.value).startswith(message)
+    code, out, err = run(capsys, "compute", "--graph", spec, "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_formulas_subcommand(capsys):

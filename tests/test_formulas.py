@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 
@@ -329,6 +330,16 @@ def test_adim2_upper_cone():
     b5 = adim2_upper_cone(path(5))
     assert b5.bound == 5 and not b5.equality
     assert solve_adim(join(complete(1), path(5)), 2).dimension < b5.bound
+
+
+def test_the_criteria_enumerate_every_basis_uncapped():
+    for fn in (
+        cone_equality_criterion,
+        cone_plus_one_criterion,
+        adim2_upper_cone,
+        join_equality_criterion,
+    ):
+        assert "basis_cap" not in inspect.signature(fn).parameters
 
 
 def test_adim2_upper_cone_is_always_an_upper_bound():

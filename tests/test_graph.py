@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import pickle
 import random
@@ -116,7 +117,7 @@ def test_join_degrees_and_diameter():
 
 
 def test_complement_involution_and_fixeds():
-    assert complement(complete(3)) == empty_graph(3).relabel(None)
+    assert complement(complete(3)) == empty_graph(3)
     rng = random.Random(5)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 9))
@@ -280,7 +281,7 @@ def test_join_equals_the_checked_constructor():
         h = random_graph(rng, rng.randint(0, 7))
         gh = join(g, h)
         checked = Graph(gh.n, gh.rows)
-        assert gh == checked and type(gh.rows) is tuple and gh.name is None
+        assert gh == checked and type(gh.rows) is tuple
         assert gh.edge_count() == g.edge_count() + h.edge_count() + g.n * h.n
 
 
@@ -294,7 +295,6 @@ def test_complement_and_disjoint_union_equal_the_checked_constructor():
         for built in (co, union):
             checked = Graph(built.n, built.rows)
             assert built == checked and type(built.rows) is tuple
-            assert built.name is None
         assert co.edge_count() == g.n * (g.n - 1) // 2 - g.edge_count()
         assert union.edge_count() == g.edge_count() + h.edge_count()
 
@@ -307,17 +307,24 @@ def test_decoders_equal_the_checked_constructor():
         pairs = list(combinations(range(n), 2))
         mask = rng.getrandbits(len(pairs))
         edges = [p for bit, p in enumerate(pairs) if (mask >> bit) & 1]
-        g = from_pair_mask(n, mask, "g")
-        decoded = from_graph6(to_graph6(g), "h")
-        for built, name in ((g, "g"), (decoded, "h")):
+        g = from_pair_mask(n, mask)
+        decoded = from_graph6(to_graph6(g))
+        for built in (g, decoded):
             checked = Graph(built.n, built.rows)
             assert built == checked == from_edge_list(n, edges)
-            assert type(built.rows) is tuple and built.name == name
+            assert type(built.rows) is tuple
     for mask in (0, 5):
         with pytest.raises(BadParameter, match="^vertex count must be non-negative$"):
             from_pair_mask(-1, mask)
     with pytest.raises(OutOfRange):
         from_pair_mask(3, 1 << 3)
+
+
+def test_a_graph_is_its_order_and_rows():
+    assert Graph.__slots__ == ("n", "rows")
+    assert repr(fan(5)) == repr(join(complete(1), path(5))) == "<Graph n=6 m=9>"
+    for fn in (Graph, from_edge_list, from_pair_mask, read_edge_list, from_graph6):
+        assert "name" not in inspect.signature(fn).parameters
 
 
 def test_graph_equality_hash():
@@ -337,6 +344,6 @@ def test_immutable_values_survive_pickle_and_deepcopy():
             assert type(twin) is type(value) and twin is not value
             assert repr(twin) == repr(value)
     for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
-        assert twin == g and twin.rows == g.rows and twin.name == g.name
+        assert twin == g and twin.rows == g.rows
     for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert twin == s and (twin.n, twin.mask) == (4, 0b1010)

@@ -107,6 +107,34 @@ def test_tree_enumeration_rejects_orders_below_one():
             enumerate_trees(3, min_n)
 
 
+def test_tree_enumeration_rejects_reversed_orders_and_names_its_cap():
+    with pytest.raises(BadParameter, match=r"1 <= min_n <= max_n, got 5\.\.3$"):
+        enumerate_trees(3, 5)
+    capped = "^tree enumeration is capped at n <= 16, got 17$"
+    with pytest.raises(TooLarge, match=capped):
+        enumerate_trees(17)
+
+
+# enumerate_trees(9) in graph6: orders ascending, each order's trees in the
+# order of their canonical codes
+TREES_UP_TO_9 = (
+    "@ A_ Bo Cs Cq DqG Ds_ DsO EqH? EqI? EqGO Esa? Es`? EsP? FqGOO FqHA? "
+    "FqH@? FqHC? FqH?O FqI?G FqIC? FqH?_ FsaC? FsaA? Fs`A? GqGOO_ GqGOQ? "
+    "GqGOS? GqGOOG GqHAA? GqHA@? GqHAC? GqHA?O GqH@C? GqHC?C GqHCC? GqHC?O "
+    "GqH?OO GqH@?_ GqI?K? GqICC? GqI?G_ GqHA?_ GqHC?_ GsaCC? GsaCA? GsaAA? "
+    "Gs`AA? HqGOOGA HqGOO_O HqGOO`? HqGOO_G HqGOO__ HqGOOa? HqGOO_A HqGOQ?@ "
+    "HqGOQ@? HqGOQ?_ HqGOQA? HqGOO_C HqGOS?@ HqGOSA? HqGOQ?C HqHAA@? "
+    "HqHAA?_ HqHAAA? HqHAA?G HqHA@?_ HqHA@A? HqHAC?@ HqHACA? HqHAC?G "
+    "HqHA?OG HqHA@?G HqH@C?@ HqH@CA? HqHC?E? HqHCCA? HqHC?CG HqHCC?G "
+    "HqHC?OG HqH@C?O HqH@?_C HqHA@?O HqI?K?@ HqI?KA? HqICCA? HqI?K?O "
+    "HqHC?CO HqHAA?O HqHAC?O HsaCCA? HsaCC@? HsaCA@? HsaAA@?"
+)
+
+
+def test_tree_enumeration_keeps_its_graphs_and_order():
+    assert " ".join(map(to_graph6, enumerate_trees(9))) == TREES_UP_TO_9
+
+
 def test_dim_le_adim_walks_the_pairs_once(monkeypatch):
     # with both tables cached the check's only walk is its one diameter:
     # a BFS from each of the n vertices; the full metric's table is level n
