@@ -17,7 +17,7 @@ from .bitset import VertexSet
 from .errors import BadParameter, LimitRequired, OutOfRange
 from .graph import Graph
 from .metric import build_table
-from .solver import is_k_generator, solve_adim
+from .solver import is_k_generator, minimum_size, solve_adim
 
 _NO_LIMIT_MAX_PAIRS = 40
 
@@ -152,10 +152,11 @@ def verify_family_theorem(
         enumerate_family(g, basis, limit, from_mask, to_mask), start=from_mask
     ):
         checked += 1
-        if not is_k_generator(build_table(member, 2), k, basis):
+        table = build_table(member, 2)
+        if not is_k_generator(table, k, basis):
             violations.append((mask, "basis is not a generator"))
             continue
-        dim = solve_adim(member, k).dimension
+        dim = minimum_size(table, k)
         if dim > base.dimension:
             violations.append((mask, f"dimension rose to {dim}"))
         elif rigid is not None and dim != rigid:

@@ -2,8 +2,9 @@
 
 Every formula is served only inside its proven parameter range; outside it
 the query is refused with the exact range in the message, never extrapolated.
-Criteria that quantify over all minimum generators are decided by full basis
-enumeration.
+Criteria that quantify over all minimum generators are decided by basis
+enumeration, which the join criterion skips for H when a bound already
+decides it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .metric import (
     forced_set,
     join_dimensionality,
 )
-from .solver import enumerate_bases, solve_adim
+from .solver import enumerate_bases, minimum_size, solve_adim
 
 FAMILIES = (
     "path",
@@ -238,9 +239,9 @@ def join_bounds(g: Graph, h: Graph, k: int) -> tuple[int, int]:
     )
     if not 1 <= k <= top:
         raise KExceedsDimensionality(f"k={k} outside 1..{top} for these bounds")
-    ah = solve_adim(h, k).dimension
-    lower = solve_adim(g, k).dimension + ah
-    upper = solve_adim(join(complete(1), g), k).dimension + ah
+    ah = minimum_size(build_table(h, 2), k)
+    lower = minimum_size(build_table(g, 2), k) + ah
+    upper = minimum_size(build_table(join(complete(1), g), 2), k) + ah
     return lower, upper
 
 
@@ -248,7 +249,11 @@ def join_equality_criterion(g: Graph, h: Graph, k: int) -> CriterionReport:
     """Some pair of minimum k-generators (A, B) keeps >= k vertices outside
     N(x) union N(y) for every cross pair; equivalent to additivity of the
     join dimension.  The two sides are disjoint, so the test reduces to
-    max_A min_x |A - N(x)| + max_B min_y |B - N(y)| >= k."""
+    max_A min_x |A - N(x)| + max_B min_y |B - N(y)| >= k.
+
+    H's term is at least 0 and at least the score of H's lex-first basis,
+    so H's bases are listed only when neither closes the gap; the report
+    is the one the full lists give."""
     if g.n < 2 or h.n < 2:
         raise TooSmall("the criterion needs nontrivial graphs")
     top = join_dimensionality(g, h)
@@ -264,8 +269,11 @@ def join_equality_criterion(g: Graph, h: Graph, k: int) -> CriterionReport:
         return score, argmax
 
     sg, wg = best(g)
-    sh, _ = best(h)
-    if sg + sh >= k:
+    if (
+        sg >= k
+        or sg + min(_outside(h, solve_adim(h, k).witness)) >= k
+        or sg + best(h)[0] >= k
+    ):
         return CriterionReport("join-equality", True, wg)
     return CriterionReport("join-equality", False)
 

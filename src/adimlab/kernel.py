@@ -26,15 +26,19 @@ vertex that hits no short mask is dropped from the available set for the
 whole subtree (the short masks only shrink below a node), and the exclude
 branch of a node reuses its columns without a call.
 
-A branch and bound from the greedy incumbent finds the minimum size; the
-lex pass then walks the vertices in index order to list the minimum covers
-lexicographically, asking the same branch and bound, bounded by that size,
-whether a cover agrees with each new decision.  ``solve_min_multicover``
-runs both and keeps the first cover; ``enumerate_min_covers`` is the lex
-pass alone, given a known minimum size and a cover of that size.
-``cover_ladder`` is the one ladder, the minimum size at every level
-k = 1..C: a minimum search alone (greedy, then branch and bound) per level,
-all on one prepared table.
+A solve has two phases.  The minimum search, a branch and bound from the
+greedy incumbent, finds the minimum size and one cover of that size
+(``minimum_search``).  The lex pass then walks the vertices in index order
+to list the minimum covers lexicographically, asking the same branch and
+bound, bounded by that size, whether a cover agrees with each new decision.
+``solve_min_multicover`` runs both and keeps the first cover; given the
+record of an earlier minimum search it runs the lex pass alone, from that
+record, and counts the record's nodes as its own, so its answer, node count
+and budget outcome are those of a solve from scratch.
+``enumerate_min_covers`` is the lex pass alone, given a known minimum size
+and a cover of that size.  ``cover_ladder`` is the one ladder, the minimum
+size at every level k = 1..C: a minimum search alone per level, all on one
+prepared table.
 
 The reduced masks and their columns depend on the masks alone, not on k,
 so ``prepare`` makes them once as a ``Prepared`` table
@@ -133,12 +137,15 @@ def _planes(cols: list[int], k: int, width: int, chosen: int) -> list[int]:
     return planes
 
 
-def greedy_cover(prepared: Prepared, k: int, seed: int = 0) -> int:
+def greedy_cover(
+    prepared: Prepared, k: int, seed: int = 0, planes: list[int] | None = None
+) -> int:
     """Valid (not necessarily minimum) cover grown from ``seed`` by always
     adding the vertex hitting the most deficient reduced masks, ties to low
-    index."""
+    index.  ``planes``, when given, are the residual planes of ``seed``."""
     masks, cols = prepared.masks, prepared.cols
-    planes = _planes(cols, k, len(masks), seed)
+    if planes is None:
+        planes = _planes(cols, k, len(masks), seed)
     chosen = seed
     while planes[-1]:
         short = planes[-1]
@@ -362,29 +369,47 @@ def _minimum(prepared, k, budget):
     forced masks and the prefix.  Returns (search, greedy_size)."""
     search = _Search(prepared, k, budget)
     seed = forced(search.masks, k) | prepared.prefix
-    incumbent = greedy_cover(prepared, k, seed)
+    planes = _planes(search.cols, k, len(search.masks), seed)
+    incumbent = greedy_cover(prepared, k, seed, planes)
     search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
-    planes = _planes(search.cols, k, len(search.masks), seed)
     full = (1 << search.n) - 1
     search.branch_bound(seed, seed.bit_count(), full & ~seed, planes)
     return search, incumbent.bit_count()
 
 
-def solve_min_multicover(prepared, k, budget=None):
+def minimum_search(prepared, k, budget=None):
+    """The minimum search alone: (size, cover, nodes, greedy_size), the
+    minimum cover size, one cover of that size (it holds the forced masks
+    and the prefix, but need not be the lexicographically smallest), the
+    nodes spent and the size of the greedy incumbent the search started
+    from.  Assumes feasibility (every mask has >= k bits)."""
+    search, greedy_size = _minimum(prepared, k, budget)
+    return search.best_size, search.best_mask, search.nodes, greedy_size
+
+
+def solve_min_multicover(prepared, k, budget=None, minimum=None):
     """Exact minimum multicover.
 
     Returns (size, witness_mask, nodes, (greedy_size, search_nodes)) where
     witness is the lexicographically smallest minimum cover, greedy_size
     the size of the greedy incumbent the search started from and
     search_nodes the part of ``nodes`` spent finding the minimum size; the
-    lex pass spent the rest.  Assumes feasibility (every mask has >= k
-    bits).
+    lex pass spent the rest.  ``minimum``, when given, is what
+    ``minimum_search`` returned for the same table and k: the lex pass
+    starts from it and the minimum search is not run again.  Assumes
+    feasibility (every mask has >= k bits).
     """
-    search, greedy_size = _minimum(prepared, k, budget)
-    search_nodes = search.nodes
-    witnesses = search.lex_covers(search.best_size, 1, prepared.prefix)
-    return search.best_size, witnesses[0], search.nodes, (greedy_size, search_nodes)
+    if minimum is None:
+        minimum = minimum_search(prepared, k, budget)
+    size, cover, search_nodes, greedy_size = minimum
+    if budget is not None and search_nodes > budget:
+        raise BudgetExhausted(f"node budget {budget} exhausted")
+    search = _Search(prepared, k, budget)
+    search.nodes = search_nodes
+    search.best_size, search.best_mask = size, cover
+    witnesses = search.lex_covers(size, 1, prepared.prefix)
+    return size, witnesses[0], search.nodes, (greedy_size, search_nodes)
 
 
 def enumerate_min_covers(prepared, k, start, limit=None, budget=None):

@@ -46,12 +46,17 @@ def pair_rank(n: int, x: int, y: int) -> int:
 class DistinguishTable:
     """All pair distinguishing sets of a graph at one truncation level.
 
-    The table also keeps the work that depends on it alone: ``prepared``,
-    its reduced masks and their columns for the search kernel, made on
-    first use, and ``minima``, the solved minimum for each k, which
-    ``solver.solve_table`` stores.  Neither survives pickling or copying."""
+    The table also keeps the work that depends on it alone, per phase of a
+    solve: ``prepared``, its reduced masks and their columns for the search
+    kernel, made on first use; ``searches``, the minimum-search record for
+    each k (a ``SolveResult`` holding the size, one minimum cover, its
+    nodes, the greedy size and its millis); and ``minima``, the full solve
+    with its lexicographically smallest witness for each k.  ``solver``
+    fills both dicts; none of this survives pickling or copying."""
 
-    __slots__ = ("graph", "t", "pair_masks", "_min_size", "minima", "_prepared")
+    __slots__ = (
+        "graph", "t", "pair_masks", "_min_size", "searches", "minima", "_prepared"
+    )
 
     def __init__(self, graph: Graph, t: int, pair_masks: list[int]):
         object.__setattr__(self, "graph", graph)
@@ -60,6 +65,7 @@ class DistinguishTable:
         object.__setattr__(
             self, "_min_size", min(map(int.bit_count, pair_masks), default=None)
         )
+        object.__setattr__(self, "searches", {})
         object.__setattr__(self, "minima", {})
         object.__setattr__(self, "_prepared", None)
 

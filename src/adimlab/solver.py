@@ -3,7 +3,9 @@
 solve_adim works at truncation level 2 (the adjacency metric), solve_dim at
 level t = n (the full shortest-path metric, connected graphs only).
 Both reduce to exact set multicover over the distinguish table and emit the
-lexicographically smallest optimal witness.
+lexicographically smallest optimal witness.  A solve has two phases, and the
+table stores each on its own: the minimum search (``minimum_size`` runs it
+alone) and the lex pass that picks the witness from its record.
 """
 
 from __future__ import annotations
@@ -108,15 +110,46 @@ def _exhausted(budget: int) -> BudgetExhausted:
     return BudgetExhausted(f"node budget {budget} exhausted")
 
 
+def _minimum(table: DistinguishTable, k: int, budget: int | None) -> SolveResult:
+    """The table's minimum search for k, run and stored on a miss: a
+    ``SolveResult`` whose witness is one minimum cover, not necessarily the
+    lex-first one, and whose stats count the search alone.  A stored search
+    raises ``BudgetExhausted`` exactly when running it would: when it used
+    more nodes than ``budget``."""
+    found = table.searches.get(k)
+    if found is None:
+        start = time.perf_counter()
+        size, cover, nodes, greedy_size = kernel.minimum_search(
+            table.prepared, k, budget
+        )
+        millis = (time.perf_counter() - start) * 1000.0
+        stats = SolveStats(nodes, greedy_size, millis, nodes)
+        found = SolveResult(k, size, VertexSet(table.n, cover), stats)
+        table.searches[k] = found
+    elif budget is not None and found.stats.nodes > budget:
+        raise _exhausted(budget)
+    return found
+
+
+def minimum_size(table: DistinguishTable, k: int, budget: int | None = None) -> int:
+    """The minimum k-generator size alone: the minimum search, stored on the
+    table, without the lex pass that picks a witness.  It equals
+    ``solve_table(table, k).dimension``."""
+    _check_k(table, k)
+    return _minimum(table, k, _budget(budget)).dimension
+
+
 def solve_table(
     table: DistinguishTable, k: int, budget: int | None = None
 ) -> SolveResult:
     """Exact minimum k-generator for an arbitrary distinguish table.
 
-    The result is stored on the table, and a later call for the same k
-    returns the stored result, stats included, without a search.  Such a
-    call raises ``BudgetExhausted`` exactly when a search would: when the
-    stored search used more nodes than ``budget``."""
+    The lex pass starts from the table's minimum search (stored, or run and
+    stored now).  The result is stored on the table, and a later call for
+    the same k returns the stored result, stats included, without a search.
+    Whatever the table holds, the call raises ``BudgetExhausted`` exactly
+    when a search from scratch would: when the minimum search and the lex
+    pass together use more nodes than ``budget``."""
     _check_k(table, k)
     budget = _budget(budget)
     stored = table.minima.get(k)
@@ -124,11 +157,15 @@ def solve_table(
         if budget is not None and stored.stats.nodes > budget:
             raise _exhausted(budget)
         return stored
+    found = _minimum(table, k, budget)
+    minimum = (
+        found.dimension, found.witness.mask, found.stats.nodes, found.stats.greedy_size
+    )
     start = time.perf_counter()
     size, witness, nodes, (greedy_size, search_nodes) = (
-        kernel.solve_min_multicover(table.prepared, k, budget)
+        kernel.solve_min_multicover(table.prepared, k, budget, minimum)
     )
-    millis = (time.perf_counter() - start) * 1000.0
+    millis = found.stats.millis + (time.perf_counter() - start) * 1000.0
     stats = SolveStats(nodes, greedy_size, millis, search_nodes)
     result = SolveResult(k, size, VertexSet(table.n, witness), stats=stats)
     table.minima[k] = result
@@ -154,19 +191,21 @@ def enumerate_bases(
 ) -> list[VertexSet]:
     """All minimum k-generators in ascending lexicographic order.
 
-    ``solve_table`` finds (or reads) the table's minimum for k, and the lex
-    pass lists the bases from its witness.  The node budget bounds the two
-    together: the solve's ``stats.nodes`` are charged first, stored or
-    fresh, and the lex pass gets what is left."""
+    The lex pass lists the bases from the table's minimum search (stored,
+    or run and stored now); no witness is picked first.  The node budget
+    bounds the two together: the minimum search's nodes are charged first,
+    stored or fresh, and the lex pass gets what is left, so a budget has
+    the same outcome whatever the table holds."""
     if limit is not None and limit < 0:
         raise BadParameter(f"basis limit must be an integer >= 0, got {limit}")
     table = build_table(g, t)
-    solved = solve_table(table, k, budget)
+    _check_k(table, k)
     budget = _budget(budget)
-    rest = None if budget is None else budget - solved.stats.nodes
+    found = _minimum(table, k, budget)
+    rest = None if budget is None else budget - found.stats.nodes
     try:
         covers, _, truncated = kernel.enumerate_min_covers(
-            table.prepared, k, (solved.dimension, solved.witness.mask), limit, rest
+            table.prepared, k, (found.dimension, found.witness.mask), limit, rest
         )
     except BudgetExhausted:
         raise _exhausted(budget) from None

@@ -212,27 +212,36 @@ def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
 class Corpus:
     """Immutable graph source plus filters.
 
-    ``min_n``..``max_n`` choose the orders of the internal enumeration;
-    alternatively ``graph6_lines`` holds the lines of a graph6 file, which
-    is taken whole, whatever the orders.  ``connected`` and ``min_degree`` filter
-    the graphs of either source.  Equality, hash and repr go by these five
-    fields.
+    ``min_n``..``max_n`` choose the orders of the internal enumeration
+    (2..5 when not given); alternatively ``graph6_lines`` holds the lines of
+    a graph6 file, which is taken whole, so orders next to it are refused
+    and both stay None.  ``connected`` and ``min_degree`` filter the graphs
+    of either source.  Equality, hash and repr go by these five fields.
     """
 
     __slots__ = ("min_n", "max_n", "graph6_lines", "connected", "min_degree")
 
     def __init__(
         self,
-        min_n: int = 2,
-        max_n: int = 5,
+        min_n: int | None = None,
+        max_n: int | None = None,
         graph6_lines: tuple[str, ...] | None = None,
         connected: bool = False,
         min_degree: int = 0,
     ):
-        if not 0 <= min_n <= max_n:
-            raise BadParameter(
-                f"orders need 0 <= min_n <= max_n, got {min_n}..{max_n}"
-            )
+        if graph6_lines is not None:
+            if (min_n, max_n) != (None, None):
+                raise BadParameter(
+                    "min_n and max_n choose the enumeration's orders; "
+                    "graph6 lines are swept whole"
+                )
+        else:
+            min_n = 2 if min_n is None else min_n
+            max_n = 5 if max_n is None else max_n
+            if not 0 <= min_n <= max_n:
+                raise BadParameter(
+                    f"orders need 0 <= min_n <= max_n, got {min_n}..{max_n}"
+                )
         if min_degree < 0:
             raise BadParameter(f"min_degree must be >= 0, got {min_degree}")
         fields = min_n, max_n, graph6_lines, connected, min_degree

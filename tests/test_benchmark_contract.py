@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from adimlab import kernel
+from adimlab import kernel, solver
 from adimlab.errors import BudgetExhausted
-from adimlab.graph import petersen
-from adimlab.metric import build_table
+from adimlab.graph import fig2_graph, petersen
+from adimlab.metric import DistinguishTable, build_table
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -86,6 +86,25 @@ def test_traced_counters_read_node_counts():
         assert call(nodes)[index] == nodes
         with pytest.raises(BudgetExhausted):
             call(nodes - 1)
+
+
+def test_a_full_solve_feeds_the_traced_node_count():
+    # a full solve through solver.solve_table passes through the traced
+    # kernel.solve_min_multicover once, cold or after a size-only solve,
+    # and the count read from it is the solve's SolveStats.nodes
+    for g, k in ((petersen(), 2), (fig2_graph(), 2)):
+        for warm in (False, True):
+            table = DistinguishTable(g, 2, build_table(g, 2).pair_masks)
+            if warm:
+                solver.minimum_size(table, k)
+            tr = tracer.Tracer()
+            tr.install()
+            try:
+                solved = solver.solve_table(table, k)
+            finally:
+                tr.uninstall()
+            assert tr.calls["kernel.solve_min_multicover"] == 1
+            assert tr.counts["kernel.solve_nodes"] == solved.stats.nodes > 0
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from adimlab import formulas
 from adimlab.errors import (
     BadParameter,
     KExceedsDimensionality,
@@ -40,8 +41,12 @@ from adimlab.graph import (
     petersen,
     wheel,
 )
-from adimlab.metric import adjacency_dimensionality, cone_dimensionality
-from adimlab.solver import adim_ladder, solve_adim
+from adimlab.metric import (
+    adjacency_dimensionality,
+    cone_dimensionality,
+    join_dimensionality,
+)
+from adimlab.solver import adim_ladder, enumerate_bases, solve_adim
 from adimlab.verify import Corpus, enumerate_all_graphs, enumerate_trees, sweep_theorem
 
 from conftest import random_graph
@@ -403,6 +408,57 @@ def test_join_equality_biconditional_random():
         )
         assert rep.holds == additive
         done += 1
+
+
+def _join_criterion_by_full_lists(g, h, k):
+    """(holds, witness) of the join criterion from both full basis lists."""
+
+    def best(graph):
+        score, argmax = -1, None
+        for basis in enumerate_bases(graph, k):
+            s = min((basis.mask & ~row).bit_count() for row in graph.rows)
+            if s > score:
+                score, argmax = s, basis
+        return score, argmax
+
+    sg, wg = best(g)
+    sh, _ = best(h)
+    return (True, wg) if sg + sh >= k else (False, None)
+
+
+def test_join_equality_criterion_lists_h_only_when_it_must(monkeypatch):
+    listed = []
+    real = formulas.enumerate_bases
+    monkeypatch.setattr(
+        formulas, "enumerate_bases", lambda graph, k: listed.append(graph) or real(graph, k)
+    )
+    rng = random.Random(2301)
+    exits = Counter()
+    for _ in range(320):
+        g = random_graph(rng, rng.randint(2, 6))
+        h = random_graph(rng, rng.randint(2, 6))
+        k = rng.randint(1, min(join_dimensionality(g, h), cone_dimensionality(g)))
+        listed.clear()
+        rep = join_equality_criterion(g, h, k)
+        assert (rep.holds, rep.witness) == _join_criterion_by_full_lists(g, h, k)
+        lower, _ = join_bounds(g, h, k)
+        assert rep.holds == (solve_adim(join(g, h), k).dimension == lower)
+        # which exit decided it: G's score alone, H's lex-first basis, or
+        # H's full list
+        sg = max(
+            min((b.mask & ~row).bit_count() for row in g.rows)
+            for b in enumerate_bases(g, k)
+        )
+        first = solve_adim(h, k).witness.mask
+        if sg >= k:
+            exit = "g-alone"
+        elif sg + min((first & ~row).bit_count() for row in h.rows) >= k:
+            exit = "h-first"
+        else:
+            exit = "full-list"
+        exits[exit] += 1
+        assert listed == ([g, h] if exit == "full-list" else [g]), exit
+    assert min(exits[e] for e in ("g-alone", "h-first", "full-list")) >= 10, exits
 
 
 def test_full_dimension_criteria():

@@ -334,3 +334,23 @@ def test_twin_heavy_graphs_match_brute_force(graph):
         slow = brute_force_adim(graph, k)
         fast = solve_adim(graph, k)
         assert (fast.dimension, fast.witness) == (slow.dimension, slow.witness)
+
+
+def test_a_stored_minimum_search_gives_the_answers_of_a_full_solve():
+    # the lex pass from minimum_search's record answers as a solve from
+    # scratch does, node counts and budget outcomes included
+    rng = random.Random(2302)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(2, 14))
+        table = build_table(g, rng.choice((2, 3)))
+        k = rng.randint(1, table.min_pair_size())
+        prepared = table.prepared
+        cold = kernel.solve_min_multicover(prepared, k)
+        found = kernel.minimum_search(prepared, k)
+        assert (found[0], found[2], found[3]) == (cold[0], cold[3][1], cold[3][0])
+        assert kernel.solve_min_multicover(prepared, k, None, found) == cold
+        nodes, search_nodes = cold[2], cold[3][1]
+        assert kernel.solve_min_multicover(prepared, k, nodes, found) == cold
+        for budget in {nodes - 1, search_nodes - 1}:
+            with pytest.raises(BudgetExhausted):
+                kernel.solve_min_multicover(prepared, k, budget, found)

@@ -129,14 +129,16 @@ def test_solve_stats_repr():
 
 def test_corpus_constructor_defaults_and_refusals():
     assert Corpus(2, 6) == Corpus(min_n=2, max_n=6)
-    corpus = Corpus(3, 4, ("C~",), True, 1)
+    corpus = Corpus(3, 4, None, True, 1)
     assert (
         corpus.min_n,
         corpus.max_n,
         corpus.graph6_lines,
         corpus.connected,
         corpus.min_degree,
-    ) == (3, 4, ("C~",), True, 1)
+    ) == (3, 4, None, True, 1)
+    lines = Corpus(graph6_lines=("C~",), connected=True)
+    assert (lines.min_n, lines.max_n, lines.graph6_lines) == (None, None, ("C~",))
     default = Corpus()
     assert (default.min_n, default.max_n, default.graph6_lines) == (2, 5, None)
     assert (default.connected, default.min_degree) == (False, 0)
@@ -146,6 +148,12 @@ def test_corpus_constructor_defaults_and_refusals():
     with pytest.raises(BadParameter) as exc:
         Corpus(min_degree=-1)
     assert str(exc.value) == "min_degree must be >= 0, got -1"
+    # graph6 lines are swept whole, so orders next to them are refused
+    for orders in ((7, 9), (2, None), (None, 5)):
+        with pytest.raises(BadParameter, match="swept whole"):
+            Corpus(*orders, graph6_lines=("CF",))
+    with pytest.raises(BadParameter, match="swept whole"):
+        Corpus.from_file(__file__, max_n=6)
 
 
 def test_corpus_is_immutable_and_compared_by_field():

@@ -41,6 +41,7 @@ from adimlab.solver import (
     enumerate_bases,
     greedy_bound,
     is_k_generator,
+    minimum_size,
     solve_adim,
     solve_dim,
     solve_table,
@@ -282,13 +283,12 @@ def test_budget_env_bounds_every_ladder(monkeypatch):
 
 
 def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):
-    # the solve's nodes plus its lex pass's are the budget that just
-    # suffices, from the argument or the environment
-    table = build_table(fig4_graph(), 2)
-    prepared = kernel.prepare(table.pair_masks, 9)
-    solved = kernel.solve_min_multicover(prepared, 3)
-    covers, lex, _ = kernel.enumerate_min_covers(prepared, 3, solved[:2])
-    nodes = solved[2] + lex
+    # the minimum search's nodes plus its lex pass's are the budget that
+    # just suffices, from the argument or the environment
+    prepared = build_table(fig4_graph(), 2).prepared
+    found = kernel.minimum_search(prepared, 3)
+    covers, lex, _ = kernel.enumerate_min_covers(prepared, 3, found[:2])
+    nodes = found[2] + lex
     assert len(covers) == 6
     assert len(enumerate_bases(fig4_graph(), 3, budget=nodes)) == 6
     with pytest.raises(BudgetExhausted):
@@ -420,19 +420,41 @@ def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
         build_table.cache_clear()
         table = build_table(g, t)
         cold_bases = enumerate_bases(g, k, t=t)
-        # the enumeration's solve stored the minimum it found
-        assert list(table.minima) == [k]
+        # the enumeration stored the minimum search it ran, and no solve
+        assert list(table.searches) == [k] and not table.minima
+        found = table.searches[k]
         solved = solve_table(table, k)
         assert table.minima == {k: solved}
+        assert table.searches == {k: found}
         # a table that never stored anything solves to the same answer, with
         # the same node counts
         fresh = solve_table(DistinguishTable(g, t, table.pair_masks), k)
         assert (fresh.dimension, fresh.witness) == (solved.dimension, solved.witness)
         assert fresh.stats._replace(millis=0.0) == solved.stats._replace(millis=0.0)
+        assert (found.dimension, found.stats.nodes, found.stats.greedy_size) == (
+            solved.dimension, solved.stats.search_nodes, solved.stats.greedy_size
+        )
+        assert found.stats.search_nodes == found.stats.nodes
         assert 1 <= solved.stats.search_nodes <= solved.stats.nodes
         assert solve_table(table, k) is solved
         assert enumerate_bases(g, k, t=t) == cold_bases
         assert cold_bases[0] == solved.witness
+        assert found.witness in cold_bases
+
+
+def test_the_minimum_search_alone_gives_the_size_of_a_full_solve():
+    for g, t, k in _random_tables(1805, 400):
+        build_table.cache_clear()
+        table = build_table(g, t)
+        cold = solve_table(DistinguishTable(g, t, table.pair_masks), k)
+        assert minimum_size(table, k) == cold.dimension
+        assert list(table.searches) == [k] and not table.minima
+        # a full solve after it runs only the lex pass, and gives the
+        # witness and node counts of a cold table
+        solved = solve_table(table, k)
+        assert solved.witness == cold.witness
+        assert solved.stats._replace(millis=0.0) == cold.stats._replace(millis=0.0)
+        assert minimum_size(table, k) == solved.dimension
 
 
 def test_stored_minima_keep_the_budget_of_a_cold_search():
@@ -441,21 +463,50 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
         table = build_table(g, t)
         solved = solve_table(table, k)
         nodes = solved.stats.nodes
+        found = table.searches[k]
+        search = found.stats.nodes
         # a hit raises exactly when the search it stores used more nodes
         assert solve_table(table, k, budget=nodes) is solved
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
             solve_table(table, k, budget=nodes - 1)
-        # an enumeration hit charges the stored solve, then its lex pass;
-        # the kernel counts the lex pass alone
+        assert minimum_size(table, k, budget=search) == solved.dimension
+        with pytest.raises(BudgetExhausted, match=f"node budget {search - 1} "):
+            minimum_size(table, k, budget=search - 1)
+        # an enumeration charges the stored minimum search, then its lex
+        # pass; the kernel counts the lex pass alone
         covers, lex, _ = kernel.enumerate_min_covers(
-            table.prepared, k, (solved.dimension, solved.witness.mask)
+            table.prepared, k, (found.dimension, found.witness.mask)
         )
-        assert [b.mask for b in enumerate_bases(g, k, budget=nodes + lex, t=t)] == covers
-        with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
-            enumerate_bases(g, k, budget=nodes - 1, t=t)
+        assert [b.mask for b in enumerate_bases(g, k, budget=search + lex, t=t)] == covers
+        with pytest.raises(BudgetExhausted, match=f"node budget {search - 1} "):
+            enumerate_bases(g, k, budget=search - 1, t=t)
         if lex:
-            with pytest.raises(BudgetExhausted, match=f"node budget {nodes + lex - 1} "):
-                enumerate_bases(g, k, budget=nodes + lex - 1, t=t)
+            with pytest.raises(BudgetExhausted, match=f"node budget {search + lex - 1} "):
+                enumerate_bases(g, k, budget=search + lex - 1, t=t)
+
+
+def test_a_budget_holds_whatever_the_cache_holds_before_a_solve():
+    # solve_table and minimum_size succeed exactly when a cold search of
+    # their phases fits the budget, after either phase was stored or none
+    for g, t, k in _random_tables(1806, 150):
+        prepared = build_table(g, t).prepared
+        size, witness, nodes, (_, search) = kernel.solve_min_multicover(prepared, k)
+        for budget in (nodes, nodes - 1, search, search - 1):
+            for warm in (None, minimum_size, solve_table):
+                build_table.cache_clear()
+                table = build_table(g, t)
+                if warm is not None:
+                    warm(table, k)
+                if budget >= nodes:
+                    assert solve_table(table, k, budget).witness.mask == witness
+                else:
+                    with pytest.raises(BudgetExhausted):
+                        solve_table(table, k, budget)
+                if budget >= search:
+                    assert minimum_size(table, k, budget) == size
+                else:
+                    with pytest.raises(BudgetExhausted):
+                        minimum_size(table, k, budget)
 
 
 def _enumeration(g, k, t, budget):
@@ -467,35 +518,48 @@ def _enumeration(g, k, t, budget):
 
 
 def test_a_basis_budget_holds_whatever_the_cache_holds():
-    # enumerate_bases succeeds exactly when the table's solve plus its lex
-    # pass fits the budget, on a cold table and after solve_table stored
-    # the minimum alike; the minimum search and the lex pass without the
-    # witness's own lex pass do not suffice
+    # enumerate_bases succeeds exactly when the table's minimum search plus
+    # the lex pass from its cover fits the budget, on a cold table, after a
+    # size-only solve and after a full solve alike; the witness's own lex
+    # pass is never charged
     for g, t, k in [(fig2_graph(), 2, 2)] + _random_tables(1804, 200):
         prepared = build_table(g, t).prepared
-        solved = kernel.solve_min_multicover(prepared, k)
-        lex = kernel.enumerate_min_covers(prepared, k, solved[:2])[1]
-        threshold = solved[2] + lex
-        for budget in (threshold, threshold - 1, solved[3][1] + lex):
-            build_table.cache_clear()
-            cold = _enumeration(g, k, t, budget)
-            build_table.cache_clear()
-            solve_table(build_table(g, t), k)
-            assert _enumeration(g, k, t, budget) == cold
+        found = kernel.minimum_search(prepared, k)
+        bases, lex, _ = kernel.enumerate_min_covers(prepared, k, found[:2])
+        threshold = found[2] + lex
+        full = kernel.solve_min_multicover(prepared, k)[2]
+        for budget in (threshold, threshold - 1, full + lex):
+            outcomes = []
+            for warm in (None, minimum_size, solve_table):
+                build_table.cache_clear()
+                if warm is not None:
+                    warm(build_table(g, t), k)
+                outcomes.append(_enumeration(g, k, t, budget))
+            cold = outcomes[0]
+            assert outcomes == [cold] * 3
             assert (cold is BudgetExhausted) == (budget < threshold)
+            if cold is not BudgetExhausted:
+                assert [b.mask for b in cold] == bases
 
 
 def test_an_enumeration_stores_the_minimum_it_solved(monkeypatch):
     build_table.cache_clear()
     bases = enumerate_bases(fig2_graph(), 2)
-    stored = build_table(fig2_graph(), 2).minima[2]
-    assert (stored.dimension, stored.witness) == (14, bases[0])
+    table = build_table(fig2_graph(), 2)
+    found = table.searches[2]
+    assert found.dimension == 14 and found.witness in bases
+    assert not table.minima
+    # a later solve runs the lex pass from the stored search, not the search
     calls = []
-    search = kernel.solve_min_multicover
+    search = kernel.minimum_search
     monkeypatch.setattr(
-        kernel, "solve_min_multicover", lambda *a: calls.append(a) or search(*a)
+        kernel, "minimum_search", lambda *a: calls.append(a) or search(*a)
     )
-    assert solve_adim(fig2_graph(), 2) is stored
+    solved = solve_adim(fig2_graph(), 2)
+    assert (solved.dimension, solved.witness) == (14, bases[0])
+    assert table.minima == {2: solved}
+    assert minimum_size(table, 2) == 14
+    assert solve_adim(fig2_graph(), 2) is solved
     assert calls == []
 
 
@@ -507,7 +571,7 @@ def test_pickled_and_copied_tables_store_nothing():
         table = DistinguishTable(g, t, build_table(g, t).pair_masks)
         solved = solve_table(table, k)
         for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
-            assert not twin.minima
+            assert not twin.minima and not twin.searches
             again = solve_table(twin, k)
             assert again is not solved
             assert (again.dimension, again.witness) == (solved.dimension, solved.witness)

@@ -87,7 +87,7 @@ def test_corpus_from_graph6_lines(tmp_path):
     trees = enumerate_trees(6, 2)
     path = tmp_path / "trees.g6"
     path.write_text("\n".join(to_graph6(t) for t in trees) + "\n")
-    corpus = Corpus.from_file(str(path), min_n=2, max_n=6)
+    corpus = Corpus.from_file(str(path))
     loaded = list(corpus)
     assert len(loaded) == len(trees)
     assert all(from_graph6(to_graph6(t)) == t for t in loaded)
@@ -184,7 +184,7 @@ def test_pair_sweeps_hold_on_tiny_corpus():
 def test_k1t_trees_sweep():
     trees = enumerate_trees(9, 2)
     lines = tuple(to_graph6(t) for t in trees)
-    report = sweep_theorem(Corpus(min_n=2, max_n=9, graph6_lines=lines), "K1T-trees")
+    report = sweep_theorem(Corpus(graph6_lines=lines), "K1T-trees")
     assert report.passed
     assert report.checked == len(trees) == 94
 
@@ -441,7 +441,7 @@ def _g6_corpus(**filters):
     # records repeated and a blank line
     labeled = [to_graph6(g) for g in Corpus(min_n=2, max_n=5)]
     lines = labeled[5::29] + labeled[::13] + [""]
-    return Corpus(min_n=2, max_n=5, graph6_lines=tuple(lines), **filters)
+    return Corpus(graph6_lines=tuple(lines), **filters)
 
 
 PAIR_CORPORA = [
@@ -714,13 +714,18 @@ def test_full_dimension_sweep_reports_a_wrong_criterion(monkeypatch):
 
 
 def test_graph6_corpus_is_taken_whole_whatever_the_orders(tmp_path):
-    # the order bounds choose the enumeration's orders, not a file's records
+    # the order bounds choose the enumeration's orders, not a file's
+    # records: the order-10 record above the default orders is swept, and
+    # orders next to a file are refused rather than ignored
     f = tmp_path / "mixed.g6"
     f.write_text(f"{to_graph6(petersen())}\n{to_graph6(path(5))}\n")
-    for corpus in (Corpus.from_file(str(f)), Corpus.from_file(str(f), max_n=3)):
-        assert len(list(corpus)) == 2
-        report = sweep_theorem(corpus, "monotony")
-        assert (report.checked, report.violations) == (2, [])
+    corpus = Corpus.from_file(str(f))
+    assert [g.n for g in corpus] == [10, 5]
+    report = sweep_theorem(corpus, "monotony")
+    assert (report.checked, report.violations) == (2, [])
+    for orders in ({"max_n": 3}, {"min_n": 2, "max_n": 12}):
+        with pytest.raises(BadParameter, match="swept whole"):
+            Corpus.from_file(str(f), **orders)
     report = sweep_theorem(Corpus.from_file(str(f), min_degree=2), "monotony")
     assert report.checked == 1
 
