@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 from functools import partial
 
 from . import families as families_mod
@@ -286,16 +285,26 @@ def _make_corpus(args) -> verify_mod.Corpus:
 def _run_sweep(args, run) -> int:
     """Emit ``run(corpus, on_violation)``'s report on the flags' corpus,
     writing each violation to ``--violations`` as NDJSON when the sweep
-    hands it over."""
+    hands it over.  The file is opened at the first violation, or once the
+    report is in: a sweep refused before it checks anything (an unknown
+    theorem, an empty corpus, bad levels) leaves it as it was."""
     corpus = _make_corpus(args)
-    out = open(args.violations, "w", encoding="utf-8") if args.violations else None
-    with out or nullcontext():
+    out = None
 
-        def stream(v):
-            out.write(json.dumps(v.to_json_dict()) + "\n")
-            out.flush()
+    def stream(v):
+        nonlocal out
+        if out is None:
+            out = open(args.violations, "w", encoding="utf-8")
+        out.write(json.dumps(v.to_json_dict()) + "\n")
+        out.flush()
 
-        report = run(corpus, on_violation=stream if out else None)
+    try:
+        report = run(corpus, on_violation=stream if args.violations else None)
+        if args.violations and out is None:
+            out = open(args.violations, "w", encoding="utf-8")
+    finally:
+        if out is not None:
+            out.close()
     _emit(args, json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.passed else 1
 

@@ -563,5 +563,5 @@ def twin_prefix(g: Graph) -> int:
 def are_twins(g: Graph, u: int, v: int) -> bool:
     if u == v:
         raise BadParameter("twin test needs two distinct vertices")
-    bu, bv = 1 << u, 1 << v
-    return g.rows[u] & ~bv == g.rows[v] & ~bu
+    ru, rv = g.row(u), g.row(v)
+    return ru & ~(1 << v) == rv & ~(1 << u)

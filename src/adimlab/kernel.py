@@ -363,28 +363,22 @@ class _Search:
         return out
 
 
-def _minimum(prepared, k, budget):
-    """A search on ``prepared`` whose ``best_size`` is the minimum cover
-    size: the greedy incumbent, then branch and bound, both seeded with the
-    forced masks and the prefix.  Returns (search, greedy_size)."""
+def minimum_search(prepared, k, budget=None):
+    """The minimum search alone: the greedy incumbent, then branch and
+    bound, both seeded with the forced masks and the prefix.  Returns
+    (size, cover, nodes, greedy_size), the minimum cover size, one cover of
+    that size (it holds the forced masks and the prefix, but need not be
+    the lexicographically smallest), the nodes spent and the size of the
+    greedy incumbent the search started from.  Assumes feasibility (every
+    mask has >= k bits)."""
     search = _Search(prepared, k, budget)
     seed = forced(search.masks, k) | prepared.prefix
     planes = _planes(search.cols, k, len(search.masks), seed)
     incumbent = greedy_cover(prepared, k, seed, planes)
-    search.best_size = incumbent.bit_count()
+    greedy_size = search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
     full = (1 << search.n) - 1
     search.branch_bound(seed, seed.bit_count(), full & ~seed, planes)
-    return search, incumbent.bit_count()
-
-
-def minimum_search(prepared, k, budget=None):
-    """The minimum search alone: (size, cover, nodes, greedy_size), the
-    minimum cover size, one cover of that size (it holds the forced masks
-    and the prefix, but need not be the lexicographically smallest), the
-    nodes spent and the size of the greedy incumbent the search started
-    from.  Assumes feasibility (every mask has >= k bits)."""
-    search, greedy_size = _minimum(prepared, k, budget)
     return search.best_size, search.best_mask, search.nodes, greedy_size
 
 
@@ -436,6 +430,6 @@ def cover_ladder(prepared, budget=None):
     if not prepared.masks:
         return []
     return [
-        _minimum(prepared, k, budget)[0].best_size
+        minimum_search(prepared, k, budget)[0]
         for k in range(1, prepared.masks[0].bit_count() + 1)
     ]

@@ -46,17 +46,13 @@ def pair_rank(n: int, x: int, y: int) -> int:
 class DistinguishTable:
     """All pair distinguishing sets of a graph at one truncation level.
 
-    The table also keeps the work that depends on it alone, per phase of a
-    solve: ``prepared``, its reduced masks and their columns for the search
-    kernel, made on first use; ``searches``, the minimum-search record for
-    each k (a ``SolveResult`` holding the size, one minimum cover, its
-    nodes, the greedy size and its millis); and ``minima``, the full solve
-    with its lexicographically smallest witness for each k.  ``solver``
-    fills both dicts; none of this survives pickling or copying."""
+    The table also keeps the work that depends on it alone: ``prepared``,
+    its reduced masks and their columns for the search kernel, made on
+    first use; and ``searches``, the record (size, cover, nodes,
+    greedy_size) of ``kernel.minimum_search`` for each k, which ``solver``
+    fills.  Neither survives pickling or copying."""
 
-    __slots__ = (
-        "graph", "t", "pair_masks", "_min_size", "searches", "minima", "_prepared"
-    )
+    __slots__ = ("graph", "t", "pair_masks", "_min_size", "searches", "_prepared")
 
     def __init__(self, graph: Graph, t: int, pair_masks: list[int]):
         object.__setattr__(self, "graph", graph)
@@ -66,7 +62,6 @@ class DistinguishTable:
             self, "_min_size", min(map(int.bit_count, pair_masks), default=None)
         )
         object.__setattr__(self, "searches", {})
-        object.__setattr__(self, "minima", {})
         object.__setattr__(self, "_prepared", None)
 
     def __setattr__(self, *_):
@@ -94,7 +89,10 @@ class DistinguishTable:
     def pair_mask(self, x: int, y: int) -> int:
         if x == y:
             raise SamePair(f"pair needs two distinct vertices, got ({x}, {y})")
-        return self.pair_masks[pair_rank(self.n, x, y)]
+        n = self.n
+        if not (0 <= x < n and 0 <= y < n):
+            raise OutOfRange(f"pair ({x}, {y}) out of 0..{n - 1}")
+        return self.pair_masks[pair_rank(n, x, y)]
 
     def pair_set(self, x: int, y: int) -> VertexSet:
         return VertexSet(self.n, self.pair_mask(x, y))
@@ -127,12 +125,6 @@ def truncated_distance(g: Graph, t: int, x: int, y: int) -> int:
 
 def distinguishing_set(g: Graph, t: int, x: int, y: int) -> VertexSet:
     """Vertices z with min(d(x,z),t) != min(d(y,z),t); always contains x, y."""
-    if x == y:
-        raise SamePair(f"({x}, {y})")
-    if t < 1:
-        raise BadParameter(f"truncation level must be >= 1, got {t}")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise OutOfRange(f"pair ({x}, {y}) out of 0..{g.n - 1}")
     return build_table(g, t).pair_set(x, y)
 
 

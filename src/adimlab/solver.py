@@ -3,9 +3,9 @@
 solve_adim works at truncation level 2 (the adjacency metric), solve_dim at
 level t = n (the full shortest-path metric, connected graphs only).
 Both reduce to exact set multicover over the distinguish table and emit the
-lexicographically smallest optimal witness.  A solve has two phases, and the
-table stores each on its own: the minimum search (``minimum_size`` runs it
-alone) and the lex pass that picks the witness from its record.
+lexicographically smallest optimal witness.  A solve has two phases: the
+minimum search, which the table stores (``minimum_size`` runs it alone), and
+the lex pass that picks the witness from its record.
 """
 
 from __future__ import annotations
@@ -106,28 +106,22 @@ def _check_k(table: DistinguishTable, k: int) -> int:
     return dim
 
 
-def _exhausted(budget: int) -> BudgetExhausted:
-    return BudgetExhausted(f"node budget {budget} exhausted")
+def _charge(nodes: int, budget: int | None) -> None:
+    """Raise ``BudgetExhausted`` when ``nodes`` exceed ``budget``."""
+    if budget is not None and nodes > budget:
+        raise BudgetExhausted(f"node budget {budget} exhausted")
 
 
-def _minimum(table: DistinguishTable, k: int, budget: int | None) -> SolveResult:
-    """The table's minimum search for k, run and stored on a miss: a
-    ``SolveResult`` whose witness is one minimum cover, not necessarily the
-    lex-first one, and whose stats count the search alone.  A stored search
-    raises ``BudgetExhausted`` exactly when running it would: when it used
-    more nodes than ``budget``."""
+def _minimum(table: DistinguishTable, k: int, budget: int | None) -> tuple:
+    """The table's minimum search for k: the record (size, cover, nodes,
+    greedy_size) of ``kernel.minimum_search``, run and stored on a miss.  A
+    stored record is charged its nodes, so it raises ``BudgetExhausted``
+    exactly when running the search would."""
     found = table.searches.get(k)
     if found is None:
-        start = time.perf_counter()
-        size, cover, nodes, greedy_size = kernel.minimum_search(
-            table.prepared, k, budget
-        )
-        millis = (time.perf_counter() - start) * 1000.0
-        stats = SolveStats(nodes, greedy_size, millis, nodes)
-        found = SolveResult(k, size, VertexSet(table.n, cover), stats)
-        table.searches[k] = found
-    elif budget is not None and found.stats.nodes > budget:
-        raise _exhausted(budget)
+        found = table.searches[k] = kernel.minimum_search(table.prepared, k, budget)
+    else:
+        _charge(found[2], budget)
     return found
 
 
@@ -136,7 +130,7 @@ def minimum_size(table: DistinguishTable, k: int, budget: int | None = None) -> 
     table, without the lex pass that picks a witness.  It equals
     ``solve_table(table, k).dimension``."""
     _check_k(table, k)
-    return _minimum(table, k, _budget(budget)).dimension
+    return _minimum(table, k, _budget(budget))[0]
 
 
 def solve_table(
@@ -145,31 +139,20 @@ def solve_table(
     """Exact minimum k-generator for an arbitrary distinguish table.
 
     The lex pass starts from the table's minimum search (stored, or run and
-    stored now).  The result is stored on the table, and a later call for
-    the same k returns the stored result, stats included, without a search.
-    Whatever the table holds, the call raises ``BudgetExhausted`` exactly
-    when a search from scratch would: when the minimum search and the lex
-    pass together use more nodes than ``budget``."""
+    stored now) and counts its nodes as its own, so the witness, the node
+    counts and the budget outcome are those of a solve from scratch:
+    ``BudgetExhausted`` is raised exactly when the minimum search and the
+    lex pass together use more nodes than ``budget``.  ``millis`` times
+    this call alone."""
     _check_k(table, k)
     budget = _budget(budget)
-    stored = table.minima.get(k)
-    if stored is not None:
-        if budget is not None and stored.stats.nodes > budget:
-            raise _exhausted(budget)
-        return stored
-    found = _minimum(table, k, budget)
-    minimum = (
-        found.dimension, found.witness.mask, found.stats.nodes, found.stats.greedy_size
-    )
     start = time.perf_counter()
-    size, witness, nodes, (greedy_size, search_nodes) = (
-        kernel.solve_min_multicover(table.prepared, k, budget, minimum)
+    size, witness, nodes, (greedy_size, search_nodes) = kernel.solve_min_multicover(
+        table.prepared, k, budget, _minimum(table, k, budget)
     )
-    millis = found.stats.millis + (time.perf_counter() - start) * 1000.0
+    millis = (time.perf_counter() - start) * 1000.0
     stats = SolveStats(nodes, greedy_size, millis, search_nodes)
-    result = SolveResult(k, size, VertexSet(table.n, witness), stats=stats)
-    table.minima[k] = result
-    return result
+    return SolveResult(k, size, VertexSet(table.n, witness), stats)
 
 
 def solve_adim(g: Graph, k: int, budget: int | None = None) -> SolveResult:
@@ -201,14 +184,15 @@ def enumerate_bases(
     table = build_table(g, t)
     _check_k(table, k)
     budget = _budget(budget)
-    found = _minimum(table, k, budget)
-    rest = None if budget is None else budget - found.stats.nodes
+    size, cover, nodes, _ = _minimum(table, k, budget)
+    rest = None if budget is None else budget - nodes
     try:
         covers, _, truncated = kernel.enumerate_min_covers(
-            table.prepared, k, (found.dimension, found.witness.mask), limit, rest
+            table.prepared, k, (size, cover), limit, rest
         )
     except BudgetExhausted:
-        raise _exhausted(budget) from None
+        # the kernel names the rest; the whole budget is what ran out
+        raise BudgetExhausted(f"node budget {budget} exhausted") from None
     if truncated:
         raise BasisCountExceeded(
             f"more than {limit} minimum {k}-generators; raise the limit"
@@ -220,7 +204,7 @@ def adim_ladder(g: Graph) -> list[int]:
     """adim_k for every feasible k = 1..C as a list (index k-1).
 
     One branch and bound per level on one prepared table, at every order;
-    the node budget bounds each level.
+    the node budget in ``ADIMLAB_BUDGET``, when set, bounds each level.
     """
     return _ladder(build_table(g, 2))
 

@@ -29,8 +29,8 @@ workers.  Other state changed after the workers were forked (a library
 function the checker calls, patched later) does not reach them.  The pool
 is dropped when an exception leaves a pooled sweep, so a failed sweep's
 queued shards never run ahead of the next sweep's, and a worker starts
-each sweep from an empty table cache, so no answer comes from a table or
-stored minimum left by an earlier sweep.
+each sweep from an empty table cache, so no answer comes from a table
+left by an earlier sweep.
 """
 
 from __future__ import annotations

@@ -305,6 +305,29 @@ def test_violations_ndjson_stream(tmp_path, capsys):
     assert stream.read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--theorem", "nope"),
+    ("sweep", "--theorem", "monotony", "--max-n", "4", "--min-degree", "9"),
+    ("conjecture", "--max-n", "3", "--k", "0"),
+])
+def test_a_refused_sweep_leaves_the_violations_file_alone(argv, tmp_path, capsys):
+    stream = tmp_path / "v.ndjson"
+    stream.write_text("old\n")
+    code, out, err = run(capsys, *argv, "--violations", str(stream))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert stream.read_text() == "old\n"
+
+
+def test_an_accepted_sweep_rewrites_the_violations_file(tmp_path, capsys):
+    stream = tmp_path / "v.ndjson"
+    stream.write_text("old\n")
+    code, _, _ = run(
+        capsys, "sweep", "--theorem", "monotony", "--max-n", "3",
+        "--violations", str(stream),
+    )
+    assert code == 0 and stream.read_text() == ""
+
+
 def test_sweep_streams_each_violation_as_one_json_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(verify.THEOREMS, "monotony", lambda g: [(1, g.n, "never")])
     stream = tmp_path / "v.ndjson"

@@ -230,6 +230,14 @@ def test_twin_classes_are_neighborhood_equalities(g):
     assert lowest == sorted(lowest)
 
 
+def test_twin_test_refuses_vertices_out_of_range():
+    for u, v in ((3, -1), (-1, 3), (0, 9), (4, 0)):
+        with pytest.raises(OutOfRange):
+            are_twins(complete(4), u, v)
+    with pytest.raises(BadParameter):
+        are_twins(complete(4), 2, 2)
+
+
 def test_twin_prefix_is_every_class_but_its_top_vertex():
     # every labeled graph with n <= 5 and every class with n <= 7
     graphs = [

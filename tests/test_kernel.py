@@ -161,7 +161,7 @@ def test_cover_ladder_budget_bounds_each_level():
     table = build_table(random_graph(random.Random(1409), 14), 2)
     prepared = kernel.prepare(table.pair_masks, 14)
     nodes = [
-        kernel._minimum(prepared, k, None)[0].nodes
+        kernel.minimum_search(prepared, k)[2]
         for k in range(1, dimensionality(table) + 1)
     ]
     assert len(nodes) > 1

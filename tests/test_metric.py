@@ -11,6 +11,7 @@ from adimlab.errors import (
     BadParameter,
     KExceedsDimensionality,
     KTooLarge,
+    OutOfRange,
     SamePair,
     TooSmall,
 )
@@ -80,6 +81,24 @@ def test_distinguishing_set_paper_values():
     assert distinguishing_set(cycle(7), 2, 3, 4).to_list() == [2, 3, 4, 5]
     with pytest.raises(SamePair):
         distinguishing_set(path(4), 2, 2, 2)
+    with pytest.raises(BadParameter):
+        distinguishing_set(path(4), 0, 0, 1)
+    for x, y in ((0, 4), (-1, 2), (5, 1)):
+        with pytest.raises(OutOfRange):
+            distinguishing_set(path(4), 2, x, y)
+
+
+def test_pair_lookups_refuse_vertices_out_of_range():
+    # a vertex outside 0..n-1 would rank as another pair, or past the array
+    table = build_table(path(5), 2)
+    for x, y in ((0, 7), (7, 0), (-1, 2), (2, -1), (4, 9), (5, 6)):
+        with pytest.raises(OutOfRange, match=f"pair \\({x}, {y}\\) out of 0..4"):
+            table.pair_mask(x, y)
+        with pytest.raises(OutOfRange):
+            table.pair_set(x, y)
+    with pytest.raises(SamePair):
+        table.pair_set(3, 3)
+    assert table.pair_set(4, 3).to_list() == [2, 3, 4]
 
 
 def test_pair_rank_round_trip():

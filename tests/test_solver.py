@@ -234,7 +234,7 @@ def test_a_stored_solve_dim_walks_once(monkeypatch):
         monkeypatch.setattr(module, "bfs_layers", counting)
     first = solve_dim(path(7), 1)
     walks.clear()
-    assert solve_dim(path(7), 1) is first
+    assert _answer(solve_dim(path(7), 1)) == _answer(first)
     assert len(walks) == 1
 
 
@@ -415,31 +415,51 @@ def _random_tables(seed, count):
     return out
 
 
-def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
+def _answer(result):
+    """A solve's dimension, witness and stats, its millis aside."""
+    return result.dimension, result.witness, result.stats._replace(millis=0.0)
+
+
+def _counting_searches(monkeypatch):
+    """Wrap ``kernel.minimum_search``; the list it returns collects what each
+    call returned."""
+    returned = []
+    search = kernel.minimum_search
+
+    def counting(*args):
+        returned.append(search(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(kernel, "minimum_search", counting)
+    return returned
+
+
+def test_a_stored_minimum_gives_the_answers_of_a_cold_table(monkeypatch):
+    returned = _counting_searches(monkeypatch)
     for g, t, k in _random_tables(1801, 800):
         build_table.cache_clear()
         table = build_table(g, t)
+        returned.clear()
         cold_bases = enumerate_bases(g, k, t=t)
-        # the enumeration stored the minimum search it ran, and no solve
-        assert list(table.searches) == [k] and not table.minima
+        # the enumeration stored the kernel's record of the search it ran
+        assert len(returned) == 1 and table.searches == {k: returned[0]}
         found = table.searches[k]
+        assert found is returned[0] and type(found) is tuple
+        size, cover, search_nodes, greedy_size = found
         solved = solve_table(table, k)
-        assert table.minima == {k: solved}
-        assert table.searches == {k: found}
+        assert len(returned) == 1 and table.searches[k] is found
         # a table that never stored anything solves to the same answer, with
         # the same node counts
         fresh = solve_table(DistinguishTable(g, t, table.pair_masks), k)
-        assert (fresh.dimension, fresh.witness) == (solved.dimension, solved.witness)
-        assert fresh.stats._replace(millis=0.0) == solved.stats._replace(millis=0.0)
-        assert (found.dimension, found.stats.nodes, found.stats.greedy_size) == (
+        assert _answer(fresh) == _answer(solved)
+        assert (size, search_nodes, greedy_size) == (
             solved.dimension, solved.stats.search_nodes, solved.stats.greedy_size
         )
-        assert found.stats.search_nodes == found.stats.nodes
-        assert 1 <= solved.stats.search_nodes <= solved.stats.nodes
-        assert solve_table(table, k) is solved
+        assert 1 <= search_nodes <= solved.stats.nodes
+        assert _answer(solve_table(table, k)) == _answer(solved)
         assert enumerate_bases(g, k, t=t) == cold_bases
         assert cold_bases[0] == solved.witness
-        assert found.witness in cold_bases
+        assert VertexSet(table.n, cover) in cold_bases
 
 
 def test_the_minimum_search_alone_gives_the_size_of_a_full_solve():
@@ -448,13 +468,32 @@ def test_the_minimum_search_alone_gives_the_size_of_a_full_solve():
         table = build_table(g, t)
         cold = solve_table(DistinguishTable(g, t, table.pair_masks), k)
         assert minimum_size(table, k) == cold.dimension
-        assert list(table.searches) == [k] and not table.minima
+        assert list(table.searches) == [k]
+        assert table.searches[k] == kernel.minimum_search(table.prepared, k)
         # a full solve after it runs only the lex pass, and gives the
         # witness and node counts of a cold table
-        solved = solve_table(table, k)
-        assert solved.witness == cold.witness
-        assert solved.stats._replace(millis=0.0) == cold.stats._replace(millis=0.0)
-        assert minimum_size(table, k) == solved.dimension
+        assert _answer(solve_table(table, k)) == _answer(cold)
+        assert minimum_size(table, k) == cold.dimension
+
+
+def test_a_second_solve_runs_no_search_and_answers_as_a_cold_table(monkeypatch):
+    returned = _counting_searches(monkeypatch)
+    for g, t, k in _random_tables(1807, 150):
+        build_table.cache_clear()
+        table = build_table(g, t)
+        cold = solve_table(DistinguishTable(g, t, table.pair_masks), k)
+        nodes = cold.stats.nodes
+        with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
+            solve_table(DistinguishTable(g, t, table.pair_masks), k, nodes - 1)
+        assert _answer(solve_table(table, k)) == _answer(cold)
+        returned.clear()
+        # the second solve, and every budgeted one after it, reads the
+        # stored search; the budget that just suffices is a cold table's
+        assert _answer(solve_table(table, k)) == _answer(cold)
+        assert _answer(solve_table(table, k, nodes)) == _answer(cold)
+        with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
+            solve_table(table, k, nodes - 1)
+        assert returned == []
 
 
 def test_stored_minima_keep_the_budget_of_a_cold_search():
@@ -463,10 +502,9 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
         table = build_table(g, t)
         solved = solve_table(table, k)
         nodes = solved.stats.nodes
-        found = table.searches[k]
-        search = found.stats.nodes
-        # a hit raises exactly when the search it stores used more nodes
-        assert solve_table(table, k, budget=nodes) is solved
+        size, cover, search, _ = table.searches[k]
+        # the stored search raises exactly when running it would
+        assert _answer(solve_table(table, k, budget=nodes)) == _answer(solved)
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
             solve_table(table, k, budget=nodes - 1)
         assert minimum_size(table, k, budget=search) == solved.dimension
@@ -474,9 +512,7 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
             minimum_size(table, k, budget=search - 1)
         # an enumeration charges the stored minimum search, then its lex
         # pass; the kernel counts the lex pass alone
-        covers, lex, _ = kernel.enumerate_min_covers(
-            table.prepared, k, (found.dimension, found.witness.mask)
-        )
+        covers, lex, _ = kernel.enumerate_min_covers(table.prepared, k, (size, cover))
         assert [b.mask for b in enumerate_bases(g, k, budget=search + lex, t=t)] == covers
         with pytest.raises(BudgetExhausted, match=f"node budget {search - 1} "):
             enumerate_bases(g, k, budget=search - 1, t=t)
@@ -544,23 +580,18 @@ def test_a_basis_budget_holds_whatever_the_cache_holds():
 
 def test_an_enumeration_stores_the_minimum_it_solved(monkeypatch):
     build_table.cache_clear()
+    returned = _counting_searches(monkeypatch)
     bases = enumerate_bases(fig2_graph(), 2)
     table = build_table(fig2_graph(), 2)
-    found = table.searches[2]
-    assert found.dimension == 14 and found.witness in bases
-    assert not table.minima
+    assert len(returned) == 1 and table.searches == {2: returned[0]}
+    size, cover, _, _ = found = table.searches[2]
+    assert size == 14 and VertexSet(table.n, cover) in bases
     # a later solve runs the lex pass from the stored search, not the search
-    calls = []
-    search = kernel.minimum_search
-    monkeypatch.setattr(
-        kernel, "minimum_search", lambda *a: calls.append(a) or search(*a)
-    )
     solved = solve_adim(fig2_graph(), 2)
     assert (solved.dimension, solved.witness) == (14, bases[0])
-    assert table.minima == {2: solved}
     assert minimum_size(table, 2) == 14
-    assert solve_adim(fig2_graph(), 2) is solved
-    assert calls == []
+    assert _answer(solve_adim(fig2_graph(), 2)) == _answer(solved)
+    assert len(returned) == 1 and table.searches[2] is found
 
 
 def test_pickled_and_copied_tables_store_nothing():
@@ -571,8 +602,5 @@ def test_pickled_and_copied_tables_store_nothing():
         table = DistinguishTable(g, t, build_table(g, t).pair_masks)
         solved = solve_table(table, k)
         for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
-            assert not twin.minima and not twin.searches
-            again = solve_table(twin, k)
-            assert again is not solved
-            assert (again.dimension, again.witness) == (solved.dimension, solved.witness)
-            assert again.stats.nodes == solved.stats.nodes
+            assert not twin.searches
+            assert _answer(solve_table(twin, k)) == _answer(solved)
