@@ -31,14 +31,16 @@ greedy incumbent, finds the minimum size and one cover of that size
 (``minimum_search``).  The lex pass then walks the vertices in index order
 to list the minimum covers lexicographically, asking the same branch and
 bound, bounded by that size, whether a cover agrees with each new decision.
-``solve_min_multicover`` runs both and keeps the first cover; given the
-record of an earlier minimum search it runs the lex pass alone, from that
-record, and counts the record's nodes as its own, so its answer, node count
-and budget outcome are those of a solve from scratch.
-``enumerate_min_covers`` is the lex pass alone, given a known minimum size
-and a cover of that size.  ``cover_ladder`` is the one ladder, the minimum
-size at every level k = 1..C: a minimum search alone per level, all on one
-prepared table.
+
+The kernel owns the minimum search's record: a ``Prepared`` table keeps one
+per k in ``searches``, so the records live exactly as long as the table.
+``minimum_search`` returns the stored record when there is one, charged its
+nodes, so a budget has the outcome it would have on a cold table.  The lex
+pass of ``solve_min_multicover`` (which keeps the first cover) and of
+``enumerate_min_covers`` (which lists them all) starts from that record and
+counts its nodes against the budget too.  ``cover_ladder`` is the one
+ladder, the minimum size at every level k = 1..C: the minimum search alone
+per level, so it shares its records with solves and basis lists.
 
 The reduced masks and their columns depend on the masks alone, not on k,
 so ``prepare`` makes them once as a ``Prepared`` table
@@ -92,19 +94,21 @@ def _columns(masks, n: int) -> list[int]:
 
 
 class Prepared(NamedTuple):
-    """A table ready for search: the reduced masks, their columns and the
+    """A table ready for search: the reduced masks, their columns, the
     ``prefix``, vertices that the lexicographically smallest minimum cover
-    holds at every feasible k (0 when nothing is known of the table)."""
+    holds at every feasible k (0 when nothing is known of the table), and
+    ``searches``, the record of ``minimum_search`` for each k run so far."""
 
     masks: tuple[int, ...]
     cols: tuple[int, ...]
     prefix: int
+    searches: dict
 
 
 def prepare(masks, n: int, prefix: int = 0) -> Prepared:
     """Reduce ``masks`` and lay them out in columns over ``n`` vertices."""
     reduced = _reduce(masks)
-    return Prepared(tuple(reduced), tuple(_columns(reduced, n)), prefix)
+    return Prepared(tuple(reduced), tuple(_columns(reduced, n)), prefix, {})
 
 
 def forced(masks, k: int) -> int:
@@ -369,8 +373,15 @@ def minimum_search(prepared, k, budget=None):
     (size, cover, nodes, greedy_size), the minimum cover size, one cover of
     that size (it holds the forced masks and the prefix, but need not be
     the lexicographically smallest), the nodes spent and the size of the
-    greedy incumbent the search started from.  Assumes feasibility (every
-    mask has >= k bits)."""
+    greedy incumbent the search started from.  The record is stored in
+    ``prepared.searches`` and a later call for the same k returns it,
+    raising ``BudgetExhausted`` exactly when running the search again
+    would.  Assumes feasibility (every mask has >= k bits)."""
+    found = prepared.searches.get(k)
+    if found is not None:
+        if budget is not None and found[2] > budget:
+            raise BudgetExhausted(f"node budget {budget} exhausted")
+        return found
     search = _Search(prepared, k, budget)
     seed = forced(search.masks, k) | prepared.prefix
     planes = _planes(search.cols, k, len(search.masks), seed)
@@ -379,54 +390,55 @@ def minimum_search(prepared, k, budget=None):
     search.best_mask = incumbent
     full = (1 << search.n) - 1
     search.branch_bound(seed, seed.bit_count(), full & ~seed, planes)
-    return search.best_size, search.best_mask, search.nodes, greedy_size
+    found = search.best_size, search.best_mask, search.nodes, greedy_size
+    prepared.searches[k] = found
+    return found
 
 
-def solve_min_multicover(prepared, k, budget=None, minimum=None):
+def _lex_start(prepared, k, budget):
+    """A search ready for the lex pass, and the minimum search's record it
+    starts from: the search holds the record's cover and counts its nodes,
+    so ``budget`` bounds the two phases together."""
+    found = minimum_search(prepared, k, budget)
+    search = _Search(prepared, k, budget)
+    search.best_size, search.best_mask, search.nodes, _ = found
+    return search, found
+
+
+def solve_min_multicover(prepared, k, budget=None):
     """Exact minimum multicover.
 
     Returns (size, witness_mask, nodes, (greedy_size, search_nodes)) where
     witness is the lexicographically smallest minimum cover, greedy_size
     the size of the greedy incumbent the search started from and
     search_nodes the part of ``nodes`` spent finding the minimum size; the
-    lex pass spent the rest.  ``minimum``, when given, is what
-    ``minimum_search`` returned for the same table and k: the lex pass
-    starts from it and the minimum search is not run again.  Assumes
-    feasibility (every mask has >= k bits).
+    lex pass spent the rest.  Assumes feasibility (every mask has >= k
+    bits).
     """
-    if minimum is None:
-        minimum = minimum_search(prepared, k, budget)
-    size, cover, search_nodes, greedy_size = minimum
-    if budget is not None and search_nodes > budget:
-        raise BudgetExhausted(f"node budget {budget} exhausted")
-    search = _Search(prepared, k, budget)
-    search.nodes = search_nodes
-    search.best_size, search.best_mask = size, cover
+    search, (size, _, search_nodes, greedy_size) = _lex_start(prepared, k, budget)
     witnesses = search.lex_covers(size, 1, prepared.prefix)
     return size, witnesses[0], search.nodes, (greedy_size, search_nodes)
 
 
-def enumerate_min_covers(prepared, k, start, limit=None, budget=None):
-    """All minimum covers in lexicographic order: the lex pass, started from
-    ``start`` = (size, cover), the minimum cover size and a cover of that
-    size.
+def enumerate_min_covers(prepared, k, limit=None, budget=None):
+    """All minimum covers in lexicographic order.
 
     Returns (covers, nodes, truncated), ``nodes`` counting the nodes of the
-    lex pass; with a ``limit``, at most that many covers are returned and
+    lex pass alone (``budget`` bounds it and the minimum search together);
+    with a ``limit``, at most that many covers are returned and
     ``truncated`` reports whether more exist.
     """
-    search = _Search(prepared, k, budget)
-    search.best_size, search.best_mask = start
+    search, (size, _, search_nodes, _) = _lex_start(prepared, k, budget)
     cap = 1 << 62 if limit is None else limit + 1
-    covers = search.lex_covers(search.best_size, cap, 0)
+    covers = search.lex_covers(size, cap, 0)
     truncated = limit is not None and len(covers) > limit
-    return covers[:limit], search.nodes, truncated
+    return covers[:limit], search.nodes - search_nodes, truncated
 
 
 def cover_ladder(prepared, budget=None):
     """Minimum cover size for every feasible level k = 1..C as a list
-    (index k-1): one branch and bound per level, each bounded by ``budget``
-    nodes, on one prepared table."""
+    (index k-1): the minimum search of each level, each bounded by
+    ``budget`` nodes, on one prepared table."""
     if not prepared.masks:
         return []
     return [

@@ -46,13 +46,12 @@ def pair_rank(n: int, x: int, y: int) -> int:
 class DistinguishTable:
     """All pair distinguishing sets of a graph at one truncation level.
 
-    The table also keeps the work that depends on it alone: ``prepared``,
-    its reduced masks and their columns for the search kernel, made on
-    first use; and ``searches``, the record (size, cover, nodes,
-    greedy_size) of ``kernel.minimum_search`` for each k, which ``solver``
-    fills.  Neither survives pickling or copying."""
+    The table also keeps ``prepared``, the search kernel's form of it,
+    made on first use: the reduced masks, their columns, and the kernel's
+    record of each minimum search run on them.  It survives no pickling or
+    copying."""
 
-    __slots__ = ("graph", "t", "pair_masks", "_min_size", "searches", "_prepared")
+    __slots__ = ("graph", "t", "pair_masks", "_min_size", "_prepared")
 
     def __init__(self, graph: Graph, t: int, pair_masks: list[int]):
         object.__setattr__(self, "graph", graph)
@@ -61,7 +60,6 @@ class DistinguishTable:
         object.__setattr__(
             self, "_min_size", min(map(int.bit_count, pair_masks), default=None)
         )
-        object.__setattr__(self, "searches", {})
         object.__setattr__(self, "_prepared", None)
 
     def __setattr__(self, *_):
@@ -77,8 +75,9 @@ class DistinguishTable:
 
     @property
     def prepared(self) -> kernel.Prepared:
-        """The reduced masks, their columns and the graph's twin prefix;
-        none of them depends on k."""
+        """The reduced masks, their columns and the graph's twin prefix,
+        none of which depends on k, and the kernel's minimum-search
+        records."""
         if self._prepared is None:
             prepared = kernel.prepare(
                 self.pair_masks, self.n, twin_prefix(self.graph)

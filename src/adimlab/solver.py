@@ -4,8 +4,10 @@ solve_adim works at truncation level 2 (the adjacency metric), solve_dim at
 level t = n (the full shortest-path metric, connected graphs only).
 Both reduce to exact set multicover over the distinguish table and emit the
 lexicographically smallest optimal witness.  A solve has two phases: the
-minimum search, which the table stores (``minimum_size`` runs it alone), and
-the lex pass that picks the witness from its record.
+minimum search (``minimum_size`` runs it alone), and the lex pass that picks
+the witness.  The kernel keeps the minimum search's record on the table's
+``prepared`` form, so solves, size reads, basis lists and ladders on one
+table run it once per k, and a budget has the outcome of a cold table.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .bitset import VertexSet
 from .errors import (
     BadParameter,
     BasisCountExceeded,
-    BudgetExhausted,
     CapExceeded,
     KExceedsDimensionality,
+    OutOfRange,
     TooSmall,
 )
 from .graph import Graph
@@ -82,6 +84,8 @@ class SolveResult(NamedTuple):
 
 def is_k_generator(table: DistinguishTable, k: int, s: VertexSet) -> bool:
     """True iff s hits every pair's distinguishing set at least k times."""
+    if s.n != table.n:
+        raise OutOfRange(f"vertex set over {s.n} vertices, table over {table.n}")
     smask = s.mask
     return all((smask & m).bit_count() >= k for m in table.pair_masks)
 
@@ -106,31 +110,12 @@ def _check_k(table: DistinguishTable, k: int) -> int:
     return dim
 
 
-def _charge(nodes: int, budget: int | None) -> None:
-    """Raise ``BudgetExhausted`` when ``nodes`` exceed ``budget``."""
-    if budget is not None and nodes > budget:
-        raise BudgetExhausted(f"node budget {budget} exhausted")
-
-
-def _minimum(table: DistinguishTable, k: int, budget: int | None) -> tuple:
-    """The table's minimum search for k: the record (size, cover, nodes,
-    greedy_size) of ``kernel.minimum_search``, run and stored on a miss.  A
-    stored record is charged its nodes, so it raises ``BudgetExhausted``
-    exactly when running the search would."""
-    found = table.searches.get(k)
-    if found is None:
-        found = table.searches[k] = kernel.minimum_search(table.prepared, k, budget)
-    else:
-        _charge(found[2], budget)
-    return found
-
-
 def minimum_size(table: DistinguishTable, k: int, budget: int | None = None) -> int:
-    """The minimum k-generator size alone: the minimum search, stored on the
-    table, without the lex pass that picks a witness.  It equals
+    """The minimum k-generator size alone: the minimum search, without the
+    lex pass that picks a witness.  It equals
     ``solve_table(table, k).dimension``."""
     _check_k(table, k)
-    return _minimum(table, k, _budget(budget))[0]
+    return kernel.minimum_search(table.prepared, k, _budget(budget))[0]
 
 
 def solve_table(
@@ -138,17 +123,15 @@ def solve_table(
 ) -> SolveResult:
     """Exact minimum k-generator for an arbitrary distinguish table.
 
-    The lex pass starts from the table's minimum search (stored, or run and
-    stored now) and counts its nodes as its own, so the witness, the node
-    counts and the budget outcome are those of a solve from scratch:
-    ``BudgetExhausted`` is raised exactly when the minimum search and the
-    lex pass together use more nodes than ``budget``.  ``millis`` times
-    this call alone."""
+    The witness, the node counts and the budget outcome are those of a
+    solve from scratch, whatever the table's minimum search has already
+    stored: ``BudgetExhausted`` is raised exactly when the minimum search
+    and the lex pass together use more nodes than ``budget``.  ``millis``
+    times this call alone."""
     _check_k(table, k)
-    budget = _budget(budget)
     start = time.perf_counter()
     size, witness, nodes, (greedy_size, search_nodes) = kernel.solve_min_multicover(
-        table.prepared, k, budget, _minimum(table, k, budget)
+        table.prepared, k, _budget(budget)
     )
     millis = (time.perf_counter() - start) * 1000.0
     stats = SolveStats(nodes, greedy_size, millis, search_nodes)
@@ -174,25 +157,16 @@ def enumerate_bases(
 ) -> list[VertexSet]:
     """All minimum k-generators in ascending lexicographic order.
 
-    The lex pass lists the bases from the table's minimum search (stored,
-    or run and stored now); no witness is picked first.  The node budget
-    bounds the two together: the minimum search's nodes are charged first,
-    stored or fresh, and the lex pass gets what is left, so a budget has
-    the same outcome whatever the table holds."""
+    The lex pass lists the bases from the table's minimum search; no
+    witness is picked first.  The node budget bounds the two together, so
+    a budget has the same outcome whatever the table holds."""
     if limit is not None and limit < 0:
         raise BadParameter(f"basis limit must be an integer >= 0, got {limit}")
     table = build_table(g, t)
     _check_k(table, k)
-    budget = _budget(budget)
-    size, cover, nodes, _ = _minimum(table, k, budget)
-    rest = None if budget is None else budget - nodes
-    try:
-        covers, _, truncated = kernel.enumerate_min_covers(
-            table.prepared, k, (size, cover), limit, rest
-        )
-    except BudgetExhausted:
-        # the kernel names the rest; the whole budget is what ran out
-        raise BudgetExhausted(f"node budget {budget} exhausted") from None
+    covers, _, truncated = kernel.enumerate_min_covers(
+        table.prepared, k, limit, _budget(budget)
+    )
     if truncated:
         raise BasisCountExceeded(
             f"more than {limit} minimum {k}-generators; raise the limit"

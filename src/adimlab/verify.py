@@ -379,6 +379,8 @@ def _check_dim_le_adim(g: Graph) -> list:
     if g.n < 2 or diam == INFINITE:
         return []
     adim = adim_ladder(g)
+    # the diameter walk found g connected, so its level-n table is the full
+    # metric's; dim_ladder would walk g once more to find that out
     dim = _ladder(build_table(g, g.n))
     flat = diam <= 2
     out = []

@@ -69,23 +69,27 @@ def test_traced_counters_read_node_counts():
         ("kernel", "enumerate_min_covers"): 1,
     }
     prepared = build_table(petersen(), 2).prepared
-    start = kernel.solve_min_multicover(prepared, 2)[:2]
+    search = kernel.minimum_search(prepared, 2)[2]
     calls = {
         "solve_min_multicover": lambda budget: kernel.solve_min_multicover(
             prepared, 2, budget
         ),
         "enumerate_min_covers": lambda budget: kernel.enumerate_min_covers(
-            prepared, 2, start, budget=budget
+            prepared, 2, budget=budget
         ),
     }
+    # the smallest budget a call succeeds under: a solve's node count; an
+    # enumeration counts its lex pass alone, and its budget bounds the
+    # minimum search too
+    need = {"solve_min_multicover": 0, "enumerate_min_covers": search}
     for (_, fn_name), index in counters.items():
         call = calls[fn_name]
         nodes = call(None)[index]
-        # a node count is the smallest budget the same call succeeds under
         assert type(nodes) is int and nodes > 0
-        assert call(nodes)[index] == nodes
+        budget = need[fn_name] + nodes
+        assert call(budget)[index] == nodes
         with pytest.raises(BudgetExhausted):
-            call(nodes - 1)
+            call(budget - 1)
 
 
 def test_a_full_solve_feeds_the_traced_node_count():
@@ -105,6 +109,35 @@ def test_a_full_solve_feeds_the_traced_node_count():
                 tr.uninstall()
             assert tr.calls["kernel.solve_min_multicover"] == 1
             assert tr.counts["kernel.solve_nodes"] == solved.stats.nodes > 0
+
+
+def test_a_traced_enumeration_counts_the_lex_pass_alone():
+    # the count read from kernel.enumerate_min_covers is the nodes of its
+    # lex pass, cold or after a size-only solve: a basis list's budget
+    # just suffices at the minimum search's nodes plus that count
+    for g, k in ((petersen(), 2), (fig2_graph(), 2)):
+        counted = []
+        for warm in (False, True):
+            build_table.cache_clear()
+            if warm:
+                solver.minimum_size(build_table(g, 2), k)
+            tr = tracer.Tracer()
+            tr.install()
+            try:
+                bases = solver.enumerate_bases(g, k)
+            finally:
+                tr.uninstall()
+            assert tr.calls["kernel.enumerate_min_covers"] == 1
+            counted.append(tr.counts["kernel.enumerate_nodes"])
+        lex = counted[0]
+        assert counted == [lex, lex] and lex > 0
+        table = DistinguishTable(g, 2, build_table(g, 2).pair_masks)
+        search = solver.solve_table(table, k).stats.search_nodes
+        build_table.cache_clear()
+        assert solver.enumerate_bases(g, k, budget=search + lex) == bases
+        build_table.cache_clear()
+        with pytest.raises(BudgetExhausted):
+            solver.enumerate_bases(g, k, budget=search + lex - 1)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

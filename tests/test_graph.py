@@ -159,6 +159,11 @@ def test_bfs_layers_path_components_and_errors():
         bfs_layers(path(5), 5)
     with pytest.raises(OutOfRange):
         bfs_layers(path(5), -1)
+    # a limit counts layers, so it is at least 1, as a truncation level is
+    assert bfs_layers(path(4), 0, 1) == [1]
+    for limit in (0, -1):
+        with pytest.raises(BadParameter, match=f"got {limit}"):
+            bfs_layers(path(4), 0, limit)
 
 
 def test_diameter_fixeds():

@@ -88,8 +88,8 @@ def test_reduction_leaves_every_answer_unchanged():
         assert plain[:2] == extra[:2]
         assert all((extra[1] & m).bit_count() >= k for m in noisy)
         for limit in (None, 2):
-            listed = kernel.enumerate_min_covers(plain_table, k, plain[:2], limit)
-            noisy_listed = kernel.enumerate_min_covers(noisy_table, k, extra[:2], limit)
+            listed = kernel.enumerate_min_covers(plain_table, k, limit)
+            noisy_listed = kernel.enumerate_min_covers(noisy_table, k, limit)
             assert (listed[0], listed[2]) == (noisy_listed[0], noisy_listed[2])
         assert kernel.cover_ladder(plain_table) == kernel.cover_ladder(noisy_table)
 
@@ -173,43 +173,43 @@ def test_cover_ladder_budget_bounds_each_level():
 
 # (graph, k): ((size, witness, nodes) of solve_min_multicover,
 #              (count, last cover, nodes, truncated) of enumerate_min_covers
-#              from that size and witness with limit 5), on the level-2
-#              table.  Node counts are deterministic: a change in search
-#              effort fails here.
+#              with limit 5, its nodes those of the lex pass alone), on the
+#              level-2 table.  Node counts are deterministic: a change in
+#              search effort fails here.
 PINNED = {
     ("petersen", 1): ((3, (0, 2, 8), 12), (5, (0, 6, 7), 16, True)),
     ("petersen", 2): ((4, (0, 2, 8, 9), 36), (5, (2, 4, 5, 6), 77, False)),
     ("petersen", 3): ((7, (0, 1, 2, 3, 4, 5, 6), 112),
-                      (5, (0, 1, 2, 3, 4, 6, 7), 10, True)),
+                      (5, (0, 1, 2, 3, 4, 6, 7), 8, True)),
     ("fig2", 1): ((9, (1, 5, 8, 10, 12, 13, 15, 20, 22), 4155),
-                  (5, (1, 5, 8, 10, 12, 15, 16, 20, 22), 2798, True)),
+                  (5, (1, 5, 8, 10, 12, 15, 16, 20, 22), 2808, True)),
     ("fig2", 2): ((14, (0, 1, 3, 5, 7, 9, 11, 12, 13, 15, 17, 19, 21, 23), 1269),
-                  (5, (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 19, 21, 23), 460,
+                  (5, (0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 18, 19, 21, 23), 799,
                    True)),
     ("fig2", 3): ((20, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19,
                         20, 21, 22, 23), 5),
                   (1, (1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19,
                        20, 21, 22, 23), 4, False)),
-    ("random14", 1): ((4, (0, 1, 2, 4), 38), (5, (0, 1, 4, 10), 13, True)),
+    ("random14", 1): ((4, (0, 1, 2, 4), 38), (5, (0, 1, 4, 10), 16, True)),
     ("random14", 2): ((6, (0, 1, 2, 3, 4, 5), 106),
-                      (5, (0, 1, 2, 4, 6, 11), 23, True)),
+                      (5, (0, 1, 2, 4, 6, 11), 22, True)),
     ("random14", 3): ((8, (0, 1, 2, 3, 4, 5, 6, 8), 55),
                       (5, (0, 1, 2, 4, 5, 6, 9, 11), 39, True)),
     ("random16", 1): ((4, (1, 2, 4, 9), 77), (5, (2, 4, 5, 7), 87, True)),
     ("random16", 2): ((6, (0, 2, 4, 5, 9, 11), 213),
                       (2, (2, 4, 5, 9, 11, 13), 420, False)),
     ("random16", 3): ((9, (0, 1, 2, 3, 4, 5, 6, 7, 9), 168),
-                      (5, (0, 1, 2, 4, 5, 6, 7, 9, 12), 49, True)),
-    ("random18", 1): ((5, (0, 1, 2, 3, 5), 218), (5, (0, 1, 2, 5, 9), 13, True)),
+                      (5, (0, 1, 2, 4, 5, 6, 7, 9, 12), 59, True)),
+    ("random18", 1): ((5, (0, 1, 2, 3, 5), 218), (5, (0, 1, 2, 5, 9), 20, True)),
     ("random18", 2): ((7, (0, 1, 2, 3, 4, 9, 13), 541),
-                      (5, (0, 1, 2, 4, 5, 6, 14), 87, True)),
+                      (5, (0, 1, 2, 4, 5, 6, 14), 104, True)),
     ("random18", 3): ((9, (0, 1, 2, 3, 4, 5, 6, 10, 14), 236),
                       (5, (2, 5, 6, 8, 10, 13, 14, 15, 17), 822, True)),
-    ("random20", 1): ((5, (0, 1, 2, 3, 8), 343), (5, (0, 1, 2, 3, 19), 14, True)),
+    ("random20", 1): ((5, (0, 1, 2, 3, 8), 343), (5, (0, 1, 2, 3, 19), 18, True)),
     ("random20", 2): ((7, (0, 1, 2, 3, 7, 10, 18), 1749),
-                      (5, (0, 1, 2, 8, 12, 14, 17), 208, True)),
+                      (5, (0, 1, 2, 8, 12, 14, 17), 489, True)),
     ("random20", 3): ((9, (0, 1, 2, 3, 5, 6, 8, 13, 14), 3001),
-                      (5, (0, 1, 3, 5, 6, 13, 14, 15, 19), 1643, True)),
+                      (5, (0, 1, 3, 5, 6, 13, 14, 15, 19), 2788, True)),
 }
 
 
@@ -225,25 +225,30 @@ def pinned_graphs():
 @pytest.mark.parametrize("name,k", sorted(PINNED))
 def test_search_answers_and_node_counts_are_pinned(pinned_graphs, name, k):
     g = pinned_graphs[name]
-    prepared = kernel.prepare(build_table(g, 2).pair_masks, g.n)
+    masks = build_table(g, 2).pair_masks
+    prepared = kernel.prepare(masks, g.n)
     (size, witness, nodes), (count, last, enum_nodes, truncated) = PINNED[name, k]
     solved = kernel.solve_min_multicover(prepared, k)
     assert (solved[0], tuple(bits_of(solved[1])), solved[2]) == (size, witness, nodes)
-    start = solved[:2]
-    covers, found, more = kernel.enumerate_min_covers(prepared, k, start, 5)
+    covers, found, more = kernel.enumerate_min_covers(prepared, k, 5)
     assert covers[0] == solved[1]
     assert (len(covers), tuple(bits_of(covers[-1])), found, more) == (
         count, last, enum_nodes, truncated
     )
-    # the search exhausts at node budget + 1, so its own count just suffices
-    assert kernel.solve_min_multicover(prepared, k, nodes)[:3] == solved[:3]
-    with pytest.raises(BudgetExhausted):
-        kernel.solve_min_multicover(prepared, k, nodes - 1)
-    assert kernel.enumerate_min_covers(prepared, k, start, 5, enum_nodes) == (
-        covers, found, more
-    )
-    with pytest.raises(BudgetExhausted):
-        kernel.enumerate_min_covers(prepared, k, start, 5, enum_nodes - 1)
+    # the search exhausts at node budget + 1, so its own count just suffices,
+    # on a cold table as on one holding the minimum search; an enumeration's
+    # budget bounds that search and its lex pass together
+    enum_budget = solved[3][1] + enum_nodes
+    for table in (prepared, kernel.prepare(masks, g.n)):
+        assert kernel.solve_min_multicover(table, k, nodes)[:3] == solved[:3]
+        with pytest.raises(BudgetExhausted):
+            kernel.solve_min_multicover(table, k, nodes - 1)
+    for table in (prepared, kernel.prepare(masks, g.n)):
+        assert kernel.enumerate_min_covers(table, k, 5, enum_budget) == (
+            covers, found, more
+        )
+        with pytest.raises(BudgetExhausted):
+            kernel.enumerate_min_covers(table, k, 5, enum_budget - 1)
 
 
 def test_twin_prefix_keeps_every_answer_on_small_classes():
@@ -261,9 +266,11 @@ def test_twin_prefix_keeps_every_answer_on_small_classes():
                         fast = kernel.solve_min_multicover(table.prepared, k)
                         slow = kernel.solve_min_multicover(raw, k)
                         assert fast[:2] == slow[:2], (g, t, k)
-                        assert kernel.enumerate_min_covers(
-                            table.prepared, k, fast[:2]
-                        ) == kernel.enumerate_min_covers(raw, k, slow[:2])
+                        # each lex pass starts from its own search's cover,
+                        # so only the lists must agree, not the node counts
+                        listed = kernel.enumerate_min_covers(table.prepared, k)
+                        raw_listed = kernel.enumerate_min_covers(raw, k)
+                        assert listed[::2] == raw_listed[::2]
                         if table.prepared.prefix & ~kernel.forced(raw.masks, k):
                             # the greedy incumbent grown from the prefix can
                             # be larger, so only the sum must not grow
@@ -337,20 +344,28 @@ def test_twin_heavy_graphs_match_brute_force(graph):
 
 
 def test_a_stored_minimum_search_gives_the_answers_of_a_full_solve():
-    # the lex pass from minimum_search's record answers as a solve from
-    # scratch does, node counts and budget outcomes included
+    # the lex pass from minimum_search's stored record answers as a solve
+    # from scratch does, node counts and budget outcomes included, and
+    # runs no search again
     rng = random.Random(2302)
     for _ in range(120):
         g = random_graph(rng, rng.randint(2, 14))
         table = build_table(g, rng.choice((2, 3)))
         k = rng.randint(1, table.min_pair_size())
-        prepared = table.prepared
-        cold = kernel.solve_min_multicover(prepared, k)
+        cold = kernel.solve_min_multicover(
+            kernel.prepare(table.pair_masks, g.n, table.prepared.prefix), k
+        )
+        prepared = kernel.prepare(table.pair_masks, g.n, table.prepared.prefix)
         found = kernel.minimum_search(prepared, k)
+        assert prepared.searches == {k: found}
         assert (found[0], found[2], found[3]) == (cold[0], cold[3][1], cold[3][0])
-        assert kernel.solve_min_multicover(prepared, k, None, found) == cold
+        assert kernel.minimum_search(prepared, k) is found
+        assert kernel.solve_min_multicover(prepared, k) == cold
         nodes, search_nodes = cold[2], cold[3][1]
-        assert kernel.solve_min_multicover(prepared, k, nodes, found) == cold
+        assert kernel.solve_min_multicover(prepared, k, nodes) == cold
         for budget in {nodes - 1, search_nodes - 1}:
             with pytest.raises(BudgetExhausted):
-                kernel.solve_min_multicover(prepared, k, budget, found)
+                kernel.solve_min_multicover(prepared, k, budget)
+        with pytest.raises(BudgetExhausted):
+            kernel.minimum_search(prepared, k, search_nodes - 1)
+        assert prepared.searches == {k: found} and prepared.searches[k] is found

@@ -10,6 +10,7 @@ from adimlab.errors import (
     CapExceeded,
     Disconnected,
     KExceedsDimensionality,
+    OutOfRange,
 )
 from adimlab.graph import (
     complement,
@@ -58,6 +59,13 @@ def test_is_k_generator_fixtures():
         t = build_table(g, 2)
         assert is_k_generator(t, 2, g.vertex_set())
     assert not is_k_generator(build_table(path(4), 2), 1, VertexSet(4, 1))
+
+
+def test_is_k_generator_refuses_a_set_over_another_universe():
+    table = build_table(path(4), 2)
+    for s in (VertexSet(10, 0b1111111111), VertexSet(3, 0b111)):
+        with pytest.raises(OutOfRange):
+            is_k_generator(table, 1, s)
 
 
 def test_petersen_ladder():
@@ -287,7 +295,7 @@ def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):
     # just suffices, from the argument or the environment
     prepared = build_table(fig4_graph(), 2).prepared
     found = kernel.minimum_search(prepared, 3)
-    covers, lex, _ = kernel.enumerate_min_covers(prepared, 3, found[:2])
+    covers, lex, _ = kernel.enumerate_min_covers(prepared, 3)
     nodes = found[2] + lex
     assert len(covers) == 6
     assert len(enumerate_bases(fig4_graph(), 3, budget=nodes)) == 6
@@ -420,34 +428,27 @@ def _answer(result):
     return result.dimension, result.witness, result.stats._replace(millis=0.0)
 
 
-def _counting_searches(monkeypatch):
-    """Wrap ``kernel.minimum_search``; the list it returns collects what each
-    call returned."""
-    returned = []
-    search = kernel.minimum_search
-
-    def counting(*args):
-        returned.append(search(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(kernel, "minimum_search", counting)
-    return returned
+def _cold_search(g, t, k):
+    """The minimum search's record on a table that never stored one."""
+    return kernel.minimum_search(
+        DistinguishTable(g, t, build_table(g, t).pair_masks).prepared, k
+    )
 
 
-def test_a_stored_minimum_gives_the_answers_of_a_cold_table(monkeypatch):
-    returned = _counting_searches(monkeypatch)
+def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
     for g, t, k in _random_tables(1801, 800):
         build_table.cache_clear()
         table = build_table(g, t)
-        returned.clear()
         cold_bases = enumerate_bases(g, k, t=t)
         # the enumeration stored the kernel's record of the search it ran
-        assert len(returned) == 1 and table.searches == {k: returned[0]}
-        found = table.searches[k]
-        assert found is returned[0] and type(found) is tuple
+        searches = table.prepared.searches
+        assert list(searches) == [k]
+        found = searches[k]
+        assert type(found) is tuple and found == _cold_search(g, t, k)
         size, cover, search_nodes, greedy_size = found
+        # a solve after it runs no search: the record is the same object
         solved = solve_table(table, k)
-        assert len(returned) == 1 and table.searches[k] is found
+        assert searches == {k: found} and searches[k] is found
         # a table that never stored anything solves to the same answer, with
         # the same node counts
         fresh = solve_table(DistinguishTable(g, t, table.pair_masks), k)
@@ -468,16 +469,15 @@ def test_the_minimum_search_alone_gives_the_size_of_a_full_solve():
         table = build_table(g, t)
         cold = solve_table(DistinguishTable(g, t, table.pair_masks), k)
         assert minimum_size(table, k) == cold.dimension
-        assert list(table.searches) == [k]
-        assert table.searches[k] == kernel.minimum_search(table.prepared, k)
+        assert list(table.prepared.searches) == [k]
+        assert table.prepared.searches[k] == _cold_search(g, t, k)
         # a full solve after it runs only the lex pass, and gives the
         # witness and node counts of a cold table
         assert _answer(solve_table(table, k)) == _answer(cold)
         assert minimum_size(table, k) == cold.dimension
 
 
-def test_a_second_solve_runs_no_search_and_answers_as_a_cold_table(monkeypatch):
-    returned = _counting_searches(monkeypatch)
+def test_a_second_solve_runs_no_search_and_answers_as_a_cold_table():
     for g, t, k in _random_tables(1807, 150):
         build_table.cache_clear()
         table = build_table(g, t)
@@ -486,14 +486,15 @@ def test_a_second_solve_runs_no_search_and_answers_as_a_cold_table(monkeypatch):
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
             solve_table(DistinguishTable(g, t, table.pair_masks), k, nodes - 1)
         assert _answer(solve_table(table, k)) == _answer(cold)
-        returned.clear()
+        found = table.prepared.searches[k]
         # the second solve, and every budgeted one after it, reads the
         # stored search; the budget that just suffices is a cold table's
         assert _answer(solve_table(table, k)) == _answer(cold)
         assert _answer(solve_table(table, k, nodes)) == _answer(cold)
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
             solve_table(table, k, nodes - 1)
-        assert returned == []
+        assert table.prepared.searches == {k: found}
+        assert table.prepared.searches[k] is found
 
 
 def test_stored_minima_keep_the_budget_of_a_cold_search():
@@ -502,7 +503,7 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
         table = build_table(g, t)
         solved = solve_table(table, k)
         nodes = solved.stats.nodes
-        size, cover, search, _ = table.searches[k]
+        search = table.prepared.searches[k][2]
         # the stored search raises exactly when running it would
         assert _answer(solve_table(table, k, budget=nodes)) == _answer(solved)
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
@@ -512,7 +513,7 @@ def test_stored_minima_keep_the_budget_of_a_cold_search():
             minimum_size(table, k, budget=search - 1)
         # an enumeration charges the stored minimum search, then its lex
         # pass; the kernel counts the lex pass alone
-        covers, lex, _ = kernel.enumerate_min_covers(table.prepared, k, (size, cover))
+        covers, lex, _ = kernel.enumerate_min_covers(table.prepared, k)
         assert [b.mask for b in enumerate_bases(g, k, budget=search + lex, t=t)] == covers
         with pytest.raises(BudgetExhausted, match=f"node budget {search - 1} "):
             enumerate_bases(g, k, budget=search - 1, t=t)
@@ -561,7 +562,7 @@ def test_a_basis_budget_holds_whatever_the_cache_holds():
     for g, t, k in [(fig2_graph(), 2, 2)] + _random_tables(1804, 200):
         prepared = build_table(g, t).prepared
         found = kernel.minimum_search(prepared, k)
-        bases, lex, _ = kernel.enumerate_min_covers(prepared, k, found[:2])
+        bases, lex, _ = kernel.enumerate_min_covers(prepared, k)
         threshold = found[2] + lex
         full = kernel.solve_min_multicover(prepared, k)[2]
         for budget in (threshold, threshold - 1, full + lex):
@@ -578,20 +579,67 @@ def test_a_basis_budget_holds_whatever_the_cache_holds():
                 assert [b.mask for b in cold] == bases
 
 
-def test_an_enumeration_stores_the_minimum_it_solved(monkeypatch):
+def test_an_enumeration_stores_the_minimum_it_solved():
     build_table.cache_clear()
-    returned = _counting_searches(monkeypatch)
     bases = enumerate_bases(fig2_graph(), 2)
     table = build_table(fig2_graph(), 2)
-    assert len(returned) == 1 and table.searches == {2: returned[0]}
-    size, cover, _, _ = found = table.searches[2]
+    assert list(table.prepared.searches) == [2]
+    size, cover, _, _ = found = table.prepared.searches[2]
+    assert found == _cold_search(fig2_graph(), 2, 2)
     assert size == 14 and VertexSet(table.n, cover) in bases
     # a later solve runs the lex pass from the stored search, not the search
     solved = solve_adim(fig2_graph(), 2)
     assert (solved.dimension, solved.witness) == (14, bases[0])
     assert minimum_size(table, 2) == 14
     assert _answer(solve_adim(fig2_graph(), 2)) == _answer(solved)
-    assert len(returned) == 1 and table.searches[2] is found
+    assert table.prepared.searches == {2: found}
+    assert table.prepared.searches[2] is found
+
+
+def _outcome(call):
+    """What one budgeted call returns, its millis aside, or BudgetExhausted."""
+    try:
+        out = call()
+    except BudgetExhausted:
+        return BudgetExhausted
+    return _answer(out) if isinstance(out, solver.SolveResult) else out
+
+
+def test_a_ladder_shares_its_records_with_sizes_solves_and_bases():
+    # adim_ladder stores the minimum search of every level on its table;
+    # a size read, a solve and a basis list after it create no record, and
+    # they answer and run out of budget as each does on a cold table
+    rng = random.Random(1808)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(2, 14))
+        k = rng.randint(1, adjacency_dimensionality(g))
+        build_table.cache_clear()
+        stats = solve_table(build_table(g, 2), k).stats
+        search, nodes = stats.search_nodes, stats.nodes
+        lex = kernel.enumerate_min_covers(build_table(g, 2).prepared, k)[1]
+        for budget in {None, search - 1, search, nodes - 1, nodes,
+                       search + lex - 1, search + lex}:
+            calls = (
+                lambda table: minimum_size(table, k, budget),
+                lambda table: solve_table(table, k, budget),
+                lambda table: enumerate_bases(g, k, budget=budget),
+            )
+            cold = []
+            for call in calls:
+                build_table.cache_clear()
+                table = build_table(g, 2)
+                cold.append(_outcome(lambda: call(table)))
+            build_table.cache_clear()
+            table = build_table(g, 2)
+            ladder = adim_ladder(g)
+            stored = dict(table.prepared.searches)
+            assert list(stored) == list(range(1, len(ladder) + 1))
+            assert stored[k][0] == ladder[k - 1]
+            warm = [_outcome(lambda: call(table)) for call in calls]
+            assert warm == cold, (g, k, budget)
+            searches = table.prepared.searches
+            assert searches == stored
+            assert all(searches[j] is stored[j] for j in stored)
 
 
 def test_pickled_and_copied_tables_store_nothing():
@@ -602,5 +650,5 @@ def test_pickled_and_copied_tables_store_nothing():
         table = DistinguishTable(g, t, build_table(g, t).pair_masks)
         solved = solve_table(table, k)
         for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
-            assert not twin.searches
+            assert not twin.prepared.searches
             assert _answer(solve_table(twin, k)) == _answer(solved)
