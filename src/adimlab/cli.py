@@ -426,11 +426,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except AdimlabError as exc:
+    except (AdimlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        # an input too large to hold, such as a graph of 2**40 vertices
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

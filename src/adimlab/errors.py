@@ -38,11 +38,13 @@ class TooSmall(AdimlabError):
 
 
 class KTooLarge(AdimlabError):
-    """k exceeds the largest pair-set size relevant to the operation."""
+    """A raw multicover instance has a set of fewer than k elements; raised
+    only by the kernel, whose callers need not hold a graph's table."""
 
 
 class KExceedsDimensionality(AdimlabError):
-    """No k-generator exists because k is above the dimensionality bound."""
+    """No k-generator exists: k lies outside 1..the dimensionality bound of
+    a table (``metric.check_level``) or of a cone or join's closed form."""
 
 
 class Disconnected(AdimlabError):

@@ -5,6 +5,11 @@ the query is refused with the exact range in the message, never extrapolated.
 Criteria that quantify over all minimum generators are decided by basis
 enumeration, which the join criterion skips for H when a bound already
 decides it.
+
+The cone and join criteria and bounds refuse a level k outside 1..top, top
+the closed-form dimensionality of the cone or join, in one check
+(``KExceedsDimensionality``).  A graph of fewer than two vertices is
+refused (``TooSmall``) by the closed form or basis list they call first.
 """
 
 from __future__ import annotations
@@ -152,14 +157,9 @@ def formula_adim(q: FormulaQuery) -> int:
 # -- cone and join criteria --------------------------------------------------
 
 
-def _check_cone_k(h: Graph, k: int) -> None:
-    if h.n < 2:
-        raise TooSmall("criteria need a nontrivial graph")
-    top = cone_dimensionality(h)
+def _check_level(k: int, top: int, what: str) -> None:
     if not 1 <= k <= top:
-        raise KExceedsDimensionality(
-            f"k={k} outside 1..{top}, the feasibility range of the cone"
-        )
+        raise KExceedsDimensionality(f"k={k} outside 1..{top} for {what}")
 
 
 def _outside(h: Graph, basis: VertexSet) -> list[int]:
@@ -170,7 +170,7 @@ def _outside(h: Graph, basis: VertexSet) -> list[int]:
 def cone_equality_criterion(h: Graph, k: int) -> CriterionReport:
     """Some minimum k-generator A of H keeps >= k vertices outside every
     open neighborhood; equivalent to the cone K1+H having equal dimension."""
-    _check_cone_k(h, k)
+    _check_level(k, cone_dimensionality(h), "the cone")
     for basis in enumerate_bases(h, k):
         if min(_outside(h, basis)) >= k:
             return CriterionReport("cone-equality", True, basis)
@@ -181,7 +181,7 @@ def cone_plus_one_criterion(h: Graph, k: int) -> CriterionReport:
     """Every minimum k-generator of H leaves exactly k-1 vertices outside
     some open neighborhood and never fewer; forces the cone dimension to
     exceed H's by exactly one."""
-    _check_cone_k(h, k)
+    _check_level(k, cone_dimensionality(h), "the cone")
     witness = None
     for basis in enumerate_bases(h, k):
         outs = _outside(h, basis)
@@ -207,8 +207,6 @@ def adim2_upper_cone(h: Graph) -> ConeBound:
     """adim_2(H) + 2 bounds the cone; flags the two proven equality premises
     (a universal vertex outside all 2-bases, or an isolated vertex plus a
     degree n-2 vertex both outside all 2-bases)."""
-    if h.n < 2:
-        raise TooSmall("the bound needs a nontrivial graph")
     bases = enumerate_bases(h, 2)
     base = len(bases[0])
     in_some_basis = 0
@@ -230,15 +228,12 @@ def adim2_upper_cone(h: Graph) -> ConeBound:
 def join_bounds(g: Graph, h: Graph, k: int) -> tuple[int, int]:
     """(lower, upper) sandwich for the join dimension:
     adim_k(G) + adim_k(H) <= adim_k(G+H) <= adim_k(K1+G) + adim_k(H)."""
-    if g.n < 2 or h.n < 2:
-        raise TooSmall("join bounds need nontrivial graphs")
     top = min(
         join_dimensionality(g, h),
         adjacency_dimensionality(h),
         cone_dimensionality(g),
     )
-    if not 1 <= k <= top:
-        raise KExceedsDimensionality(f"k={k} outside 1..{top} for these bounds")
+    _check_level(k, top, "these bounds")
     ah = minimum_size(build_table(h, 2), k)
     lower = minimum_size(build_table(g, 2), k) + ah
     upper = minimum_size(build_table(join(complete(1), g), 2), k) + ah
@@ -254,11 +249,7 @@ def join_equality_criterion(g: Graph, h: Graph, k: int) -> CriterionReport:
     H's term is at least 0 and at least the score of H's lex-first basis,
     so H's bases are listed only when neither closes the gap; the report
     is the one the full lists give."""
-    if g.n < 2 or h.n < 2:
-        raise TooSmall("the criterion needs nontrivial graphs")
-    top = join_dimensionality(g, h)
-    if not 1 <= k <= top:
-        raise KExceedsDimensionality(f"k={k} outside 1..{top} for the join")
+    _check_level(k, join_dimensionality(g, h), "the join")
 
     def best(graph: Graph) -> tuple[int, VertexSet]:
         score, argmax = -1, None

@@ -26,7 +26,6 @@ from .errors import (
     BadParameter,
     Disconnected,
     KExceedsDimensionality,
-    KTooLarge,
     OutOfRange,
     SamePair,
     TooSmall,
@@ -174,16 +173,24 @@ def dimensionality(table: DistinguishTable) -> int:
     return table.min_pair_size()
 
 
+def check_level(table: DistinguishTable, k: int) -> None:
+    """Refuse a level k outside 1..dimensionality(table), the levels at
+    which a k-generator exists.  Every table-level query refuses one here."""
+    dim = dimensionality(table)
+    if k < 1:
+        raise KExceedsDimensionality(f"k must be >= 1, got {k}")
+    if k > dim:
+        raise KExceedsDimensionality(
+            f"no {k}-generator exists: the dimensionality bound is {dim}"
+        )
+
+
 def forced_set(table: DistinguishTable, k: int) -> VertexSet:
     """Union of all pair sets of size exactly k.
 
     Every k-generator at this table's level contains the returned set.
     """
-    dim = dimensionality(table)
-    if k < 1:
-        raise KExceedsDimensionality(f"k must be >= 1, got {k}")
-    if k > dim:
-        raise KTooLarge(f"k={k} exceeds the dimensionality bound {dim}")
+    check_level(table, k)
     return VertexSet(table.n, kernel.forced(table.pair_masks, k))
 
 

@@ -24,12 +24,16 @@ from .errors import (
     BadParameter,
     BasisCountExceeded,
     CapExceeded,
-    KExceedsDimensionality,
     OutOfRange,
-    TooSmall,
 )
 from .graph import Graph
-from .metric import DistinguishTable, build_table, dimensionality, metric_table
+from .metric import (
+    DistinguishTable,
+    build_table,
+    check_level,
+    dimensionality,
+    metric_table,
+)
 
 BUDGET_ENV = "ADIMLAB_BUDGET"
 
@@ -92,29 +96,16 @@ def is_k_generator(table: DistinguishTable, k: int, s: VertexSet) -> bool:
 
 def greedy_bound(table: DistinguishTable, k: int) -> VertexSet:
     """Valid k-generator from the max-coverage greedy heuristic."""
-    _check_k(table, k)
+    check_level(table, k)
     mask = kernel.greedy_cover(table.prepared, k)
     return VertexSet(table.n, mask)
-
-
-def _check_k(table: DistinguishTable, k: int) -> int:
-    if table.n < 2:
-        raise TooSmall(f"need at least 2 vertices, got {table.n}")
-    if k < 1:
-        raise KExceedsDimensionality(f"k must be >= 1, got {k}")
-    dim = dimensionality(table)
-    if k > dim:
-        raise KExceedsDimensionality(
-            f"no {k}-generator exists: the dimensionality bound is {dim}"
-        )
-    return dim
 
 
 def minimum_size(table: DistinguishTable, k: int, budget: int | None = None) -> int:
     """The minimum k-generator size alone: the minimum search, without the
     lex pass that picks a witness.  It equals
     ``solve_table(table, k).dimension``."""
-    _check_k(table, k)
+    check_level(table, k)
     return kernel.minimum_search(table.prepared, k, _budget(budget))[0]
 
 
@@ -128,7 +119,7 @@ def solve_table(
     stored: ``BudgetExhausted`` is raised exactly when the minimum search
     and the lex pass together use more nodes than ``budget``.  ``millis``
     times this call alone."""
-    _check_k(table, k)
+    check_level(table, k)
     start = time.perf_counter()
     size, witness, nodes, (greedy_size, search_nodes) = kernel.solve_min_multicover(
         table.prepared, k, _budget(budget)
@@ -163,7 +154,7 @@ def enumerate_bases(
     if limit is not None and limit < 0:
         raise BadParameter(f"basis limit must be an integer >= 0, got {limit}")
     table = build_table(g, t)
-    _check_k(table, k)
+    check_level(table, k)
     covers, _, truncated = kernel.enumerate_min_covers(
         table.prepared, k, limit, _budget(budget)
     )
@@ -180,17 +171,18 @@ def adim_ladder(g: Graph) -> list[int]:
     One branch and bound per level on one prepared table, at every order;
     the node budget in ``ADIMLAB_BUDGET``, when set, bounds each level.
     """
-    return _ladder(build_table(g, 2))
+    return table_ladder(build_table(g, 2))
 
 
 def dim_ladder(g: Graph) -> list[int]:
     """dim_k for every feasible k under the full metric (connected only)."""
-    return _ladder(metric_table(g))
+    return table_ladder(metric_table(g))
 
 
-def _ladder(table: DistinguishTable) -> list[int]:
-    if table.n < 2:
-        raise TooSmall(f"need at least 2 vertices, got {table.n}")
+def table_ladder(table: DistinguishTable) -> list[int]:
+    """The minimum k-generator size of every feasible k = 1..C on one
+    table (index k-1): the table-level form of ``adim_ladder``."""
+    dimensionality(table)  # refuses a table of fewer than 2 vertices
     return kernel.cover_ladder(table.prepared, _budget(None))
 
 
@@ -200,7 +192,7 @@ def brute_force_adim(
     """Independent oracle: try subsets in increasing size, lexicographic
     within each size, and return the first valid k-generator."""
     table = build_table(g, t)
-    _check_k(table, k)
+    check_level(table, k)
     n = g.n
     cap = size_cap if size_cap is not None else n
     masks = table.pair_masks

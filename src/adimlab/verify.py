@@ -76,7 +76,7 @@ from .metric import (
     dimensionality,
     join_dimensionality,
 )
-from .solver import BUDGET_ENV, _ladder, adim_ladder
+from .solver import BUDGET_ENV, adim_ladder, table_ladder
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
@@ -342,22 +342,16 @@ def _check_monotony(g: Graph) -> list:
     ]
 
 
-def _check_k_plus_2(g: Graph) -> list:
+def _check_k_plus_2(g: Graph, top: int | None = None) -> list:
+    """adim_k(G) >= k + 2 on n >= 7, for every feasible k up to ``top``."""
     if g.n < 7:
         return []
-    ladder = adim_ladder(g)
+    ladder = adim_ladder(g)[:top]
     return [
         (k, ladder[k - 1], f">= {k + 2}")
         for k in range(1, len(ladder) + 1)
         if ladder[k - 1] < k + 2
     ]
-
-
-def _check_adim1_ge_3(g: Graph) -> list:
-    if g.n < 7:
-        return []
-    first = adim_ladder(g)[0]
-    return [] if first >= 3 else [(1, first, ">= 3")]
 
 
 def _check_complement(g: Graph) -> list:
@@ -381,7 +375,7 @@ def _check_dim_le_adim(g: Graph) -> list:
     adim = adim_ladder(g)
     # the diameter walk found g connected, so its level-n table is the full
     # metric's; dim_ladder would walk g once more to find that out
-    dim = _ladder(build_table(g, g.n))
+    dim = table_ladder(build_table(g, g.n))
     flat = diam <= 2
     out = []
     for k in range(1, len(adim) + 1):
@@ -434,25 +428,23 @@ def _is_cycle_graph(g: Graph) -> bool:
     )
 
 
-def _check_adim3_eq_4(g: Graph) -> list:
-    if g.n < 4:
-        return []
-    ladder = adim_ladder(g)
-    observed = len(ladder) >= 3 and ladder[2] == 4
-    expected = (g.n == 4 and _is_path_graph(g)) or (g.n == 5 and _is_cycle_graph(g))
-    if observed != expected:
-        return [(3, observed, expected)]
-    return []
+def _is_c5(g: Graph) -> bool:
+    return g.n == 5 and _is_cycle_graph(g)
 
 
-def _check_adim4_eq_5(g: Graph) -> list:
-    if g.n < 5:
+def _is_p4_or_c5(g: Graph) -> bool:
+    return (g.n == 4 and _is_path_graph(g)) or _is_c5(g)
+
+
+def _check_k_plus_1(k: int, family: Callable[[Graph], bool], g: Graph) -> list:
+    """adim_k(G) = k + 1 exactly when G is in ``family``, on n >= k + 1."""
+    if g.n < k + 1:
         return []
     ladder = adim_ladder(g)
-    observed = len(ladder) >= 4 and ladder[3] == 5
-    expected = g.n == 5 and _is_cycle_graph(g)
+    observed = len(ladder) >= k and ladder[k - 1] == k + 1
+    expected = family(g)
     if observed != expected:
-        return [(4, observed, expected)]
+        return [(k, observed, expected)]
     return []
 
 
@@ -601,7 +593,7 @@ def _check_cone_equality(h: Graph) -> list:
 THEOREMS: dict[str, Check] = {
     "monotony": _check_monotony,
     "k-plus-2": _check_k_plus_2,
-    "adim1-ge-3": _check_adim1_ge_3,
+    "adim1-ge-3": partial(_check_k_plus_2, top=1),
     "complement": _check_complement,
     "dim-le-adim": _check_dim_le_adim,
     "kdim-vs-kadj": _check_kdim_vs_kadj,
@@ -610,8 +602,8 @@ THEOREMS: dict[str, Check] = {
     "cone-equality": _check_cone_equality,
     "cone-isolated-dichotomy": _check_cone_isolated_dichotomy,
     "full-dimension": _check_full_dimension,
-    "adim3-eq-4": _check_adim3_eq_4,
-    "adim4-eq-5": _check_adim4_eq_5,
+    "adim3-eq-4": partial(_check_k_plus_1, 3, _is_p4_or_c5),
+    "adim4-eq-5": partial(_check_k_plus_1, 4, _is_c5),
     "K1T-trees": _check_k1t_trees,
     "cone-conjecture": partial(_cone_slack_at, (1, 2, 3, 4)),
 }

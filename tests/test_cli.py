@@ -568,6 +568,36 @@ def test_python_dash_m_runs_the_command():
     assert "Traceback" not in done.stderr
 
 
+OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from adimlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_an_input_too_large_to_build_exits_2_without_a_traceback(tmp_path):
+    # each graph has 2**40 vertices; under 1 GiB of address space building
+    # it raises MemoryError, which the command reports as one error line
+    edges = tmp_path / "huge.txt"
+    edges.write_text("1099511627776 0\n")
+    src = str(Path(adimlab.__file__).resolve().parents[1])
+    for args in (
+        ["info", "--graph", "hypercube:40"],
+        ["compute", "--graph", "complement:hypercube:40", "--k", "1"],
+        ["compute", "--file", str(edges), "--k", "1"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", OUT_OF_MEMORY, src, *args],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, (args, done.stderr)
+        assert done.stderr.startswith("error: "), args
+        assert done.stderr.count("\n") == 1, args
+        assert "Traceback" not in done.stderr
+
+
 COLD_START = """
 import sys
 sys.path.insert(0, sys.argv[1])

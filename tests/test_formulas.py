@@ -514,3 +514,38 @@ def test_tree_dimensionality():
 def test_tree_dimensionality_matches_table():
     for t in enumerate_trees(9, 3):
         assert tree_dimensionality(t) == adjacency_dimensionality(t)
+
+
+def test_cone_and_join_queries_refuse_levels_and_tiny_graphs_in_one_place():
+    h, g = cycle(5), path(4)
+    cone_top = cone_dimensionality(h)
+    bounds_top = min(
+        join_dimensionality(g, h), adjacency_dimensionality(h), cone_dimensionality(g)
+    )
+    for query, top, what in (
+        (lambda k: cone_equality_criterion(h, k), cone_top, "the cone"),
+        (lambda k: cone_plus_one_criterion(h, k), cone_top, "the cone"),
+        (lambda k: join_bounds(g, h, k), bounds_top, "these bounds"),
+        (lambda k: join_equality_criterion(g, h, k), join_dimensionality(g, h),
+         "the join"),
+    ):
+        query(top)
+        for k in (0, top + 1):
+            with pytest.raises(
+                KExceedsDimensionality, match=f"^k={k} outside 1..{top} for {what}$"
+            ):
+                query(k)
+    # a graph under two vertices is refused by the closed form or basis list
+    # each query reads first
+    one = complete(1)
+    for query in (
+        lambda: cone_equality_criterion(one, 1),
+        lambda: cone_plus_one_criterion(one, 1),
+        lambda: adim2_upper_cone(one),
+        lambda: join_bounds(one, h, 1),
+        lambda: join_bounds(h, one, 1),
+        lambda: join_equality_criterion(one, h, 1),
+        lambda: join_equality_criterion(h, one, 1),
+    ):
+        with pytest.raises(TooSmall):
+            query()

@@ -141,7 +141,7 @@ def test_cover_ladder_matches_brute_force_and_repeated_solves():
                     ]
                     prepared = kernel.prepare(table.pair_masks, g.n)
                     assert kernel.cover_ladder(prepared) == slow
-                    assert solver._ladder(table) == slow
+                    assert solver.table_ladder(table) == slow
     # larger orders against one solve per level
     rng = random.Random(913)
     graphs = [random_graph(rng, n) for n in range(9, 14) for _ in range(2)]
@@ -154,7 +154,7 @@ def test_cover_ladder_matches_brute_force_and_repeated_solves():
             for k in range(1, dimensionality(table) + 1)
         ]
         assert kernel.cover_ladder(kernel.prepare(table.pair_masks, g.n)) == solved
-        assert solver._ladder(table) == solved
+        assert solver.table_ladder(table) == solved
 
 
 def test_cover_ladder_budget_bounds_each_level():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from adimlab.errors import (
     BadParameter,
     KExceedsDimensionality,
-    KTooLarge,
     OutOfRange,
     SamePair,
     TooSmall,
@@ -148,7 +147,10 @@ def test_forced_set_values():
     assert forced_set(p6, 3).to_list() == [0, 1, 2, 3, 4, 5]
     pet = build_table(petersen(), 2)
     assert forced_set(pet, 2).to_list() == []
-    with pytest.raises(KTooLarge):
+    with pytest.raises(
+        KExceedsDimensionality,
+        match="^no 4-generator exists: the dimensionality bound is 3$",
+    ):
         forced_set(p6, 4)
     for k in (0, -1):
         with pytest.raises(KExceedsDimensionality, match=f"^k must be >= 1, got {k}$"):

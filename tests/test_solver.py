@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from adimlab.errors import (
     Disconnected,
     KExceedsDimensionality,
     OutOfRange,
+    TooSmall,
 )
 from adimlab.graph import (
     complement,
@@ -32,6 +34,7 @@ from adimlab.metric import (
     DistinguishTable,
     adjacency_dimensionality,
     build_table,
+    dimensionality,
     forced_set,
     metric_table,
 )
@@ -59,6 +62,48 @@ def test_is_k_generator_fixtures():
         t = build_table(g, 2)
         assert is_k_generator(t, 2, g.vertex_set())
     assert not is_k_generator(build_table(path(4), 2), 1, VertexSet(4, 1))
+
+
+def _table_level_queries(g, t, k):
+    """Every table-level query of g at truncation level t for level k."""
+    table = build_table(g, t)
+    return {
+        "forced_set": lambda: forced_set(table, k),
+        "solve_table": lambda: solve_table(table, k),
+        "minimum_size": lambda: minimum_size(table, k),
+        "greedy_bound": lambda: greedy_bound(table, k),
+        "enumerate_bases": lambda: enumerate_bases(g, k, t=t),
+        "brute_force_adim": lambda: brute_force_adim(g, k, t=t),
+    }
+
+
+@pytest.mark.parametrize(
+    "g, t",
+    [(path(5), 2), (petersen(), 2), (fig2_graph(), 2), (cycle(7), 3)],
+    ids=["path5", "petersen", "fig2", "cycle7-t3"],
+)
+def test_every_table_query_refuses_a_level_with_one_message(g, t):
+    dim = dimensionality(build_table(g, t))
+    for k, message in (
+        (0, "k must be >= 1, got 0"),
+        (-1, "k must be >= 1, got -1"),
+        (dim + 1, f"no {dim + 1}-generator exists: the dimensionality bound is {dim}"),
+    ):
+        for query in _table_level_queries(g, t, k).values():
+            with pytest.raises(KExceedsDimensionality, match=f"^{re.escape(message)}$"):
+                query()
+    # the top level itself is served
+    assert minimum_size(build_table(g, t), dim) >= dim
+
+
+def test_every_table_query_refuses_one_vertex_with_one_message():
+    g = complete(1)
+    queries = _table_level_queries(g, 2, 1)
+    queries["adim_ladder"] = lambda: adim_ladder(g)
+    queries["dim_ladder"] = lambda: dim_ladder(g)
+    for query in queries.values():
+        with pytest.raises(TooSmall, match=r"^need at least 2 vertices, got 1$"):
+            query()
 
 
 def test_is_k_generator_refuses_a_set_over_another_universe():

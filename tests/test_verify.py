@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
@@ -40,6 +41,8 @@ from adimlab.verify import (
     Corpus,
     Violation,
     _classes,
+    _is_cycle_graph,
+    _is_path_graph,
     check_cone_conjecture,
     check_cone_slack,
     enumerate_all_graphs,
@@ -218,6 +221,112 @@ def test_characterization_hit_counts():
         if len(adim_ladder(g)) >= 4 and adim_ladder(g)[3] == 5
     )
     assert hits5_k4 == 12
+
+
+# The checkers these theorem ids had before each became a parameterised
+# form of a shared one, kept as the reference the shared forms must equal.
+
+
+def _check_adim1_ge_3(g):
+    if g.n < 7:
+        return []
+    first = adim_ladder(g)[0]
+    return [] if first >= 3 else [(1, first, ">= 3")]
+
+
+def _check_adim3_eq_4(g):
+    if g.n < 4:
+        return []
+    ladder = adim_ladder(g)
+    observed = len(ladder) >= 3 and ladder[2] == 4
+    expected = (g.n == 4 and _is_path_graph(g)) or (g.n == 5 and _is_cycle_graph(g))
+    if observed != expected:
+        return [(3, observed, expected)]
+    return []
+
+
+def _check_adim4_eq_5(g):
+    if g.n < 5:
+        return []
+    ladder = adim_ladder(g)
+    observed = len(ladder) >= 4 and ladder[3] == 5
+    expected = g.n == 5 and _is_cycle_graph(g)
+    if observed != expected:
+        return [(4, observed, expected)]
+    return []
+
+
+MERGED_CHECKERS = {
+    "adim1-ge-3": _check_adim1_ge_3,
+    "adim3-eq-4": _check_adim3_eq_4,
+    "adim4-eq-5": _check_adim4_eq_5,
+}
+
+@cache
+def _class_graphs():
+    """One graph of every isomorphism class with 2 <= n <= 7."""
+    return tuple(g for n in range(2, 8) for _, _, g in _classes(n))
+
+
+def _shift_ladders(monkeypatch, level, delta):
+    """Make every ladder the checkers read, the references' included, the
+    true one with level ``level`` (index) moved by ``delta``."""
+    true_ladder = cache(verify.adim_ladder)
+
+    def shifted(g):
+        ladder = list(true_ladder(g))
+        if level < len(ladder):
+            ladder[level] += delta
+        return ladder
+
+    monkeypatch.setattr(verify, "adim_ladder", shifted)
+    monkeypatch.setitem(globals(), "adim_ladder", shifted)
+
+
+def test_merged_checkers_equal_their_references_on_every_class():
+    for theorem, reference in MERGED_CHECKERS.items():
+        for g in _class_graphs():
+            assert THEOREMS[theorem](g) == reference(g), (theorem, to_graph6(g))
+
+
+def test_merged_checkers_equal_their_references_on_shifted_ladders(monkeypatch):
+    # every level a reference reads, moved up and down: each theorem then
+    # reports violations, and they must be the reference's
+    found = Counter()
+    for level in range(4):
+        for delta in (1, -1):
+            with monkeypatch.context() as patch:
+                _shift_ladders(patch, level, delta)
+                for theorem, reference in MERGED_CHECKERS.items():
+                    for g in _class_graphs():
+                        triples = THEOREMS[theorem](g)
+                        assert triples == reference(g), (theorem, level, delta)
+                        found[theorem] += len(triples)
+    assert min(found[theorem] for theorem in MERGED_CHECKERS) > 0
+
+
+# a level (index) each theorem reads, which a shift makes it report on
+SHIFTED_LEVEL = {"adim1-ge-3": 0, "adim3-eq-4": 2, "adim4-eq-5": 3, "k-plus-2": 1}
+
+
+@pytest.mark.parametrize("theorem", sorted(SHIFTED_LEVEL))
+def test_merged_checkers_pool_like_the_serial_sweep(monkeypatch, theorem):
+    corpus = Corpus(min_n=2, max_n=7)
+    serial = sweep_theorem(corpus, theorem)
+    pooled = sweep_theorem(corpus, theorem, jobs=2)
+    assert (pooled.checked, pooled.violations) == (serial.checked, [])
+    # with a shifted ladder the reports are not empty; a pool made after
+    # the shift reads it too, as its workers are forked from this process
+    verify._close_pool()
+    _shift_ladders(monkeypatch, SHIFTED_LEVEL[theorem], -1)
+    records = Corpus(graph6_lines=tuple(map(to_graph6, _class_graphs())))
+    try:
+        serial = sweep_theorem(records, theorem)
+        pooled = sweep_theorem(records, theorem, jobs=2)
+    finally:
+        verify._close_pool()
+    assert serial.violations and pooled.violations == serial.violations
+    assert pooled.checked == serial.checked == len(_class_graphs())
 
 
 def test_parallel_sweep_matches_serial():
