@@ -52,7 +52,7 @@ class Disconnected(AdimlabError):
 
 
 class CapExceeded(AdimlabError):
-    """Brute-force search exhausted its subset-size cap without an answer."""
+    """Brute-force search would pass its subset-evaluation limit."""
 
 
 class BudgetExhausted(AdimlabError):

@@ -228,11 +228,9 @@ def adim2_upper_cone(h: Graph) -> ConeBound:
 def join_bounds(g: Graph, h: Graph, k: int) -> tuple[int, int]:
     """(lower, upper) sandwich for the join dimension:
     adim_k(G) + adim_k(H) <= adim_k(G+H) <= adim_k(K1+G) + adim_k(H)."""
-    top = min(
-        join_dimensionality(g, h),
-        adjacency_dimensionality(h),
-        cone_dimensionality(g),
-    )
+    # the join's closed form is never lower: its cross term is at least the
+    # cone's, since n_H - max_degree(H) >= 1
+    top = min(cone_dimensionality(g), adjacency_dimensionality(h))
     _check_level(k, top, "these bounds")
     ah = minimum_size(build_table(h, 2), k)
     lower = minimum_size(build_table(g, 2), k) + ah

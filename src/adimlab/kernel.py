@@ -61,11 +61,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bitset import bits_of
-from .errors import BudgetExhausted, KTooLarge
+from .errors import BudgetExhausted, KTooLarge, OutOfRange
 
 
 def implementation_name() -> str:
-    """Name of the kernel that produces every result, recorded in reports."""
+    """Name of the kernel behind every result, shown by benchmark runs."""
     return "python"
 
 
@@ -106,8 +106,11 @@ class Prepared(NamedTuple):
 
 
 def prepare(masks, n: int, prefix: int = 0) -> Prepared:
-    """Reduce ``masks`` and lay them out in columns over ``n`` vertices."""
+    """Reduce ``masks`` and lay them out in columns over ``n`` vertices; a
+    mask outside 0..2^n - 1 raises ``OutOfRange``."""
     reduced = _reduce(masks)
+    if reduced and (min(reduced) < 0 or max(reduced) >> n):
+        raise OutOfRange(f"a mask lies outside the {n} vertices 0..{n - 1}")
     return Prepared(tuple(reduced), tuple(_columns(reduced, n)), prefix, {})
 
 

@@ -13,6 +13,9 @@ the layers are {x} and the row of x, so those tables need no walk.
 
 No shortest path has n or more edges, so on a connected graph the level-n
 table is the full shortest-path metric's (``metric_table``).
+
+A graph of fewer than two vertices has no pair: ``dimensionality`` refuses
+it (``TooSmall``), and with it every closed form below.
 """
 
 from __future__ import annotations
@@ -43,16 +46,21 @@ def pair_rank(n: int, x: int, y: int) -> int:
 
 
 class DistinguishTable:
-    """All pair distinguishing sets of a graph at one truncation level.
+    """All pair distinguishing sets of a graph at one truncation level t,
+    made from the graph and t alone; t below 1 raises ``BadParameter``.
+    ``build_table`` is the cached way to get one.
 
     The table also keeps ``prepared``, the search kernel's form of it,
-    made on first use: the reduced masks, their columns, and the kernel's
-    record of each minimum search run on them.  It survives no pickling or
-    copying."""
+    made on first use: the reduced masks, their columns, the graph's twin
+    prefix and the kernel's record of each minimum search run on them.
+    Pickling and copying go through (graph, t), so they keep none of it."""
 
     __slots__ = ("graph", "t", "pair_masks", "_min_size", "_prepared")
 
-    def __init__(self, graph: Graph, t: int, pair_masks: list[int]):
+    def __init__(self, graph: Graph, t: int):
+        if t < 1:
+            raise BadParameter(f"truncation level must be >= 1, got {t}")
+        pair_masks = _build_masks(graph, t)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "pair_masks", tuple(pair_masks))
@@ -66,7 +74,7 @@ class DistinguishTable:
 
     def __reduce__(self):
         # through the constructor: __setattr__ refuses restored slot state
-        return DistinguishTable, (self.graph, self.t, self.pair_masks)
+        return DistinguishTable, (self.graph, self.t)
 
     @property
     def n(self) -> int:
@@ -152,10 +160,8 @@ def _build_masks(g: Graph, t: int) -> list[int]:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def build_table(g: Graph, t: int) -> DistinguishTable:
-    """Compute every pair's distinguishing set at truncation level t."""
-    if t < 1:
-        raise BadParameter(f"truncation level must be >= 1, got {t}")
-    return DistinguishTable(g, t, _build_masks(g, t))
+    """The table of g at truncation level t, cached per (g, t)."""
+    return DistinguishTable(g, t)
 
 
 def metric_table(g: Graph) -> DistinguishTable:
@@ -202,15 +208,11 @@ def adjacency_dimensionality(g: Graph) -> int:
 def cone_dimensionality(h: Graph) -> int:
     """Dimensionality bound of K1 + H via the closed form
     min(bound(H), n - max_degree(H) + 1), without building the join."""
-    if h.n < 2:
-        raise TooSmall(f"closed form needs a nontrivial graph, got n={h.n}")
     return min(adjacency_dimensionality(h), h.n - h.max_degree() + 1)
 
 
 def join_dimensionality(g: Graph, h: Graph) -> int:
     """Dimensionality bound of G + H via the closed form
     min(bound(G), bound(H), n1 - max_degree(G) + n2 - max_degree(H))."""
-    if g.n < 2 or h.n < 2:
-        raise TooSmall("closed form needs nontrivial graphs on both sides")
     cross = g.n - g.max_degree() + h.n - h.max_degree()
     return min(adjacency_dimensionality(g), adjacency_dimensionality(h), cross)

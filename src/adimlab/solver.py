@@ -186,19 +186,17 @@ def table_ladder(table: DistinguishTable) -> list[int]:
     return kernel.cover_ladder(table.prepared, _budget(None))
 
 
-def brute_force_adim(
-    g: Graph, k: int, size_cap: int | None = None, t: int = 2
-) -> SolveResult:
+def brute_force_adim(g: Graph, k: int, t: int = 2) -> SolveResult:
     """Independent oracle: try subsets in increasing size, lexicographic
-    within each size, and return the first valid k-generator."""
+    within each size, and return the first valid k-generator.  At a
+    feasible k the whole vertex set is one, so some size returns."""
     table = build_table(g, t)
     check_level(table, k)
     n = g.n
-    cap = size_cap if size_cap is not None else n
     masks = table.pair_masks
     evals = 0
     start = time.perf_counter()
-    for size in range(k, cap + 1):
+    for size in range(k, n + 1):
         if n > BRUTE_FORCE_MAX_N and math.comb(n, size) > BRUTE_FORCE_MAX_EVALS:
             raise CapExceeded(
                 f"C({n},{size}) subsets exceed the brute-force evaluation limit"
@@ -220,4 +218,3 @@ def brute_force_adim(
                     VertexSet(n, smask),
                     stats=SolveStats(nodes=evals, millis=millis),
                 )
-    raise CapExceeded(f"no {k}-generator within size cap {cap}")

@@ -331,10 +331,14 @@ class SweepReport(NamedTuple):
 Check = Callable[[Graph], list[tuple[int, object, object]]]
 
 
+def _ladder(g: Graph) -> list[int]:
+    """The ladder of g; empty for a graph of fewer than two vertices, which
+    has no feasible level, so a ladder checker passes it."""
+    return adim_ladder(g) if g.n >= 2 else []
+
+
 def _check_monotony(g: Graph) -> list:
-    if g.n < 2:
-        return []
-    ladder = adim_ladder(g)
+    ladder = _ladder(g)
     return [
         (k + 1, ladder[k], f"> {ladder[k - 1]}")
         for k in range(1, len(ladder))
@@ -355,10 +359,8 @@ def _check_k_plus_2(g: Graph, top: int | None = None) -> list:
 
 
 def _check_complement(g: Graph) -> list:
-    if g.n < 2:
-        return []
-    mine = adim_ladder(g)
-    other = adim_ladder(complement(g))
+    mine = _ladder(g)
+    other = _ladder(complement(g))
     if mine == other:
         return []
     return [
@@ -401,13 +403,12 @@ def _check_kdim_vs_kadj(g: Graph) -> list:
 
 
 def _cone_ladders(h: Graph) -> tuple[list[int], list[int]]:
-    """The ladders of H and of its cone K1 + H."""
-    return adim_ladder(h), adim_ladder(join(complete(1), h))
+    """The ladders of H and of its cone K1 + H; both empty when H's is."""
+    lh = _ladder(h)
+    return lh, (adim_ladder(join(complete(1), h)) if lh else [])
 
 
 def _check_cone_lower(g: Graph) -> list:
-    if g.n < 2:
-        return []
     lh, lc = _cone_ladders(g)
     return [
         (k, lc[k - 1], f">= {lh[k - 1]}")
@@ -500,7 +501,7 @@ _K1T_FAMILIES = {1: _in_family_f1, 2: _in_family_f2, 3: _in_family_f3}
 
 
 def _check_k1t_trees(g: Graph) -> list:
-    if g.n < 2 or not is_tree(g):
+    if not is_tree(g):
         return []
     lt, lc = _cone_ladders(g)
     out = []
@@ -518,9 +519,7 @@ def _check_full_dimension(g: Graph) -> list:
     # imported on first use, as in _check_cone_equality
     from .formulas import full_dimension_criteria
 
-    if g.n < 2:
-        return []
-    ladder = adim_ladder(g)
+    ladder = _ladder(g)
     out = []
     for k in range(1, len(ladder) + 1):
         forced_full = full_dimension_criteria(g, k).holds
@@ -540,8 +539,6 @@ def _check_cone_dimensionality(g: Graph) -> list:
 def _check_cone_isolated_dichotomy(g: Graph) -> list:
     """A strict cone increase needs H connected, or connected plus exactly
     one isolated-vertex component."""
-    if g.n < 2:
-        return []
     lh, lc = _cone_ladders(g)
     if all(lc[k] == lh[k] for k in range(len(lc))):
         return []
@@ -563,8 +560,6 @@ def check_cone_slack(h: Graph, k_range: Collection[int]) -> list:
     """Violations of cone(H) <= adim_k(H) + k for the feasible k in range,
     in ascending k.  Only the cone ladder's levels are visited, so a wide
     range costs no more than the levels it shares with the ladder."""
-    if h.n < 2:
-        return []
     lh, lc = _cone_ladders(h)
     return [
         (k, lc[k - 1], f"<= {lh[k - 1] + k}")
@@ -575,12 +570,10 @@ def check_cone_slack(h: Graph, k_range: Collection[int]) -> list:
 
 def _check_cone_equality(h: Graph) -> list:
     """adim_k(K1+H) = adim_k(H) exactly when cone_equality_criterion holds."""
-    # imported on first use: loading formulas adds ~4 ms to importing this
-    # module, which every other sweep would pay
+    # imported on first use, so no other sweep pays to load formulas (a
+    # test holds them to that)
     from .formulas import cone_equality_criterion
 
-    if h.n < 2:
-        return []
     lh, lc = _cone_ladders(h)
     out = []
     for k in range(1, len(lc) + 1):

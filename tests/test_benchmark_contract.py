@@ -98,7 +98,7 @@ def test_a_full_solve_feeds_the_traced_node_count():
     # and the count read from it is the solve's SolveStats.nodes
     for g, k in ((petersen(), 2), (fig2_graph(), 2)):
         for warm in (False, True):
-            table = DistinguishTable(g, 2, build_table(g, 2).pair_masks)
+            table = DistinguishTable(g, 2)
             if warm:
                 solver.minimum_size(table, k)
             tr = tracer.Tracer()
@@ -131,7 +131,7 @@ def test_a_traced_enumeration_counts_the_lex_pass_alone():
             counted.append(tr.counts["kernel.enumerate_nodes"])
         lex = counted[0]
         assert counted == [lex, lex] and lex > 0
-        table = DistinguishTable(g, 2, build_table(g, 2).pair_masks)
+        table = DistinguishTable(g, 2)
         search = solver.solve_table(table, k).stats.search_nodes
         build_table.cache_clear()
         assert solver.enumerate_bases(g, k, budget=search + lex) == bases

@@ -7,7 +7,7 @@ import pytest
 
 from adimlab import kernel, solver
 from adimlab.bitset import bits_of
-from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge
+from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge, OutOfRange
 from adimlab.graph import (
     Graph,
     complete,
@@ -38,6 +38,15 @@ def test_greedy_cover_infeasible_raises_typed_error():
     with pytest.raises(KTooLarge) as info:
         kernel.greedy_cover(kernel.prepare([0b011, 0b100], 3), 2, 0)
     assert isinstance(info.value, AdimlabError)
+
+
+def test_prepare_refuses_a_mask_outside_the_universe():
+    # a mask naming vertex n would grow the universe by a column, and a
+    # negative one has no columns
+    for masks in ([0b100], [0b011, 0b100], [-1]):
+        with pytest.raises(OutOfRange):
+            kernel.prepare(masks, 2)
+    assert kernel.prepare([0b11], 2).cols == (1, 1)
 
 
 def test_greedy_cover_breaks_ties_to_the_lowest_index():

@@ -21,12 +21,14 @@ from adimlab.graph import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    fig2_graph,
     hypercube,
     join,
     path,
     petersen,
 )
 from adimlab.metric import (
+    DistinguishTable,
     adjacency_dimensionality,
     build_table,
     cone_dimensionality,
@@ -252,3 +254,22 @@ def test_distinguish_table_survives_pickle_and_deepcopy():
         assert twin.graph == table.graph and twin.t == table.t
         assert twin.pair_masks == table.pair_masks
         assert twin.min_pair_size() == table.min_pair_size()
+
+
+def test_a_pickled_or_copied_table_is_rebuilt_from_its_graph_and_level():
+    # t = 24 is the order of fig2: the full metric, read off walks, not rows
+    g = fig2_graph()
+    for t in (2, 24):
+        table = DistinguishTable(g, t)
+        for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert twin.graph == g and twin.t == t
+            assert twin.pair_masks == table.pair_masks
+
+
+def test_a_table_is_made_from_its_graph_and_level_alone():
+    # the pair sets come from (graph, t); no caller hands in other sets
+    with pytest.raises(BadParameter, match="^truncation level must be >= 1, got 0$"):
+        DistinguishTable(path(5), 0)
+    with pytest.raises(TypeError):
+        DistinguishTable(complete(3), 2, [0b110] * 3)
+    assert DistinguishTable(complete(3), 2).pair_masks == (0b011, 0b101, 0b110)

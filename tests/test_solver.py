@@ -161,8 +161,13 @@ def test_brute_force_examples():
 
 
 def test_brute_force_cap():
-    with pytest.raises(CapExceeded):
-        brute_force_adim(path(6), 2, size_cap=2)
+    # above BRUTE_FORCE_MAX_N a size whose subsets pass the evaluation
+    # limit is refused before any is tried
+    with pytest.raises(
+        CapExceeded,
+        match=r"^C\(30,14\) subsets exceed the brute-force evaluation limit$",
+    ):
+        brute_force_adim(path(30), 14, t=30)
 
 
 def test_oracle_equivalence_with_witnesses():
@@ -475,9 +480,7 @@ def _answer(result):
 
 def _cold_search(g, t, k):
     """The minimum search's record on a table that never stored one."""
-    return kernel.minimum_search(
-        DistinguishTable(g, t, build_table(g, t).pair_masks).prepared, k
-    )
+    return kernel.minimum_search(DistinguishTable(g, t).prepared, k)
 
 
 def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
@@ -496,7 +499,7 @@ def test_a_stored_minimum_gives_the_answers_of_a_cold_table():
         assert searches == {k: found} and searches[k] is found
         # a table that never stored anything solves to the same answer, with
         # the same node counts
-        fresh = solve_table(DistinguishTable(g, t, table.pair_masks), k)
+        fresh = solve_table(DistinguishTable(g, t), k)
         assert _answer(fresh) == _answer(solved)
         assert (size, search_nodes, greedy_size) == (
             solved.dimension, solved.stats.search_nodes, solved.stats.greedy_size
@@ -512,7 +515,7 @@ def test_the_minimum_search_alone_gives_the_size_of_a_full_solve():
     for g, t, k in _random_tables(1805, 400):
         build_table.cache_clear()
         table = build_table(g, t)
-        cold = solve_table(DistinguishTable(g, t, table.pair_masks), k)
+        cold = solve_table(DistinguishTable(g, t), k)
         assert minimum_size(table, k) == cold.dimension
         assert list(table.prepared.searches) == [k]
         assert table.prepared.searches[k] == _cold_search(g, t, k)
@@ -526,10 +529,10 @@ def test_a_second_solve_runs_no_search_and_answers_as_a_cold_table():
     for g, t, k in _random_tables(1807, 150):
         build_table.cache_clear()
         table = build_table(g, t)
-        cold = solve_table(DistinguishTable(g, t, table.pair_masks), k)
+        cold = solve_table(DistinguishTable(g, t), k)
         nodes = cold.stats.nodes
         with pytest.raises(BudgetExhausted, match=f"node budget {nodes - 1} "):
-            solve_table(DistinguishTable(g, t, table.pair_masks), k, nodes - 1)
+            solve_table(DistinguishTable(g, t), k, nodes - 1)
         assert _answer(solve_table(table, k)) == _answer(cold)
         found = table.prepared.searches[k]
         # the second solve, and every budgeted one after it, reads the
@@ -692,7 +695,7 @@ def test_pickled_and_copied_tables_store_nothing():
     import pickle
 
     for g, t, k in _random_tables(1803, 40):
-        table = DistinguishTable(g, t, build_table(g, t).pair_masks)
+        table = DistinguishTable(g, t)
         solved = solve_table(table, k)
         for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
             assert not twin.prepared.searches

@@ -883,3 +883,25 @@ def test_corpus_refuses_a_negative_min_degree():
     with pytest.raises(BadParameter, match="min_degree must be >= 0"):
         Corpus(min_degree=-1)
     assert sum(1 for _ in Corpus(min_n=3, max_n=3, min_degree=0)) == 8
+
+
+LAZY_FORMULAS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from adimlab.verify import Corpus, check_cone_conjecture, sweep_theorem
+cone = check_cone_conjecture(Corpus(2, 4), jobs=1)
+monotony = sweep_theorem(Corpus(2, 4), "monotony", jobs=1)
+print(cone.checked, monotony.checked, "adimlab.formulas" in sys.modules)
+"""
+
+
+def test_sweeps_that_need_no_closed_form_never_load_formulas():
+    # verify imports formulas only inside the checkers that call it, so the
+    # start-up of every other sweep never pays for loading it
+    src = str(Path(adimlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", LAZY_FORMULAS, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["74", "74", "False"]
