@@ -109,6 +109,18 @@ def minimum_size(table: DistinguishTable, k: int, budget: int | None = None) -> 
     return kernel.minimum_search(table.prepared, k, _budget(budget))[0]
 
 
+def minimum_cover(
+    table: DistinguishTable, k: int, budget: int | None = None
+) -> VertexSet:
+    """A minimum k-generator: the cover the minimum search stored with
+    ``minimum_size``, so a ladder or size read on the table has already
+    paid for it.  It need not be the lexicographically smallest one,
+    which ``solve_table`` picks."""
+    check_level(table, k)
+    cover = kernel.minimum_search(table.prepared, k, _budget(budget))[1]
+    return VertexSet(table.n, cover)
+
+
 def solve_table(
     table: DistinguishTable, k: int, budget: int | None = None
 ) -> SolveResult:

@@ -76,7 +76,13 @@ from .metric import (
     dimensionality,
     join_dimensionality,
 )
-from .solver import BUDGET_ENV, adim_ladder, table_ladder
+from .solver import (
+    BUDGET_ENV,
+    adim_ladder,
+    minimum_cover,
+    minimum_size,
+    table_ladder,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
@@ -556,16 +562,63 @@ def _cone_slack_at(ks: Collection[int], g: Graph) -> list:
     return check_cone_slack(g, ks)
 
 
+def _cone_certificate(h: Graph, basis: int, k: int) -> int | None:
+    """A k-generator of K1 + H of at most |basis| + k vertices, as a mask
+    over the cone's vertices (the apex is 0, H's vertex v is v + 1), or
+    None when the greedy below finds none.  ``basis`` is a k-generator of
+    H, and k is at most the cone's dimensionality.
+
+    Inside H the cone's pair sets are H's own, as the apex is adjacent to
+    both ends of every pair; the pair (apex, y) has the set {apex} plus
+    V(H) - N(y).  So the basis, the apex and vertices X of H make a
+    k-generator once |(basis + X) - N(y)| >= k - 1 for every y of H.  X
+    grows to at most k - 1 vertices, each time by the vertex outside the
+    most short N(y), the lowest on a tie (x is outside N(y) exactly when y
+    is outside N(x)).  A short y leaves a vertex to add: n - deg(y) >= k - 1
+    at a level the cone admits."""
+    rows = h.rows
+    full = (1 << h.n) - 1
+    chosen = basis
+    for _ in range(k):
+        short = 0
+        for y, row in enumerate(rows):
+            if (chosen & ~row).bit_count() < k - 1:
+                short |= 1 << y
+        if not short:
+            return chosen << 1 | 1
+        # max keeps the first, so the lowest, of equal vertices
+        outside = bits_of(full & ~chosen)
+        chosen |= 1 << max(outside, key=lambda x: (short & ~rows[x]).bit_count())
+    return None
+
+
 def check_cone_slack(h: Graph, k_range: Collection[int]) -> list:
-    """Violations of cone(H) <= adim_k(H) + k for the feasible k in range,
-    in ascending k.  Only the cone ladder's levels are visited, so a wide
-    range costs no more than the levels it shares with the ladder."""
-    lh, lc = _cone_ladders(h)
-    return [
-        (k, lc[k - 1], f"<= {lh[k - 1] + k}")
-        for k in range(1, len(lc) + 1)
-        if k in k_range and lc[k - 1] > lh[k - 1] + k
-    ]
+    """Violations of cone(H) <= adim_k(H) + k for the levels k in range at
+    which the cone has a k-generator, in ascending k.  Each level is first
+    settled by ``_cone_certificate`` from the minimum cover H's ladder
+    stored; the cone's table is built, once, and searched exactly only at
+    a level that gets none.  Only the cone's levels are visited, so a wide
+    range costs no more than the levels it shares with them."""
+    if h.n < 2:
+        return []
+    table = build_table(h, 2)
+    lh = table_ladder(table)
+    # cone_dimensionality(h), read from the ladder's length: the closed
+    # form would look the table up again
+    top = min(len(lh), h.n - h.max_degree() + 1)
+    cone = None
+    out = []
+    for k in range(1, top + 1):
+        if k not in k_range:
+            continue
+        if _cone_certificate(h, minimum_cover(table, k).mask, k) is not None:
+            continue
+        if cone is None:
+            cone = build_table(join(complete(1), h), 2)
+        size = minimum_size(cone, k)
+        if size > lh[k - 1] + k:
+            out.append((k, size, f"<= {lh[k - 1] + k}"))
+    return out
 
 
 def _check_cone_equality(h: Graph) -> list:
@@ -809,15 +862,25 @@ def check_cone_conjecture(
 ) -> SweepReport:
     """Re-run the cone conjecture over the corpus: for every H and feasible
     k, the cone dimension never exceeds adim_k(H) + k.  Any violation is a
-    publishable counterexample, so it carries the full witness.  Levels
-    below 1 or an empty ``k_range`` raise ``BadParameter``: no level would
-    be checked.  A range is kept as it is, never listed: its ends and its
-    membership test cost the same at any width."""
+    publishable counterexample, so it carries the full witness.  A level
+    that is not an integer >= 1, or an empty ``k_range``, raises
+    ``BadParameter``: no level would be checked.  A range is kept as it
+    is, never listed: its ends and its membership test cost the same at
+    any width."""
     ks = k_range if isinstance(k_range, range) else tuple(k_range)
     if not ks:
-        raise BadParameter("cone conjecture levels must be >= 1, got none")
-    low = min(ks[0], ks[-1]) if isinstance(ks, range) else min(ks)
-    if low < 1:
-        raise BadParameter(f"cone conjecture levels must be >= 1, got {low}")
+        raise BadParameter(
+            "cone conjecture levels must be integers >= 1, got none"
+        )
+    if isinstance(ks, range):
+        low = min(ks[0], ks[-1])
+    else:
+        # a level such as 1.5 is no ladder's k, so it would check nothing
+        odd = [k for k in ks if not isinstance(k, int)]
+        low = odd[0] if odd else min(ks)
+    if not isinstance(low, int) or low < 1:
+        raise BadParameter(
+            f"cone conjecture levels must be integers >= 1, got {low!r}"
+        )
     checker = partial(_cone_slack_at, ks)
     return _sweep("cone-conjecture", checker, corpus, jobs, on_violation)

@@ -15,6 +15,7 @@ import pytest
 
 import adimlab
 from adimlab import formulas, graph, verify
+from adimlab.bitset import VertexSet
 from adimlab.errors import (
     BadParameter,
     BudgetExhausted,
@@ -24,6 +25,7 @@ from adimlab.errors import (
 )
 from adimlab.formulas import cone_equality_criterion, full_dimension_criteria
 from adimlab.graph import (
+    Graph,
     complete,
     fig3_graph,
     fig5_graph,
@@ -33,8 +35,8 @@ from adimlab.graph import (
     petersen,
     to_graph6,
 )
-from adimlab.metric import build_table
-from adimlab.solver import adim_ladder
+from adimlab.metric import build_table, cone_dimensionality
+from adimlab.solver import adim_ladder, is_k_generator, minimum_cover
 from adimlab.verify import (
     PAIR_THEOREMS,
     THEOREMS,
@@ -341,8 +343,9 @@ def test_conjecture_small_corpus():
     report = check_cone_conjecture(Corpus(min_n=2, max_n=5), range(1, 5))
     assert report.passed
     assert report.checked == 1098
-    # a level below 1 or an empty range would check no level at all
-    for ks in ([], [0], range(0, 3), [-1]):
+    # a level below 1, a level that is not an integer or an empty range
+    # would check no level at all
+    for ks in ([], [0], range(0, 3), [-1], [1.5], [2, 1.5]):
         with pytest.raises(BadParameter, match=">= 1"):
             check_cone_conjecture(Corpus(min_n=2, max_n=4), ks)
 
@@ -371,6 +374,104 @@ def test_conjecture_slack_fixtures():
     lc = adim_ladder(join(complete(1), g5))
     assert lc[2] == lh[2] + 3
     assert not check_cone_slack(g5, [3])
+
+
+def _ladder_cone_slack(h, k_range):
+    """``check_cone_slack`` as it was before certificates, kept as the
+    reference: the cone's exact ladder against H's at every level."""
+    lh = adim_ladder(h) if h.n >= 2 else []
+    lc = adim_ladder(join(complete(1), h)) if lh else []
+    return [
+        (k, lc[k - 1], f"<= {lh[k - 1] + k}")
+        for k in range(1, len(lc) + 1)
+        if k in k_range and lc[k - 1] > lh[k - 1] + k
+    ]
+
+
+def test_cone_certificates_are_generators_within_the_bound():
+    # every level of every class with n <= 6 gets a certificate
+    levels = 0
+    for h in _class_graphs():
+        if h.n > 6:
+            continue
+        table = build_table(h, 2)
+        cone = build_table(join(complete(1), h), 2)
+        for k in range(1, cone_dimensionality(h) + 1):
+            s = verify._cone_certificate(h, minimum_cover(table, k).mask, k)
+            assert s is not None, (to_graph6(h), k)
+            assert is_k_generator(cone, k, VertexSet(cone.n, s)), (to_graph6(h), k)
+            assert s.bit_count() <= adim_ladder(h)[k - 1] + k
+            levels += 1
+    assert levels == 456
+
+
+def test_cone_slack_equals_the_ladder_comparison_on_every_class():
+    for h in _class_graphs():
+        expected = _ladder_cone_slack(h, range(1, 10))
+        assert check_cone_slack(h, range(1, 10)) == expected, to_graph6(h)
+
+
+def test_cone_slack_searches_the_cone_once_where_no_certificate_holds(
+    monkeypatch,
+):
+    monkeypatch.setattr(verify, "_cone_certificate", lambda h, basis, k: None)
+    tables = []
+    real_build = verify.build_table
+
+    def recording(g, t):
+        tables.append(g)
+        return real_build(g, t)
+
+    monkeypatch.setattr(verify, "build_table", recording)
+    for h in _class_graphs():
+        if h.n > 5:
+            continue
+        tables.clear()
+        assert check_cone_slack(h, range(1, 10)) == _ladder_cone_slack(
+            h, range(1, 10)
+        )
+        assert tables == [h, join(complete(1), h)], to_graph6(h)
+
+    # an exact cone value one above the bound is reported under each
+    # labeled member's graph6, as (k, exact value, "<= adim_k(H) + k")
+    def above(cone_table, k):
+        cone = cone_table.graph  # K1 + H, apex at 0
+        h = Graph(cone.n - 1, [row >> 1 for row in cone.rows[1:]])
+        return adim_ladder(h)[k - 1] + k + 1
+
+    monkeypatch.setattr(verify, "minimum_size", above)
+    corpus = Corpus(min_n=2, max_n=4)
+    report = check_cone_conjecture(corpus, range(1, 3))
+    expected = [
+        Violation(to_graph6(g), k, bound + 1, f"<= {bound}")
+        for g in corpus
+        for k in range(1, min(2, cone_dimensionality(g)) + 1)
+        for bound in [adim_ladder(g)[k - 1] + k]
+    ]
+    expected.sort(key=lambda v: (v.graph6, v.k))
+    assert report.checked == 74 and len(expected) > 74
+    assert report.violations == expected
+
+
+def test_conjecture_sweep_builds_one_table_per_class_and_no_cone(monkeypatch):
+    calls = Counter()
+    real_build, real_join = verify.build_table, verify.join
+
+    def counting_build(g, t):
+        calls["build_table"] += 1
+        return real_build(g, t)
+
+    def counting_join(g, h):
+        calls["join"] += 1
+        return real_join(g, h)
+
+    monkeypatch.setattr(verify, "build_table", counting_build)
+    monkeypatch.setattr(verify, "join", counting_join)
+    real_build.cache_clear()
+    report = check_cone_conjecture(Corpus(min_n=2, max_n=6), range(1, 5))
+    assert report.passed and report.checked == 33866
+    assert calls == {"build_table": 207}
+    assert real_build.cache_info().misses == 207
 
 
 def test_violation_stream_and_report_json():
