@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all adimlab modules."""
+"""Exception hierarchy shared by all adimlab modules, and the one check
+that a level or a limit is an integer >= 1."""
+
+from operator import index
 
 
 class AdimlabError(Exception):
@@ -81,3 +84,17 @@ class TooLarge(AdimlabError):
 
 class UnknownTheorem(AdimlabError):
     """sweep_theorem was called with an unrecognised theorem id."""
+
+
+def check_positive_int(
+    value, what: str, error: type[AdimlabError] = BadParameter
+) -> None:
+    """Refuse ``value`` with ``error`` unless it is an integer >= 1.  Bools
+    and numpy integers pass, as ``operator.index`` takes them; 2.5 or 2.0
+    would be compared as a level and silently checked as another."""
+    try:
+        index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise error(f"{what} must be >= 1, got {value}")

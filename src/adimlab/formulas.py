@@ -200,7 +200,7 @@ class ConeBound(NamedTuple):
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {"bound": self.bound, "equality": self.equality, "reason": self.reason}
+        return self._asdict()
 
 
 def adim2_upper_cone(h: Graph) -> ConeBound:

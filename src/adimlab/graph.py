@@ -20,6 +20,7 @@ from .errors import (
     OutOfRange,
     SelfLoop,
     TruncatedPayload,
+    check_positive_int,
 )
 
 INFINITE = math.inf
@@ -447,8 +448,8 @@ def bfs_layers(g: Graph, source: int, limit: int | None = None) -> list[int]:
     """Vertices at distance 0, 1, 2, ... from ``source`` as bitmasks, up to
     the last non-empty layer, or only the first ``limit`` layers (``limit``
     >= 1).  The one breadth-first walk of the package."""
-    if limit is not None and limit < 1:
-        raise BadParameter(f"layer limit must be >= 1, got {limit}")
+    if limit is not None:
+        check_positive_int(limit, "layer limit")
     if not 0 <= source < g.n:
         raise OutOfRange(f"vertex {source} not in 0..{g.n - 1}")
     rows = g.rows

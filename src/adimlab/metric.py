@@ -26,12 +26,12 @@ from operator import or_, xor
 from . import kernel
 from .bitset import VertexSet
 from .errors import (
-    BadParameter,
     Disconnected,
     KExceedsDimensionality,
     OutOfRange,
     SamePair,
     TooSmall,
+    check_positive_int,
 )
 from .graph import Graph, bfs_layers, is_connected, twin_prefix
 
@@ -47,8 +47,8 @@ def pair_rank(n: int, x: int, y: int) -> int:
 
 class DistinguishTable:
     """All pair distinguishing sets of a graph at one truncation level t,
-    made from the graph and t alone; t below 1 raises ``BadParameter``.
-    ``build_table`` is the cached way to get one.
+    made from the graph and t alone; a t that is not an integer >= 1
+    raises ``BadParameter``.  ``build_table`` is the cached way to get one.
 
     The table also keeps ``prepared``, the search kernel's form of it,
     made on first use: the reduced masks, their columns, the graph's twin
@@ -58,8 +58,7 @@ class DistinguishTable:
     __slots__ = ("graph", "t", "pair_masks", "_min_size", "_prepared")
 
     def __init__(self, graph: Graph, t: int):
-        if t < 1:
-            raise BadParameter(f"truncation level must be >= 1, got {t}")
+        check_positive_int(t, "truncation level")
         pair_masks = _build_masks(graph, t)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "t", t)
@@ -119,8 +118,7 @@ class DistinguishTable:
 
 def truncated_distance(g: Graph, t: int, x: int, y: int) -> int:
     """min(d(x, y), t); pairs in different components saturate to t."""
-    if t < 1:
-        raise BadParameter(f"truncation level must be >= 1, got {t}")
+    check_positive_int(t, "truncation level")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise OutOfRange(f"pair ({x}, {y}) out of 0..{g.n - 1}")
     for d, layer in enumerate(bfs_layers(g, x, t)):
@@ -158,9 +156,10 @@ def _build_masks(g: Graph, t: int) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def build_table(g: Graph, t: int) -> DistinguishTable:
-    """The table of g at truncation level t, cached per (g, t)."""
+    """The table of g at truncation level t, cached per (g, t) and the type
+    of t, so 2.0 is refused as it would be cold, not served level 2."""
     return DistinguishTable(g, t)
 
 
@@ -180,11 +179,11 @@ def dimensionality(table: DistinguishTable) -> int:
 
 
 def check_level(table: DistinguishTable, k: int) -> None:
-    """Refuse a level k outside 1..dimensionality(table), the levels at
-    which a k-generator exists.  Every table-level query refuses one here."""
+    """Refuse a level k that is not an integer in 1..dimensionality(table),
+    the levels at which a k-generator exists.  Every table-level query
+    refuses one here."""
     dim = dimensionality(table)
-    if k < 1:
-        raise KExceedsDimensionality(f"k must be >= 1, got {k}")
+    check_positive_int(k, "k", KExceedsDimensionality)
     if k > dim:
         raise KExceedsDimensionality(
             f"no {k}-generator exists: the dimensionality bound is {dim}"

@@ -21,16 +21,17 @@ its first pooled sweep and kept for the next ones, so only a process that
 runs several pooled sweeps (a script, a notebook, the test suite) saves
 the start-up; a CLI ``sweep`` or ``conjecture`` runs one sweep and forks
 its workers once.  ``multiprocessing`` is imported by that first pooled
-sweep, so a serial sweep and every other command never load it.  A forked
-worker keeps the module state and environment it was made with, so the
-pool is replaced when ``jobs``, ``ADIMLAB_BUDGET`` or the checker differs
-from the pool's: a checker defined or redefined since then gets new
-workers.  Other state changed after the workers were forked (a library
+sweep, so a serial sweep and every other command never load it.  The pool
+is kept under the key (process id, ``jobs``, ``ADIMLAB_BUDGET``, checker),
+everything its workers were forked with, and replaced when the key
+differs: a checker defined or redefined since gets new workers, and a
+forked child drops its parent's pool without touching it and makes its
+own.  Other state changed after the workers were forked (a library
 function the checker calls, patched later) does not reach them.  The pool
 is dropped when an exception leaves a pooled sweep, so a failed sweep's
-queued shards never run ahead of the next sweep's, and a worker starts
-each sweep from an empty table cache, so no answer comes from a table
-left by an earlier sweep.
+queued shards never run ahead of the next sweep's, and each shard starts
+from an empty table cache, so no answer comes from a table left by an
+earlier sweep.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from functools import cache, partial
 from itertools import (
     combinations,
     combinations_with_replacement,
-    count,
     permutations,
     product,
 )
@@ -218,11 +218,13 @@ def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
 class Corpus:
     """Immutable graph source plus filters.
 
-    ``min_n``..``max_n`` choose the orders of the internal enumeration
-    (2..5 when not given); alternatively ``graph6_lines`` holds the lines of
-    a graph6 file, which is taken whole, so orders next to it are refused
-    and both stay None.  ``connected`` and ``min_degree`` filter the graphs
-    of either source.  Equality, hash and repr go by these five fields.
+    ``min_n``..``max_n`` choose the orders of the internal enumeration,
+    2..5 when not given; a missing end never contradicts the given one
+    (``Corpus(6)`` is 6..6, ``Corpus(max_n=1)`` 1..1).  Alternatively
+    ``graph6_lines`` holds the lines of a graph6 file, which is taken
+    whole, so orders next to it are refused and both stay None.
+    ``connected`` and ``min_degree`` filter the graphs of either source.
+    Equality, hash and repr go by these five fields.
     """
 
     __slots__ = ("min_n", "max_n", "graph6_lines", "connected", "min_degree")
@@ -242,8 +244,10 @@ class Corpus:
                     "graph6 lines are swept whole"
                 )
         else:
-            min_n = 2 if min_n is None else min_n
-            max_n = 5 if max_n is None else max_n
+            if min_n is None:
+                min_n = 2 if max_n is None else min(2, max_n)
+            if max_n is None:
+                max_n = max(5, min_n)
             if not 0 <= min_n <= max_n:
                 raise BadParameter(
                     f"orders need 0 <= min_n <= max_n, got {min_n}..{max_n}"
@@ -301,12 +305,7 @@ class Violation(NamedTuple):
     expected: object
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "k": self.k,
-            "observed": self.observed,
-            "expected": self.expected,
-        }
+        return self._asdict()
 
 
 class SweepReport(NamedTuple):
@@ -733,30 +732,21 @@ def _check_units(
     return checked
 
 
-# the sweep whose tables this worker's cache holds; the parent numbers sweeps
-_cache_sweep: int | None = None
-_sweep_ids = count()
-
-
-def _sweep_shard(sweep: int, shard: tuple) -> tuple[int, list[Violation]]:
-    global _cache_sweep
+def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
     checker, units = shard
-    if sweep != _cache_sweep:
-        build_table.cache_clear()
-        _cache_sweep = sweep
+    build_table.cache_clear()
     violations: list[Violation] = []
     return _check_units(checker, units, violations.append), violations
 
 
-# the process's pool and what it was made for: (jobs, ADIMLAB_BUDGET,
-# checker), pool
+# the process's pool and its key: (pid, jobs, ADIMLAB_BUDGET, checker), pool
 _pool: tuple[tuple, Pool] | None = None
 
 
 def _kept_pool(jobs: int, checker: Callable) -> Pool:
     """The process's pool of ``jobs`` workers, made on first use and
-    replaced when ``jobs``, ``ADIMLAB_BUDGET`` or the checker differs from
-    its own.  A worker unpickles the checker by name from the module state
+    replaced when its key, everything the workers were forked with,
+    differs.  A worker unpickles the checker by name from the module state
     it was forked with, so a checker made since then needs new workers; a
     ``partial`` is compared by its function and arguments."""
     # imported here, so a process that never pools never loads it
@@ -765,29 +755,22 @@ def _kept_pool(jobs: int, checker: Callable) -> Pool:
     global _pool
     if isinstance(checker, partial):
         checker = checker.func, checker.args, checker.keywords
-    made_for = (jobs, os.environ.get(BUDGET_ENV), checker)
-    if _pool is not None and _pool[0] != made_for:
+    key = (os.getpid(), jobs, os.environ.get(BUDGET_ENV), checker)
+    if _pool is not None and _pool[0] != key:
         _close_pool()
     if _pool is None:
-        _pool = made_for, multiprocessing.Pool(jobs)
+        _pool = key, multiprocessing.Pool(jobs)
     return _pool[1]
 
 
 def _close_pool() -> None:
-    """Terminate the kept pool, if any; the next pooled sweep makes one."""
+    """Drop the kept pool, if any, terminating its workers when this
+    process made them (a forked child does not own its parent's); the next
+    pooled sweep makes one."""
     global _pool
-    if _pool is not None:
+    if _pool is not None and _pool[0][0] == os.getpid():
         _pool[1].terminate()
-        _forget_pool()
-
-
-def _forget_pool() -> None:
-    # a forked child does not own its parent's workers
-    global _pool
     _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _sweep(
@@ -822,11 +805,10 @@ def _sweep(
     if jobs > 1:
         parts = jobs * 4
         shards = [(checker, units[i::parts]) for i in range(parts)]
-        run = partial(_sweep_shard, next(_sweep_ids))
         checked = 0
         try:
             pool = _kept_pool(jobs, checker)
-            for shard_checked, found in pool.imap_unordered(run, shards):
+            for shard_checked, found in pool.imap_unordered(_sweep_shard, shards):
                 checked += shard_checked
                 for v in found:
                     emit(v)

@@ -437,6 +437,17 @@ def test_empty_or_negative_order_ranges_exit_2(capsys, argv):
     assert "min_n <= max_n" in err
 
 
+@pytest.mark.parametrize("flag, value, checked", [
+    ("--min-n", "6", 2**15),  # every labeled graph on 6 vertices
+    ("--max-n", "1", 1),
+])
+def test_one_order_flag_sets_the_other_end_around_it(capsys, flag, value, checked):
+    # the default --max-n 5 would contradict --min-n 6
+    code, out, err = run(capsys, "sweep", "--theorem", "monotony", flag, value)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checked"] == checked
+
+
 @pytest.mark.parametrize("argv", [
     ("--limit", "-1"),
     ("--from-mask", "-3", "--to-mask", "2"),

@@ -166,6 +166,21 @@ def test_bfs_layers_path_components_and_errors():
             bfs_layers(path(4), 0, limit)
 
 
+def test_bfs_layers_refuses_a_limit_that_is_not_an_integer():
+    # no walk has 2.5 layers, so such a limit would never stop one
+    for limit in (2.5, 2.0, "2"):
+        with pytest.raises(
+            BadParameter, match=f"^layer limit must be an integer, got {limit!r}$"
+        ):
+            bfs_layers(path(5), 0, limit)
+    assert bfs_layers(path(5), 0, True) == [1]
+
+
+def test_bfs_layers_takes_a_numpy_integer_limit():
+    np = pytest.importorskip("numpy")
+    assert bfs_layers(path(5), 0, np.int64(2)) == [1, 2]
+
+
 def test_diameter_fixeds():
     assert diameter(petersen()) == 2
     assert diameter(path(6)) == 5

@@ -273,3 +273,35 @@ def test_a_table_is_made_from_its_graph_and_level_alone():
     with pytest.raises(TypeError):
         DistinguishTable(complete(3), 2, [0b110] * 3)
     assert DistinguishTable(complete(3), 2).pair_masks == (0b011, 0b101, 0b110)
+
+
+def test_a_level_that_is_not_an_integer_is_refused_where_it_enters():
+    # no walk has 2.5 layers, so t = 2.5 would read the full metric, and no
+    # pair set has 1.5 vertices; a cached level-2 table does not serve 2.0
+    p5 = path(5)
+    build_table(p5, 2)
+    for t in (2.5, 2.0, "2"):
+        message = f"^truncation level must be an integer, got {t!r}$"
+        for make in (build_table, DistinguishTable):
+            with pytest.raises(BadParameter, match=message):
+                make(p5, t)
+        with pytest.raises(BadParameter, match=message):
+            truncated_distance(p5, t, 0, 4)
+    table = build_table(cycle(6), 2)
+    for k in (1.5, 2.0):
+        with pytest.raises(
+            KExceedsDimensionality, match=f"^k must be an integer, got {k!r}$"
+        ):
+            forced_set(table, k)
+    # a bool is an integer
+    assert build_table(p5, True).pair_masks == build_table(p5, 1).pair_masks
+    assert truncated_distance(p5, True, 0, 4) == 1
+    assert forced_set(build_table(p5, 2), True) == forced_set(build_table(p5, 2), 1)
+
+
+def test_numpy_integer_levels_are_taken():
+    np = pytest.importorskip("numpy")
+    p5, c6 = path(5), build_table(cycle(6), 2)
+    assert build_table(p5, np.int64(3)).pair_masks == build_table(p5, 3).pair_masks
+    assert truncated_distance(p5, np.int64(3), 0, 4) == 3
+    assert forced_set(c6, np.int64(2)) == forced_set(c6, 2)

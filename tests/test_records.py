@@ -156,6 +156,17 @@ def test_corpus_constructor_defaults_and_refusals():
         Corpus.from_file(__file__, max_n=6)
 
 
+def test_a_missing_order_never_contradicts_the_given_one():
+    # the default end, 5 or 2, would contradict the given one here
+    assert Corpus(min_n=6) == Corpus(6, 6)
+    assert Corpus(max_n=1) == Corpus(1, 1)
+    assert Corpus(3) == Corpus(3, 5)
+    assert Corpus(max_n=4) == Corpus(2, 4)
+    for orders, shown in (((None, -1), "-1..-1"), ((-1, None), "-1..5")):
+        with pytest.raises(BadParameter, match=f"got {shown}$"):
+            Corpus(*orders)
+
+
 def test_corpus_is_immutable_and_compared_by_field():
     corpus = Corpus(2, 6)
     for name in ("min_n", "max_n", "graph6_lines", "connected", "min_degree"):

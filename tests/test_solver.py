@@ -96,6 +96,16 @@ def test_every_table_query_refuses_a_level_with_one_message(g, t):
     assert minimum_size(build_table(g, t), dim) >= dim
 
 
+def test_every_table_query_refuses_a_level_that_is_not_an_integer():
+    # 1.5 lies in 1..dimensionality, so only its type keeps it from the kernel
+    for k in (1.5, 2.0):
+        for query in _table_level_queries(cycle(6), 2, k).values():
+            with pytest.raises(
+                KExceedsDimensionality, match=f"^k must be an integer, got {k!r}$"
+            ):
+                query()
+
+
 def test_every_table_query_refuses_one_vertex_with_one_message():
     g = complete(1)
     queries = _table_level_queries(g, 2, 1)

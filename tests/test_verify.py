@@ -774,15 +774,14 @@ def test_a_worker_starts_each_sweep_from_an_empty_table_cache(monkeypatch):
         assert sweep_theorem(corpus, "table-cached", jobs=2).violations == []
 
 
-def test_a_worker_keeps_its_tables_across_the_shards_of_one_sweep(monkeypatch):
-    # a pair sweep's entries recur in every shard, so a worker clears its
-    # cache on its first shard of a sweep only
-    monkeypatch.setattr(verify, "_cache_sweep", None)
+def test_each_shard_starts_from_an_empty_table_cache():
+    # neither a table built before a shard nor one an earlier shard of the
+    # same worker built answers for it
     g = path(4)
+    build_table(g, 2)
     shard = (_table_was_cached, [(((0, to_graph6(g)), 1, g),)])
-    assert verify._sweep_shard(-1, shard) == (1, [])
-    assert verify._sweep_shard(-1, shard)[1]  # the sweep's table, kept
-    assert verify._sweep_shard(-2, shard) == (1, [])
+    for _ in range(2):
+        assert verify._sweep_shard(shard) == (1, [])
 
 
 def test_a_kept_pool_follows_the_budget_variable(monkeypatch):
@@ -878,6 +877,31 @@ def test_a_forked_child_makes_its_own_pool(monkeypatch):
             child.kill()
     assert child.exitcode == 0
     assert pids and not pids & workers and child.pid not in pids
+    assert _worker_pids() == workers
+
+
+def _close_pool_in_child():
+    verify._close_pool()
+    assert verify._pool is None
+
+
+def test_a_forked_child_closing_the_pool_leaves_the_parents_workers(monkeypatch):
+    # the child drops the pool record it inherited; the workers are the
+    # parent's, so they stay up and serve the parent's next sweep
+    monkeypatch.setitem(THEOREMS, "worker-pid", _worker_pid)
+    corpus = Corpus(min_n=2, max_n=3)
+    _pooled_pids(corpus, 2)
+    workers = _worker_pids()
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(target=_close_pool_in_child)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
+    for pid in workers:
+        os.kill(pid, 0)
+    assert _pooled_pids(corpus, 2) <= workers
     assert _worker_pids() == workers
 
 
