@@ -270,11 +270,9 @@ def cmd_family(args) -> int:
 
 def _make_corpus(args) -> verify_mod.Corpus:
     filters = dict(connected=args.connected, min_degree=args.min_degree)
-    orders = dict(min_n=args.min_n, max_n=args.max_n)
-    orders = {k: v for k, v in orders.items() if v is not None}
     if not args.g6_file:
-        return verify_mod.Corpus(**orders, **filters)
-    if orders:
+        return verify_mod.Corpus(args.min_n, args.max_n, **filters)
+    if (args.min_n, args.max_n) != (None, None):
         raise BadParameter(
             "--min-n and --max-n choose the enumeration's orders; "
             "a --g6-file is swept whole"

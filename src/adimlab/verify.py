@@ -1,20 +1,10 @@
 """Corpus-scale theorem sweeps and the cone conjecture engine.
 
-A corpus is either the internal labeled enumeration (every graph on n
-vertices appears exactly once, edge-mask order) or a stream of graph6
-records.  Sweeps re-check one statement per graph, or per unordered pair of
-graphs, and report violations; a violation would be a counterexample, so
-reports carry full witness data.  An ``on_violation`` hook sees each
-violation as a serial sweep finds it, and a pooled sweep's violations
-only when the shard that found them ends.
-
-Every statement is invariant under isomorphism, so an internal corpus is
-swept one isomorphism class (for pair theorems, one multiset of two) at a
-time: the checker runs once on the least labeled masks and counts with the
-labeled graphs or pairs they stand for.  Only a failing unit is expanded
-into its labeled members, each reported under its own graph6.  Each order's
-class list depends on n alone, so it is walked once per process and kept,
-graphs included (at most 8 lists, n <= 7); the relabel tables are not kept.
+Sweeps re-check one statement per graph, or per unordered pair of graphs,
+of a ``corpus.Corpus``, and report violations; a violation would be a
+counterexample, so reports carry full witness data.  An ``on_violation``
+hook sees each violation as a serial sweep finds it, and a pooled sweep's
+violations only when the shard that found them ends.
 
 A sweep with ``jobs > 1`` runs in the process's one worker pool, made on
 its first pooled sweep and kept for the next ones, so only a process that
@@ -38,37 +28,27 @@ from __future__ import annotations
 
 import os
 import time
-from array import array
 from collections import Counter
-from collections.abc import Callable, Collection, Iterator
-from functools import cache, partial
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    permutations,
-    product,
-)
+from collections.abc import Callable, Collection
+from functools import partial
+from itertools import combinations_with_replacement
 from math import comb, prod
-from operator import or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bitset import bits_of
-from .errors import BadParameter, TooLarge, UnknownTheorem
+# Corpus is re-exported too: callers, the benchmark among them, use verify.Corpus
+from .corpus import Corpus, Entry, labeled_members
+from .errors import BadParameter, UnknownTheorem, check_positive_int
 from .graph import (
     INFINITE,
     Graph,
-    bfs_layers,
     complement,
     complete,
     components,
     diameter,
-    from_pair_mask,
-    graph6_records,
     is_connected,
     is_tree,
     join,
-    read_ascii,
-    to_graph6,
 )
 from .metric import (
     build_table,
@@ -86,216 +66,6 @@ from .solver import (
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
-
-ENUMERATION_MAX_N = 7
-_TREE_MAX_N = 16
-
-
-def _check_order(n: int) -> None:
-    if n > ENUMERATION_MAX_N:
-        raise TooLarge(
-            f"labeled enumeration is capped at n <= {ENUMERATION_MAX_N}, got {n}"
-        )
-    if n < 0:
-        raise BadParameter(f"n must be non-negative, got {n}")
-
-
-def enumerate_all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices exactly once, edge-mask order."""
-    _check_order(n)
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield from_pair_mask(n, mask)
-
-
-def _relabel_tables(n: int) -> tuple[int, list[list[array]]]:
-    """``(width, tables)``: a pair mask is cut into at most three chunks of
-    ``width`` bits, and ``tables[c][v][i]`` is the image of value v of
-    chunk c under the i-th vertex permutation of n; the image of a whole
-    mask is the OR of its chunks' images.  Three chunks cost two ORs per
-    image and, at n = 7, 3 * 2^7 arrays of 5040 entries (15 MB)."""
-    pairs = list(combinations(range(n), 2))
-    index = [[0] * n for _ in range(n)]
-    for b, (i, j) in enumerate(pairs):
-        index[i][j] = index[j][i] = 1 << b
-    perms = list(permutations(range(n)))
-    width = max(1, -(-len(pairs) // 3))
-    tables = []
-    for lo in range(0, max(len(pairs), 1), width):
-        table = [array("L", [0]) * len(perms)]
-        for v in range(1, 1 << min(width, len(pairs) - lo)):
-            if v & (v - 1):
-                table.append(array("L", map(or_, table[v & -v], table[v & (v - 1)])))
-            else:
-                i, j = pairs[lo + v.bit_length() - 1]
-                table.append(array("L", [index[p[i]][p[j]] for p in perms]))
-        tables.append(table)
-    return width, tables
-
-
-def _orbit(relabel: tuple[int, list[list[array]]], mask: int) -> set[int]:
-    """Every labeled pair mask isomorphic to ``mask``."""
-    width, tables = relabel
-    low = (1 << width) - 1
-    images = tables[0][mask & low]
-    for c in range(1, len(tables)):
-        images = map(or_, images, tables[c][(mask >> (c * width)) & low])
-    return set(images)
-
-
-@cache
-def _classes(n: int) -> tuple[tuple[int, int, Graph], ...]:
-    """(rep_mask, orbit_size, graph) per isomorphism class of graphs on n
-    vertices, in mask order; the representative is the least labeled mask of
-    its orbit.  Walks the masks once, marking each orbit when its first
-    member comes up.  Kept per process: ``_check_order`` raises before
-    anything is stored, so at most 8 lists are kept."""
-    _check_order(n)
-    relabel = _relabel_tables(n)
-    seen = bytearray(1 << (n * (n - 1) // 2))
-    out = []
-    rep = 0
-    while rep >= 0:
-        orbit = _orbit(relabel, rep)
-        for mask in orbit:
-            seen[mask] = 1
-        out.append((rep, len(orbit), from_pair_mask(n, rep)))
-        rep = seen.find(0, rep + 1)
-    return tuple(out)
-
-
-def _rooted_code(g: Graph, root: int, parent: int) -> str:
-    subs = sorted(
-        _rooted_code(g, u, root) for u in g.neighbors(root) if u != parent
-    )
-    return "(" + "".join(subs) + ")"
-
-
-def _tree_code(g: Graph) -> str:
-    """Isomorphism-invariant code, rooted at the center(s): the middle of a
-    longest path a..b, found by two walks (a farthest from 0, b farthest
-    from a).  In a tree the path's vertex i is the one vertex at distance i
-    from a and d(a, b) - i from b."""
-    from_a = bfs_layers(g, bfs_layers(g, 0)[-1].bit_length() - 1)
-    from_b = bfs_layers(g, from_a[-1].bit_length() - 1)
-    lo, hi = (len(from_a) - 1) // 2, len(from_a) // 2
-    centers = list(bits_of(from_a[lo] & from_b[hi] | from_a[hi] & from_b[lo]))
-    if len(centers) == 1:
-        return _rooted_code(g, centers[0], -1)
-    a, b = centers
-    return "".join(sorted((_rooted_code(g, a, b), _rooted_code(g, b, a))))
-
-
-def enumerate_trees(max_n: int, min_n: int = 1) -> list[Graph]:
-    """One representative per isomorphism class of trees, orders min..max.
-
-    Grown by attaching a new leaf everywhere and deduplicating on the
-    canonical code; capped at small orders (the counts stay tiny).
-    """
-    if max_n > _TREE_MAX_N:
-        raise TooLarge(
-            f"tree enumeration is capped at n <= {_TREE_MAX_N}, got {max_n}"
-        )
-    if not 1 <= min_n <= max_n:
-        raise BadParameter(
-            f"tree orders need 1 <= min_n <= max_n, got {min_n}..{max_n}"
-        )
-    levels: list[list[Graph]] = [[Graph(1, [0])]]
-    for n in range(2, max_n + 1):
-        seen: dict[str, Graph] = {}
-        for t in levels[-1]:
-            for v in range(t.n):
-                rows = [r for r in t.rows] + [1 << v]
-                rows[v] |= 1 << t.n
-                grown = Graph(n, rows)
-                seen.setdefault(_tree_code(grown), grown)
-        levels.append([seen[c] for c in sorted(seen)])
-    out: list[Graph] = []
-    for n in range(min_n, max_n + 1):
-        out.extend(levels[n - 1])
-    return out
-
-
-class Corpus:
-    """Immutable graph source plus filters.
-
-    ``min_n``..``max_n`` choose the orders of the internal enumeration,
-    2..5 when not given; a missing end never contradicts the given one
-    (``Corpus(6)`` is 6..6, ``Corpus(max_n=1)`` 1..1).  Alternatively
-    ``graph6_lines`` holds the lines of a graph6 file, which is taken
-    whole, so orders next to it are refused and both stay None.
-    ``connected`` and ``min_degree`` filter the graphs of either source.
-    Equality, hash and repr go by these five fields.
-    """
-
-    __slots__ = ("min_n", "max_n", "graph6_lines", "connected", "min_degree")
-
-    def __init__(
-        self,
-        min_n: int | None = None,
-        max_n: int | None = None,
-        graph6_lines: tuple[str, ...] | None = None,
-        connected: bool = False,
-        min_degree: int = 0,
-    ):
-        if graph6_lines is not None:
-            if (min_n, max_n) != (None, None):
-                raise BadParameter(
-                    "min_n and max_n choose the enumeration's orders; "
-                    "graph6 lines are swept whole"
-                )
-        else:
-            if min_n is None:
-                min_n = 2 if max_n is None else min(2, max_n)
-            if max_n is None:
-                max_n = max(5, min_n)
-            if not 0 <= min_n <= max_n:
-                raise BadParameter(
-                    f"orders need 0 <= min_n <= max_n, got {min_n}..{max_n}"
-                )
-        if min_degree < 0:
-            raise BadParameter(f"min_degree must be >= 0, got {min_degree}")
-        fields = min_n, max_n, graph6_lines, connected, min_degree
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Corpus is immutable")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        # through the constructor: __setattr__ refuses restored slot state
-        return Corpus, self._values()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Corpus) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        pairs = zip(self.__slots__, self._values())
-        return f"Corpus({', '.join(f'{name}={value!r}' for name, value in pairs)})"
-
-    def _accept(self, g: Graph) -> bool:
-        if self.min_degree and g.min_degree() < self.min_degree:
-            return False
-        if self.connected and not is_connected(g):
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[Graph]:
-        if self.graph6_lines is None:
-            orders = range(self.min_n, self.max_n + 1)
-            graphs = (g for n in orders for g in enumerate_all_graphs(n))
-        else:
-            graphs = (g for _, _, g in graph6_records(self.graph6_lines))
-        return filter(self._accept, graphs)
-
-    @classmethod
-    def from_file(cls, path: str, **kw) -> "Corpus":
-        return cls(graph6_lines=tuple(read_ascii(path).splitlines()), **kw)
 
 
 class Violation(NamedTuple):
@@ -685,32 +455,9 @@ PAIR_THEOREMS: dict[str, Callable[[Graph, Graph], list]] = {
 }
 
 
-def _members(key: tuple, g: Graph, relabel: dict) -> list[tuple[tuple, Graph]]:
-    """(key, graph) per labeled graph an entry stands for: the orbit of a
-    class representative, or a graph6 record alone as its decoded graph."""
-    n, rep = key
-    if isinstance(rep, str):
-        return [(key, g)]
-    if n not in relabel:
-        relabel[n] = _relabel_tables(n)
-    return [((n, mask), from_pair_mask(n, mask)) for mask in _orbit(relabel[n], rep)]
-
-
-def _entries(corpus: Corpus) -> list[tuple[tuple, int, Graph]]:
-    """(key, weight, graph) per entry that passes the corpus filters: each
-    isomorphism class of the enumeration's orders, weighted by its orbit
-    size, or each graph6 record, weighted 1 and decoded once."""
-    if corpus.graph6_lines is None:
-        orders = range(corpus.min_n, corpus.max_n + 1)
-        entries = [((n, rep), size, g) for n in orders for rep, size, g in _classes(n)]
-    else:
-        entries = [((i, r), 1, g) for i, r, g in graph6_records(corpus.graph6_lines)]
-    return [entry for entry in entries if corpus._accept(entry[2])]
-
-
 def _check_units(
     checker: Callable,
-    units: list[tuple[tuple[tuple, int, Graph], ...]],
+    units: list[tuple[Entry, ...]],
     emit: Callable[[Violation], None],
 ) -> int:
     """Check each unit, a multiset of (key, weight, graph) entries, once, and
@@ -723,10 +470,7 @@ def _check_units(
         checked += prod(comb(w + c - 1, c) for (_, w, _), c in Counter(unit).items())
         if not checker(*(g for _, _, g in unit)):
             continue
-        orbits = [_members(key, g, relabel) for key, _, g in unit]
-        for members in sorted({tuple(sorted(p)) for p in product(*orbits)}):
-            graphs = [g for _, g in members]
-            name = "+".join(map(to_graph6, graphs))
+        for name, graphs in labeled_members(unit, relabel):
             for k, observed, expected in checker(*graphs):
                 emit(Violation(name, k, observed, expected))
     return checked
@@ -788,7 +532,7 @@ def _sweep(
     if jobs < 1:
         raise BadParameter(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
-    entries = _entries(corpus)
+    entries = corpus.entries()
     if not entries:
         raise BadParameter(
             f"no corpus graph passes connected={corpus.connected}, "
@@ -854,15 +598,8 @@ def check_cone_conjecture(
         raise BadParameter(
             "cone conjecture levels must be integers >= 1, got none"
         )
-    if isinstance(ks, range):
-        low = min(ks[0], ks[-1])
-    else:
-        # a level such as 1.5 is no ladder's k, so it would check nothing
-        odd = [k for k in ks if not isinstance(k, int)]
-        low = odd[0] if odd else min(ks)
-    if not isinstance(low, int) or low < 1:
-        raise BadParameter(
-            f"cone conjecture levels must be integers >= 1, got {low!r}"
-        )
+    # a range holds integers only, so its lowest level is one of its ends
+    for k in (ks[0], ks[-1]) if isinstance(ks, range) else ks:
+        check_positive_int(k, "cone conjecture level (k >= 1)")
     checker = partial(_cone_slack_at, ks)
     return _sweep("cone-conjecture", checker, corpus, jobs, on_violation)

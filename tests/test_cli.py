@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import adimlab
-from adimlab import verify
+from adimlab import corpus, verify
 from adimlab.bitset import VertexSet
 from adimlab.cli import main, parse_graph_spec
 from adimlab.errors import BadParameter, MalformedHeader
@@ -435,6 +435,19 @@ def test_empty_or_negative_order_ranges_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert "min_n <= max_n" in err
+
+
+def test_an_order_above_the_cap_exits_2_before_any_walk(capsys, monkeypatch):
+    walked = []
+    real_classes = corpus._classes
+    monkeypatch.setattr(
+        corpus, "_classes", lambda n: walked.append(n) or real_classes(n)
+    )
+    for command in (("sweep", "--theorem", "monotony"), ("conjecture",)):
+        code, out, err = run(capsys, *command, "--max-n", "8")
+        assert (code, out) == (2, "")
+        assert err == "error: labeled enumeration is capped at n <= 7, got 8\n"
+    assert walked == []
 
 
 @pytest.mark.parametrize("flag, value, checked", [

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from adimlab import formulas
+from adimlab.corpus import enumerate_all_graphs, enumerate_trees
 from adimlab.errors import (
     BadParameter,
     KExceedsDimensionality,
@@ -47,7 +48,7 @@ from adimlab.metric import (
     join_dimensionality,
 )
 from adimlab.solver import adim_ladder, enumerate_bases, solve_adim
-from adimlab.verify import Corpus, enumerate_all_graphs, enumerate_trees, sweep_theorem
+from adimlab.verify import Corpus, sweep_theorem
 
 from conftest import random_graph
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adimlab.bitset import VertexSet
+from adimlab.corpus import _classes
 from adimlab.errors import BadParameter, OutOfRange, SelfLoop
 from adimlab.graph import (
     FALSE_TWIN,
@@ -49,7 +50,6 @@ from adimlab.graph import (
     twin_prefix,
     wheel,
 )
-from adimlab.verify import _classes
 
 from conftest import graphs, random_graph
 

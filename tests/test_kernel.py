@@ -7,6 +7,7 @@ import pytest
 
 from adimlab import kernel, solver
 from adimlab.bitset import bits_of
+from adimlab.corpus import _classes
 from adimlab.errors import AdimlabError, BudgetExhausted, KTooLarge, OutOfRange
 from adimlab.graph import (
     Graph,
@@ -22,7 +23,6 @@ from adimlab.graph import (
 )
 from adimlab.metric import build_table, dimensionality, forced_set
 from adimlab.solver import brute_force_adim, enumerate_bases, solve_adim, solve_table
-from adimlab.verify import _classes
 
 from conftest import random_graph
 

@@ -4,6 +4,8 @@ module.  A helper one module needs from another is made public, with a
 docstring, or stays where it is used."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import adimlab
@@ -39,3 +41,40 @@ def test_no_module_imports_a_private_name_of_another():
         if (names := _private_imports(f.read_text()))
     }
     assert found == {}
+
+
+def _package_imports(source: str) -> set[str]:
+    """The package modules a module's relative imports name."""
+    return {
+        node.module or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+CORPUS_ALONE = """
+import sys, types
+# a bare package: adimlab/__init__.py loads the solver stack itself
+package = types.ModuleType("adimlab")
+package.__path__ = [sys.argv[1]]
+sys.modules["adimlab"] = package
+import adimlab.corpus
+print(*sorted(m for m in sys.modules if m.startswith(("adimlab.", "multiprocessing"))))
+"""
+
+
+def test_the_corpus_stands_below_the_solver_stack():
+    # generation needs graphs alone, so a corpus source can be written,
+    # run and tested without the table, search or sweep modules
+    assert _package_imports((SRC / "corpus.py").read_text()) <= {
+        "bitset", "errors", "graph"
+    }
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", CORPUS_ALONE, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "adimlab.bitset", "adimlab.corpus", "adimlab.errors", "adimlab.graph"
+    ]

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from adimlab.bitset import VertexSet
+from adimlab.corpus import enumerate_all_graphs
 from adimlab.errors import (
     BadParameter,
     BasisCountExceeded,
@@ -50,7 +51,6 @@ from adimlab.solver import (
     solve_dim,
     solve_table,
 )
-from adimlab.verify import enumerate_all_graphs
 
 from conftest import random_graph
 

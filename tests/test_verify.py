@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import adimlab
+from adimlab import corpus as corpus_mod
 from adimlab import formulas, graph, verify
 from adimlab.bitset import VertexSet
+from adimlab.corpus import _classes, enumerate_all_graphs, enumerate_trees
 from adimlab.errors import (
     BadParameter,
     BudgetExhausted,
@@ -42,13 +44,10 @@ from adimlab.verify import (
     THEOREMS,
     Corpus,
     Violation,
-    _classes,
     _is_cycle_graph,
     _is_path_graph,
     check_cone_conjecture,
     check_cone_slack,
-    enumerate_all_graphs,
-    enumerate_trees,
     sweep_theorem,
 )
 
@@ -350,6 +349,17 @@ def test_conjecture_small_corpus():
             check_cone_conjecture(Corpus(min_n=2, max_n=4), ks)
 
 
+def test_conjecture_takes_numpy_integer_levels():
+    # levels are refused by errors.check_positive_int, which serves numpy
+    # integers as the solver does
+    numpy = pytest.importorskip("numpy")
+    corpus = Corpus(min_n=2, max_n=5)
+    report = check_cone_conjecture(corpus, [numpy.int64(2)])
+    assert report._replace(elapsed=0) == check_cone_conjecture(
+        corpus, [2]
+    )._replace(elapsed=0)
+
+
 def test_conjecture_keeps_a_wide_level_range_lazy():
     # only the cone ladder's levels are visited, and a range's lowest level
     # is read from its ends whatever its step
@@ -534,13 +544,13 @@ def test_class_walk_counts_and_representatives():
 def test_class_list_is_walked_once_per_order(monkeypatch):
     _classes.cache_clear()
     builds = Counter()
-    real_tables = verify._relabel_tables
+    real_tables = corpus_mod._relabel_tables
 
     def counting_tables(n):
         builds[n] += 1
         return real_tables(n)
 
-    monkeypatch.setattr(verify, "_relabel_tables", counting_tables)
+    monkeypatch.setattr(corpus_mod, "_relabel_tables", counting_tables)
     corpus = Corpus(min_n=2, max_n=6)
     reports = [sweep_theorem(corpus, "monotony") for _ in range(2)]
     reports.append(sweep_theorem(corpus, "monotony", jobs=2))
@@ -662,6 +672,23 @@ PAIR_CORPORA = [
     (1, _g6_corpus()),
     (2, _g6_corpus(min_degree=1)),
 ]
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [Corpus(0, 5), Corpus(2, 5, connected=True, min_degree=1), _g6_corpus()],
+    ids=["orders", "filtered", "g6"],
+)
+def test_entries_expand_into_the_labeled_graphs(corpus):
+    # each entry stands for as many labeled graphs as its weight, and all
+    # entries together stand for the labeled iteration, repeats included
+    relabel, names = {}, Counter()
+    for entry in corpus.entries():
+        members = corpus_mod.labeled_members((entry,), relabel)
+        assert len(members) == entry[1]
+        assert all(name == to_graph6(g) for name, (g,) in members)
+        names.update(name for name, _ in members)
+    assert names == Counter(map(to_graph6, corpus))
 
 
 @pytest.mark.parametrize(
@@ -908,6 +935,19 @@ def test_a_forked_child_closing_the_pool_leaves_the_parents_workers(monkeypatch)
 def test_corpus_iteration_names_an_undecodable_record():
     with pytest.raises(MalformedHeader, match=r"graph6 record 2 'D~\{xx': 2 trailing"):
         list(Corpus(graph6_lines=("CF", "D~{xx")))
+
+
+def test_corpus_refuses_an_order_above_the_cap_when_made(monkeypatch):
+    walked = []
+    real_classes = corpus_mod._classes
+    monkeypatch.setattr(
+        corpus_mod, "_classes", lambda n: walked.append(n) or real_classes(n)
+    )
+    capped = r"^labeled enumeration is capped at n <= 7, got 8$"
+    for orders in ((6, 8), (8, None)):
+        with pytest.raises(TooLarge, match=capped):
+            Corpus(*orders)
+    assert walked == []
 
 
 def test_corpus_refuses_empty_and_negative_order_ranges():
