@@ -82,6 +82,8 @@ class SolveResult(NamedTuple):
             "dimension": self.dimension,
             "witness": self.witness.to_list(),
             "nodes": self.stats.nodes,
+            "search_nodes": self.stats.search_nodes,
+            "greedy_size": self.stats.greedy_size,
             "millis": round(self.stats.millis, 3),
         }
 

@@ -3,8 +3,7 @@
 Sweeps re-check one statement per graph, or per unordered pair of graphs,
 of a ``corpus.Corpus``, and report violations; a violation would be a
 counterexample, so reports carry full witness data.  An ``on_violation``
-hook sees each violation as a serial sweep finds it, and a pooled sweep's
-violations only when the shard that found them ends.
+hook sees each violation as soon as it is found, in a pool worker too.
 
 A sweep with ``jobs > 1`` runs in the process's one worker pool, made on
 its first pooled sweep and kept for the next ones, so only a process that
@@ -22,6 +21,16 @@ is dropped when an exception leaves a pooled sweep, so a failed sweep's
 queued shards never run ahead of the next sweep's, and each shard starts
 from an empty table cache, so no answer comes from a table left by an
 earlier sweep.
+
+A pooled sweep sends the pool ``jobs`` shards ``(checker, corpus, arity,
+part, jobs)``, never a graph: the worker takes the corpus's entries itself
+and checks every ``jobs``-th unit from the ``part``-th.  A graph6 corpus
+carries its lines, which each worker decodes; a class list comes from the
+worker's own ``_classes`` cache, so an order the parent had not walked
+when the workers were forked is walked once in each worker.  The
+workers put each violation, each shard's checked count and any exception
+on one queue, made with the pool, which the parent reads until every
+shard has reported.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -66,6 +75,7 @@ from .solver import (
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
+    from multiprocessing.queues import SimpleQueue
 
 
 class Violation(NamedTuple):
@@ -457,7 +467,7 @@ PAIR_THEOREMS: dict[str, Callable[[Graph, Graph], list]] = {
 
 def _check_units(
     checker: Callable,
-    units: list[tuple[Entry, ...]],
+    units: Iterable[tuple[Entry, ...]],
     emit: Callable[[Violation], None],
 ) -> int:
     """Check each unit, a multiset of (key, weight, graph) entries, once, and
@@ -476,23 +486,50 @@ def _check_units(
     return checked
 
 
-def _sweep_shard(shard: tuple) -> tuple[int, list[Violation]]:
-    checker, units = shard
-    build_table.cache_clear()
-    violations: list[Violation] = []
-    return _check_units(checker, units, violations.append), violations
+# the queue a pool worker reports to, set by the pool's initializer
+_queue: SimpleQueue | None = None
 
 
-# the process's pool and its key: (pid, jobs, ADIMLAB_BUDGET, checker), pool
-_pool: tuple[tuple, Pool] | None = None
+def _set_queue(queue: SimpleQueue) -> None:
+    global _queue
+    _queue = queue
 
 
-def _kept_pool(jobs: int, checker: Callable) -> Pool:
-    """The process's pool of ``jobs`` workers, made on first use and
-    replaced when its key, everything the workers were forked with,
-    differs.  A worker unpickles the checker by name from the module state
-    it was forked with, so a checker made since then needs new workers; a
-    ``partial`` is compared by its function and arguments."""
+def _sweep_slice(shard: tuple) -> None:
+    """Check slice ``part`` of ``jobs`` of the corpus's units, every
+    ``jobs``-th from the ``part``-th, from an empty table cache.  Each
+    violation is put on the worker's queue when it is found, then the
+    slice's checked count; an exception is put in place of the count, with
+    its traceback, or as a ``RuntimeError`` naming it when it cannot be
+    pickled."""
+    checker, corpus, arity, part, jobs = shard
+    try:
+        build_table.cache_clear()
+        units = combinations_with_replacement(corpus.entries(), arity)
+        _queue.put(_check_units(checker, islice(units, part, None, jobs), _queue.put))
+    except BaseException as exc:
+        # BaseException too: one that left this function would end the
+        # worker with its count unsent, and the parent would wait forever
+        from multiprocessing.pool import ExceptionWithTraceback
+
+        try:
+            _queue.put(ExceptionWithTraceback(exc, exc.__traceback__))
+        except Exception as why:
+            _queue.put(RuntimeError(f"a pool worker raised {exc!r}, unsent: {why}"))
+
+
+# the process's pool, its queue and their key: (pid, jobs, ADIMLAB_BUDGET,
+# checker)
+_pool: tuple[tuple, Pool, SimpleQueue] | None = None
+
+
+def _kept_pool(jobs: int, checker: Callable) -> tuple[Pool, SimpleQueue]:
+    """The process's pool of ``jobs`` workers and the queue they report
+    to, made on first use and replaced when their key, everything the
+    workers were forked with, differs.  A worker unpickles the checker by
+    name from the module state it was forked with, so a checker made since
+    then needs new workers; a ``partial`` is compared by its function and
+    arguments."""
     # imported here, so a process that never pools never loads it
     import multiprocessing
 
@@ -503,14 +540,15 @@ def _kept_pool(jobs: int, checker: Callable) -> Pool:
     if _pool is not None and _pool[0] != key:
         _close_pool()
     if _pool is None:
-        _pool = key, multiprocessing.Pool(jobs)
-    return _pool[1]
+        queue = multiprocessing.SimpleQueue()
+        _pool = key, multiprocessing.Pool(jobs, _set_queue, (queue,)), queue
+    return _pool[1:]
 
 
 def _close_pool() -> None:
-    """Drop the kept pool, if any, terminating its workers when this
-    process made them (a forked child does not own its parent's); the next
-    pooled sweep makes one."""
+    """Drop the kept pool and its queue, if any, terminating the workers
+    when this process made them (a forked child does not own its
+    parent's); the next pooled sweep makes new ones."""
     global _pool
     if _pool is not None and _pool[0][0] == os.getpid():
         _pool[1].terminate()
@@ -527,8 +565,9 @@ def _sweep(
 ) -> SweepReport:
     """The one sweep path.  A unit is a multiset of ``arity`` corpus
     entries, counted with the number of labeled multisets it stands for;
-    units run serially or over ``jobs * 4`` interleaved slices in the kept
-    pool.  A corpus the filters leave empty raises ``BadParameter``."""
+    units run serially or, as ``jobs`` interleaved slices that each worker
+    cuts from the corpus itself, in the kept pool.  A corpus the filters
+    leave empty raises ``BadParameter``."""
     if jobs < 1:
         raise BadParameter(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
@@ -545,21 +584,29 @@ def _sweep(
         if on_violation:
             on_violation(v)
 
-    units = list(combinations_with_replacement(entries, arity))
     if jobs > 1:
-        parts = jobs * 4
-        shards = [(checker, units[i::parts]) for i in range(parts)]
         checked = 0
         try:
-            pool = _kept_pool(jobs, checker)
-            for shard_checked, found in pool.imap_unordered(_sweep_shard, shards):
-                checked += shard_checked
-                for v in found:
-                    emit(v)
+            pool, queue = _kept_pool(jobs, checker)
+            for part in range(jobs):
+                # a shard the pool cannot send puts its error on the queue
+                shard = checker, corpus, arity, part, jobs
+                pool.apply_async(_sweep_slice, (shard,), error_callback=queue.put)
+            running = jobs
+            while running:
+                message = queue.get()
+                if isinstance(message, Violation):
+                    emit(message)
+                elif isinstance(message, int):
+                    checked += message
+                    running -= 1
+                else:
+                    raise message
         except BaseException:
             _close_pool()
             raise
     else:
+        units = combinations_with_replacement(entries, arity)
         checked = _check_units(checker, units, emit)
     violations.sort(key=lambda v: (v.graph6, v.k))
     return SweepReport(theorem, checked, violations, time.perf_counter() - start)

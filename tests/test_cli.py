@@ -60,7 +60,10 @@ def test_compute_json_round_trip(capsys):
     for row in rows:
         witness = VertexSet.from_iterable(24, row["witness"])
         assert is_k_generator(table, row["k"], witness)
-        assert set(row) == {"k", "dimension", "witness", "nodes", "millis"}
+        assert set(row) == {
+            "k", "dimension", "witness", "nodes", "search_nodes",
+            "greedy_size", "millis",
+        }
 
 
 def test_dim_subcommand(capsys):

@@ -31,7 +31,10 @@ RECORDS = [
         SolveResult(2, 3, B, STATS),
         ("k", "dimension", "witness", "stats"),
         {"stats": SolveStats()},
-        {"k": 2, "dimension": 3, "witness": [0, 2], "nodes": 5, "millis": 1.5},
+        {
+            "k": 2, "dimension": 3, "witness": [0, 2], "nodes": 5,
+            "search_nodes": 2, "greedy_size": 3, "millis": 1.5,
+        },
     ),
     (FormulaQuery("path", (7,), 1), ("family", "params", "k"), {}, None),
     (

@@ -440,7 +440,10 @@ def test_full_dimension_iff_forced_covers():
 def test_stats_and_json_schema():
     res = solve_adim(petersen(), 3)
     d = res.to_json_dict()
-    assert set(d) == {"k", "dimension", "witness", "nodes", "millis"}
+    assert set(d) == {
+        "k", "dimension", "witness", "nodes", "search_nodes", "greedy_size",
+        "millis",
+    }
     assert d["k"] == 3 and d["dimension"] == 7
     assert d["witness"] == res.witness.to_list()
     assert res.stats.greedy_size >= res.dimension

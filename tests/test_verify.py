@@ -5,11 +5,14 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
+from queue import SimpleQueue
 
 import pytest
 
@@ -671,6 +674,7 @@ PAIR_CORPORA = [
     (1, Corpus(min_n=3, max_n=4, min_degree=1)),
     (1, _g6_corpus()),
     (2, _g6_corpus(min_degree=1)),
+    (3, _g6_corpus(min_degree=1)),
 ]
 
 
@@ -694,7 +698,10 @@ def test_entries_expand_into_the_labeled_graphs(corpus):
 @pytest.mark.parametrize(
     "jobs, corpus",
     PAIR_CORPORA,
-    ids=["serial", "pool", "pool-connected", "serial-min-degree", "g6", "g6-pool"],
+    ids=[
+        "serial", "pool", "pool-connected", "serial-min-degree", "g6", "g6-pool",
+        "g6-pool-3",
+    ],
 )
 def test_pair_sweep_matches_labeled_pair_reference(monkeypatch, jobs, corpus):
     monkeypatch.setitem(PAIR_THEOREMS, "edge-sum-mod-3", _edge_sum_mod3)
@@ -729,34 +736,81 @@ def test_graph6_corpus_uses_the_pool(monkeypatch):
     )
 
 
-def test_pool_shards_carry_only_the_checker_and_units(monkeypatch):
-    # each unit holds its entries' graphs, filtered already, so a shard needs
-    # no corpus
+def test_pool_shards_carry_the_corpus_and_a_slice_not_graphs(monkeypatch):
+    # each worker takes its slice of units from the corpus itself, so a
+    # shard holds no graph; run here, the shards report on one queue
     asked, shards = [], []
+    reports = SimpleQueue()
 
     class InProcessPool:
-        def imap_unordered(self, fn, items):
-            for shard in items:
-                shards.append(shard)
-                yield fn(shard)
+        def apply_async(self, fn, args, error_callback):
+            shards.append(args[0])
+            fn(*args)
 
     def in_process_pool(jobs, checker):
         asked.append(jobs)
-        return InProcessPool()
+        return InProcessPool(), reports
 
     monkeypatch.setattr(verify, "_kept_pool", in_process_pool)
+    monkeypatch.setattr(verify, "_queue", reports)
     monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
     corpus = _g6_corpus(min_degree=1)
     serial = sweep_theorem(corpus, "edges-mod-3")
     assert asked == []
     pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
-    assert asked == [2] and len(shards) == 8
+    assert asked == [2]
+    assert shards == [(_edge_count_mod3, corpus, 1, part, 2) for part in (0, 1)]
     for shard in shards:
-        checker, units = shard
-        assert checker is _edge_count_mod3 and units
-        assert b"Corpus" not in pickle.dumps(shard)
+        assert b"Graph" not in pickle.dumps(shard)
     assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
-    assert serial.violations
+    assert serial.violations and reports.empty()
+
+
+def test_a_pool_wider_than_the_corpus_still_reports(monkeypatch):
+    # three units over four slices: the last slice is empty, and its count
+    # of 0 still ends it
+    monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
+    corpus = Corpus(min_n=1, max_n=2)
+    serial = sweep_theorem(corpus, "edges-mod-3")
+    pooled = sweep_theorem(corpus, "edges-mod-3", jobs=4)
+    assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
+    assert serial.checked == 3 and serial.violations
+
+
+def _reports_then_waits(marker: str, g):
+    # a violation on the empty graph on two vertices; on K2, checked later
+    # in the same slice, wait until the parent has seen that violation
+    if g.n != 2:
+        return []
+    if not g.edge_count():
+        return [(0, "reported", "before the wait")]
+    deadline = time.monotonic() + 30
+    while not os.path.exists(marker):
+        if time.monotonic() > deadline:
+            return [(0, "no violation seen", "while its slice ran")]
+        time.sleep(0.005)
+    return []
+
+
+def test_a_pooled_violation_is_seen_while_its_slice_runs(monkeypatch, tmp_path):
+    # K2 ('A_') is the ninth record and the empty graph ('A?') the first,
+    # so one slice holds both at any jobs dividing 8; the slice ends only
+    # once on_violation has seen the first record's violation
+    marker = tmp_path / "seen"
+    monkeypatch.setitem(
+        THEOREMS, "reports-then-waits", partial(_reports_then_waits, str(marker))
+    )
+    corpus = Corpus(graph6_lines=("A?", *["B?"] * 7, "A_"))
+    seen = []
+
+    def on_violation(v):
+        seen.append(v)
+        marker.touch()
+
+    report = sweep_theorem(corpus, "reports-then-waits", 2, on_violation)
+    assert seen == report.violations == [
+        Violation("A?", 0, "reported", "before the wait")
+    ]
 
 
 def _worker_pid(g):
@@ -801,14 +855,17 @@ def test_a_worker_starts_each_sweep_from_an_empty_table_cache(monkeypatch):
         assert sweep_theorem(corpus, "table-cached", jobs=2).violations == []
 
 
-def test_each_shard_starts_from_an_empty_table_cache():
+def test_each_shard_starts_from_an_empty_table_cache(monkeypatch):
     # neither a table built before a shard nor one an earlier shard of the
     # same worker built answers for it
     g = path(4)
     build_table(g, 2)
-    shard = (_table_was_cached, [(((0, to_graph6(g)), 1, g),)])
+    reports = SimpleQueue()
+    monkeypatch.setattr(verify, "_queue", reports)
+    shard = (_table_was_cached, Corpus(graph6_lines=(to_graph6(g),)), 1, 0, 1)
     for _ in range(2):
-        assert verify._sweep_shard(shard) == (1, [])
+        verify._sweep_slice(shard)
+        assert reports.get_nowait() == 1 and reports.empty()
 
 
 def test_a_kept_pool_follows_the_budget_variable(monkeypatch):
@@ -842,6 +899,35 @@ def test_a_failed_pooled_sweep_drops_its_pool(monkeypatch):
     pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
     assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
     assert len(_worker_pids()) == 2 and not _worker_pids() & workers
+
+
+class _Unpicklable(Exception):
+    """An exception holding a lock, which pickle refuses."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def _raises_unpicklable(g):
+    if g.n == 3 and g.edge_count() == 3:
+        raise _Unpicklable()
+    return []
+
+
+def test_an_error_the_pool_cannot_send_drops_the_pool(monkeypatch):
+    # a worker's exception that cannot be pickled is named in one that can,
+    # and a checker that cannot be pickled never reaches a worker: either
+    # way the parent raises at once instead of waiting for the slice
+    monkeypatch.setitem(THEOREMS, "unpicklable-error", _raises_unpicklable)
+    monkeypatch.setitem(THEOREMS, "local-checker", lambda g: [])
+    corpus = Corpus(min_n=2, max_n=4)
+    with pytest.raises(RuntimeError, match="_Unpicklable.*holds a lock"):
+        sweep_theorem(corpus, "unpicklable-error", jobs=2)
+    assert _worker_pids() == set()
+    with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+        sweep_theorem(corpus, "local-checker", jobs=2)
+    assert _worker_pids() == set()
 
 
 LATE_CHECKER = """
