@@ -86,6 +86,10 @@ class UnknownTheorem(AdimlabError):
     """sweep_theorem was called with an unrecognised theorem id."""
 
 
+class WorkerLost(AdimlabError):
+    """A pool worker exited while it checked a shard of a pooled sweep."""
+
+
 def check_positive_int(
     value, what: str, error: type[AdimlabError] = BadParameter
 ) -> None:

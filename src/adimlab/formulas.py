@@ -32,7 +32,7 @@ from .metric import (
     forced_set,
     join_dimensionality,
 )
-from .solver import enumerate_bases, minimum_size, solve_adim
+from .solver import enumerate_bases, minimum_cover, minimum_size
 
 FAMILIES = (
     "path",
@@ -244,9 +244,10 @@ def join_equality_criterion(g: Graph, h: Graph, k: int) -> CriterionReport:
     join dimension.  The two sides are disjoint, so the test reduces to
     max_A min_x |A - N(x)| + max_B min_y |B - N(y)| >= k.
 
-    H's term is at least 0 and at least the score of H's lex-first basis,
-    so H's bases are listed only when neither closes the gap; the report
-    is the one the full lists give."""
+    H's term is at least 0 and at least the score of any one minimum
+    basis of H, here the cover H's minimum search stored (``join_bounds``
+    has already paid for it), so H's bases are listed only when neither
+    closes the gap; the report is the one the full lists give."""
     _check_level(k, join_dimensionality(g, h), "the join")
 
     def best(graph: Graph) -> tuple[int, VertexSet]:
@@ -260,7 +261,7 @@ def join_equality_criterion(g: Graph, h: Graph, k: int) -> CriterionReport:
     sg, wg = best(g)
     if (
         sg >= k
-        or sg + min(_outside(h, solve_adim(h, k).witness)) >= k
+        or sg + min(_outside(h, minimum_cover(build_table(h, 2), k))) >= k
         or sg + best(h)[0] >= k
     ):
         return CriterionReport("join-equality", True, wg)

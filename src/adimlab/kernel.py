@@ -7,13 +7,19 @@ minimum one.  Masks are plain ints, so any universe size is accepted.
 A table is first reduced: duplicate masks go, and so does every mask that
 contains another one (a set hitting A k times hits every superset of A k
 times, so the valid covers are unchanged); the rest are sorted by
-(popcount, value).  The search then runs on columns: one int per vertex,
-bit p set when the vertex lies in mask p.  The residual is k bit-planes,
-plane j holding the masks still short of j + 1 hits, so a pick updates it
-with a few ANDs and ORs, and coverage counts over a vertex set come from a
-ripple of ANDs and ORs over its columns: masks with too few available
-vertices end a branch, masks with exactly as many force them all, and a
-mask with one to spare is the one branched on.  The lower bound on further
+(popcount, value).  Reduction is one pass in that order: the masks kept so
+far sit in (n+1)-bit fields of one packed int, and a candidate m is tested
+against all of them with a few big-int operations (a kept mask lies inside
+m exactly when its field of ``packed & ~m`` is zero, and adding 2^n - 1 to
+every field leaves only such a field's top guard bit clear).  The search
+then runs on columns: one int per vertex, bit p set when the vertex lies in
+mask p, read off the packed int with one ``format`` and a strided slice
+per vertex.  The residual is k bit-planes, plane j holding the masks still
+short of j + 1 hits, so a pick updates it with a few ANDs and ORs, and
+coverage counts over a vertex set come from a ripple of ANDs and ORs over
+its columns: masks with too few available vertices end a branch, masks
+with exactly as many force them all, and a mask with one to spare is the
+one branched on.  The lower bound on further
 picks is ceil(total residual / best single-vertex coverage), and at least
 the largest residual, which is the number of non-empty planes.
 
@@ -25,6 +31,17 @@ columns, on local variables when at most three planes are non-empty.  A
 vertex that hits no short mask is dropped from the available set for the
 whole subtree (the short masks only shrink below a node), and the exclude
 branch of a node reuses its columns without a call.
+
+Three shortcuts make a node cheaper without changing any decision, so the
+tree, its node count and its answers stay those of the plain tests.  When
+one plane is non-empty it is the short plane itself, so the infeasible and
+tight masks come straight from the first two ripple terms.  The forced
+vertices, the available ones whose columns meet a tight mask, are the OR
+of the tight masks ANDed with the available set.  And the coverage bound,
+count + ceil(total / top) >= incumbent, is the same test as total > room *
+top with room = incumbent - count - 1; any one hit's coverage is at most
+top, so when the last hit's coverage already admits the total, top does
+too, and the largest coverage is looked for only when that test fails.
 
 A solve has two phases.  The minimum search, a branch and bound from the
 greedy incumbent, finds the minimum size and one cover of that size
@@ -69,30 +86,6 @@ def implementation_name() -> str:
     return "python"
 
 
-def _reduce(masks) -> list[int]:
-    """The masks without duplicates and without any mask containing another,
-    sorted by (popcount, value); their k-fold covers are those of ``masks``."""
-    kept: list[int] = []
-    for m in sorted(sorted(set(masks)), key=int.bit_count):
-        # a kept mask inside m has fewer bits, so it is already in ``kept``
-        for a in kept:
-            if a & m == a:
-                break
-        else:
-            kept.append(m)
-    return kept
-
-
-def _columns(masks, n: int) -> list[int]:
-    """Column layout: bit p of entry v is set when vertex v lies in mask p."""
-    if not masks:
-        return [0] * n
-    # transpose the n-digit binary rows, last mask first so that it becomes
-    # the top bit; digit 0 of a row is vertex n - 1
-    rows = [format(m, f"0{n}b") for m in reversed(masks)]
-    return [int("".join(digits), 2) for digits in zip(*rows)][::-1]
-
-
 class Prepared(NamedTuple):
     """A table ready for search: the reduced masks, their columns, the
     ``prefix``, vertices that the lexicographically smallest minimum cover
@@ -107,11 +100,39 @@ class Prepared(NamedTuple):
 
 def prepare(masks, n: int, prefix: int = 0) -> Prepared:
     """Reduce ``masks`` and lay them out in columns over ``n`` vertices; a
-    mask outside 0..2^n - 1 raises ``OutOfRange``."""
-    reduced = _reduce(masks)
-    if reduced and (min(reduced) < 0 or max(reduced) >> n):
+    mask outside 0..2^n - 1 raises ``OutOfRange``.  Kept mask i sits in
+    bits i(n+1) .. i(n+1) + n - 1 of one packed int, bit i(n+1) + n its
+    guard bit."""
+    masks = set(masks)
+    if masks and (min(masks) < 0 or max(masks) >> n):
         raise OutOfRange(f"a mask lies outside the {n} vertices 0..{n - 1}")
-    return Prepared(tuple(reduced), tuple(_columns(reduced, n)), prefix, {})
+    width = n + 1
+    full = (1 << n) - 1
+    kept = []
+    packed = 0  # the kept masks, one per field
+    ones = 0  # bit 0 of each kept mask's field
+    fulls = 0  # full in each kept mask's field
+    guards = 0  # bit n, the guard bit, of each kept mask's field
+    for m in sorted(sorted(masks), key=int.bit_count):
+        # m * ones repeats m in every field, so a kept mask lies inside m
+        # exactly when its field of packed & ~(m * ones) is 0; adding full
+        # leaves that field's guard bit clear and sets every other one,
+        # without a carry into the next field.  A kept mask inside m has
+        # fewer bits, so it is already packed
+        if (packed & ~(m * ones)) + fulls & guards == guards:
+            shift = len(kept) * width
+            kept.append(m)
+            packed |= m << shift
+            ones |= 1 << shift
+            fulls |= full << shift
+            guards |= 1 << shift + n
+    if not kept:
+        return Prepared((), (0,) * n, prefix, {})
+    # digit n - v of each field's n + 1 digits is vertex v, and the last
+    # mask's field comes first, so that it becomes the column's top bit
+    digits = format(packed, f"0{len(kept) * width}b")
+    cols = tuple(int(digits[n - v::width], 2) for v in range(n))
+    return Prepared(tuple(kept), cols, prefix, {})
 
 
 def forced(masks, k: int) -> int:
@@ -190,7 +211,7 @@ class _Search:
         """Dynamic-order search for any minimum cover extending ``chosen``.
         Each pass of the outer loop is one node; its exclude branch is the
         next pass, not a call."""
-        cols = self.cols
+        masks, cols = self.masks, self.cols
         k = self.k
         budget = self.budget
         hits = None
@@ -231,7 +252,10 @@ class _Search:
                         r2 |= r1 & c
                         r1 |= r0 & c
                         r0 |= c
-                    reach = (r0, r1, r2)
+                    # the one plane is short itself: the loop below, unrolled
+                    if short & ~r0:
+                        return
+                    tight = short & ~r1
                 elif deep == 2:
                     r0 = r1 = r2 = r3 = 0
                     for c in hits:
@@ -255,39 +279,47 @@ class _Search:
                         for j in range(deep + 1, 0, -1):
                             reach[j] |= reach[j - 1] & c
                         reach[0] |= c
-                tight = 0
-                for i in range(1, deep + 1):
-                    need = planes[k - i]
-                    if need & ~reach[i - 1]:
-                        return
-                    tight |= need & ~reach[i]
+                if deep > 1:
+                    tight = 0
+                    for i in range(1, deep + 1):
+                        need = planes[k - i]
+                        if need & ~reach[i - 1]:
+                            return
+                        tight |= need & ~reach[i]
                 if not tight:
                     break
+                # every available vertex of a tight mask is forced
                 must = 0
-                rest = avail
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    c = cols[low.bit_length() - 1]
-                    if c & tight:
-                        must |= low
-                        planes = _pick(planes, c)
+                while tight:
+                    low = tight & -tight
+                    tight ^= low
+                    must |= masks[low.bit_length() - 1]
+                must &= avail
+                for v in bits_of(must):
+                    planes = _pick(planes, cols[v])
                 count += must.bit_count()
                 chosen |= must
                 avail &= ~must
                 hits = None
             # count + deep < best_size holds here, so of the lower bound
             # max(ceil(total residual / best coverage), deep) only the first
-            # part is left to test
-            top = max(map(int.bit_count, hits))
+            # part is left to test: count + ceil(total / top) >= best_size
+            # exactly when total > room * top.  The last hit's coverage is
+            # at most top, so when it already admits total, top does too
+            room = self.best_size - count - 1
             total = sum(map(int.bit_count, planes))
-            if count - (-total // top) >= self.best_size:
+            if total > room * hits[-1].bit_count() and total > room * max(
+                map(int.bit_count, hits)
+            ):
                 return
-            slack1 = 0
-            for i in range(1, deep + 1):
-                slack1 |= planes[k - i] & ~reach[i + 1]
+            if deep == 1:
+                slack1 = short & ~r2
+            else:
+                slack1 = 0
+                for i in range(1, deep + 1):
+                    slack1 |= planes[k - i] & ~reach[i + 1]
             first = slack1 or short
-            branch = self.masks[(first & -first).bit_length() - 1]
+            branch = masks[(first & -first).bit_length() - 1]
             best = 0
             rest = branch & avail
             while rest:

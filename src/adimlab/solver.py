@@ -200,6 +200,15 @@ def table_ladder(table: DistinguishTable) -> list[int]:
     return kernel.cover_ladder(table.prepared, _budget(None))
 
 
+def ladder_covers(table: DistinguishTable) -> tuple[list[int], list[int]]:
+    """``table_ladder(table)`` and, index k-1 too, the mask of the cover
+    each level's minimum search stored, the one ``minimum_cover`` returns:
+    one level check and one budget read for the whole ladder."""
+    sizes = table_ladder(table)
+    searches = table.prepared.searches
+    return sizes, [searches[k][1] for k in range(1, len(sizes) + 1)]
+
+
 def brute_force_adim(g: Graph, k: int, t: int = 2) -> SolveResult:
     """Independent oracle: try subsets in increasing size, lexicographic
     within each size, and return the first valid k-generator.  At a

@@ -28,9 +28,11 @@ and checks every ``jobs``-th unit from the ``part``-th.  A graph6 corpus
 carries its lines, which each worker decodes; a class list comes from the
 worker's own ``_classes`` cache, so an order the parent had not walked
 when the workers were forked is walked once in each worker.  The
-workers put each violation, each shard's checked count and any exception
-on one queue, made with the pool, which the parent reads until every
-shard has reported.
+workers put each shard's start with their pid, each violation, each
+shard's checked count and any exception on one queue, made with the pool,
+which the parent reads until every shard has reported.  While the queue
+is silent the parent checks that the worker of every started shard is
+alive, and a lost one raises ``WorkerLost``: its shard would never report.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .bitset import bits_of
 # Corpus is re-exported too: callers, the benchmark among them, use verify.Corpus
 from .corpus import Corpus, Entry, labeled_members
-from .errors import BadParameter, UnknownTheorem, check_positive_int
+from .errors import BadParameter, UnknownTheorem, WorkerLost, check_positive_int
 from .graph import (
     INFINITE,
     Graph,
@@ -68,7 +70,7 @@ from .metric import (
 from .solver import (
     BUDGET_ENV,
     adim_ladder,
-    minimum_cover,
+    ladder_covers,
     minimum_size,
     table_ladder,
 )
@@ -375,13 +377,14 @@ def check_cone_slack(h: Graph, k_range: Collection[int]) -> list:
     """Violations of cone(H) <= adim_k(H) + k for the levels k in range at
     which the cone has a k-generator, in ascending k.  Each level is first
     settled by ``_cone_certificate`` from the minimum cover H's ladder
-    stored; the cone's table is built, once, and searched exactly only at
-    a level that gets none.  Only the cone's levels are visited, so a wide
-    range costs no more than the levels it shares with them."""
+    stored, read with the ladder in one call; the cone's table is built,
+    once, and searched exactly only at a level that gets none.  Only the
+    cone's levels are visited, so a wide range costs no more than the
+    levels it shares with them."""
     if h.n < 2:
         return []
     table = build_table(h, 2)
-    lh = table_ladder(table)
+    lh, covers = ladder_covers(table)
     # cone_dimensionality(h), read from the ladder's length: the closed
     # form would look the table up again
     top = min(len(lh), h.n - h.max_degree() + 1)
@@ -390,7 +393,7 @@ def check_cone_slack(h: Graph, k_range: Collection[int]) -> list:
     for k in range(1, top + 1):
         if k not in k_range:
             continue
-        if _cone_certificate(h, minimum_cover(table, k).mask, k) is not None:
+        if _cone_certificate(h, covers[k - 1], k) is not None:
             continue
         if cone is None:
             cone = build_table(join(complete(1), h), 2)
@@ -486,6 +489,15 @@ def _check_units(
     return checked
 
 
+class _Shard(NamedTuple):
+    """A shard's report: ``checked`` is None when worker ``pid`` starts
+    slice ``part``, and the slice's checked count when it is done."""
+
+    part: int
+    pid: int
+    checked: int | None = None
+
+
 # the queue a pool worker reports to, set by the pool's initializer
 _queue: SimpleQueue | None = None
 
@@ -497,16 +509,19 @@ def _set_queue(queue: SimpleQueue) -> None:
 
 def _sweep_slice(shard: tuple) -> None:
     """Check slice ``part`` of ``jobs`` of the corpus's units, every
-    ``jobs``-th from the ``part``-th, from an empty table cache.  Each
-    violation is put on the worker's queue when it is found, then the
-    slice's checked count; an exception is put in place of the count, with
-    its traceback, or as a ``RuntimeError`` naming it when it cannot be
-    pickled."""
+    ``jobs``-th from the ``part``-th, from an empty table cache.  The
+    worker puts on its queue a ``_Shard`` with its pid as it starts, each
+    violation when it is found, then a ``_Shard`` with the slice's checked
+    count; an exception is put in place of the count, with its traceback,
+    or as a ``RuntimeError`` naming it when it cannot be pickled."""
     checker, corpus, arity, part, jobs = shard
     try:
+        pid = os.getpid()
+        _queue.put(_Shard(part, pid))
         build_table.cache_clear()
         units = combinations_with_replacement(corpus.entries(), arity)
-        _queue.put(_check_units(checker, islice(units, part, None, jobs), _queue.put))
+        checked = _check_units(checker, islice(units, part, None, jobs), _queue.put)
+        _queue.put(_Shard(part, pid, checked))
     except BaseException as exc:
         # BaseException too: one that left this function would end the
         # worker with its count unsent, and the parent would wait forever
@@ -517,6 +532,11 @@ def _sweep_slice(shard: tuple) -> None:
         except Exception as why:
             _queue.put(RuntimeError(f"a pool worker raised {exc!r}, unsent: {why}"))
 
+
+# how long a pooled sweep waits on its queue before it checks that the
+# workers of its running shards are alive, and at most for the pool's
+# result of a shard whose count is in
+_POLL_S = 0.1
 
 # the process's pool, its queue and their key: (pid, jobs, ADIMLAB_BUDGET,
 # checker)
@@ -543,6 +563,15 @@ def _kept_pool(jobs: int, checker: Callable) -> tuple[Pool, SimpleQueue]:
         queue = multiprocessing.SimpleQueue()
         _pool = key, multiprocessing.Pool(jobs, _set_queue, (queue,)), queue
     return _pool[1:]
+
+
+def _lost_shard(running: dict[int, int]) -> int | None:
+    """A part of ``running`` (part -> pid of the worker checking it) whose
+    worker has exited, or None."""
+    import multiprocessing
+
+    live = {p.pid for p in multiprocessing.active_children()}
+    return next((part for part, pid in running.items() if pid not in live), None)
 
 
 def _close_pool() -> None:
@@ -588,20 +617,43 @@ def _sweep(
         checked = 0
         try:
             pool, queue = _kept_pool(jobs, checker)
+            results = []
             for part in range(jobs):
                 # a shard the pool cannot send puts its error on the queue
                 shard = checker, corpus, arity, part, jobs
-                pool.apply_async(_sweep_slice, (shard,), error_callback=queue.put)
-            running = jobs
-            while running:
+                results.append(
+                    pool.apply_async(_sweep_slice, (shard,), error_callback=queue.put)
+                )
+            running: dict[int, int] = {}  # part -> pid, of started shards
+            left = jobs
+            while left:
+                if not queue._reader.poll(_POLL_S):
+                    # a worker that exited has put all it sent before, so
+                    # its shard is lost only once the queue is empty
+                    lost = _lost_shard(running)
+                    if lost is not None and queue.empty():
+                        raise WorkerLost(
+                            f"the pool worker (pid {running[lost]}) checking "
+                            f"shard {lost} of {jobs} exited before it was done"
+                        )
+                    continue
                 message = queue.get()
                 if isinstance(message, Violation):
                     emit(message)
-                elif isinstance(message, int):
-                    checked += message
-                    running -= 1
+                elif isinstance(message, _Shard):
+                    if message.checked is None:
+                        running[message.part] = message.pid
+                    else:
+                        del running[message.part]
+                        checked += message.checked
+                        left -= 1
                 else:
                     raise message
+            # let the pool take each shard's return too: a worker terminated
+            # while it still sends one, at exit, would leave the pool's
+            # result queue locked and its shutdown waiting for it
+            for result in results:
+                result.wait(_POLL_S)
         except BaseException:
             _close_pool()
             raise

@@ -47,6 +47,69 @@ def test_prepare_refuses_a_mask_outside_the_universe():
         with pytest.raises(OutOfRange):
             kernel.prepare(masks, 2)
     assert kernel.prepare([0b11], 2).cols == (1, 1)
+    # every mask is checked, also one that reduction would drop for
+    # holding a smaller one
+    for masks in ([0b011, 0b1011], [0b001, -1], [0, 0b1000]):
+        with pytest.raises(OutOfRange):
+            kernel.prepare(masks, 3)
+
+
+def _reduce(masks) -> list[int]:
+    """Reference reduction, one kept mask at a time: the masks without
+    duplicates and without any mask containing another, sorted by
+    (popcount, value)."""
+    kept: list[int] = []
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
+        for a in kept:
+            if a & m == a:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _columns(masks, n: int) -> list[int]:
+    """Reference column layout, by transposing the masks' binary rows: bit
+    p of entry v is set when vertex v lies in mask p."""
+    if not masks:
+        return [0] * n
+    rows = [format(m, f"0{n}b") for m in reversed(masks)]
+    return [int("".join(digits), 2) for digits in zip(*rows)][::-1]
+
+
+def _mask_sets(rng, n):
+    """Mask sets over n vertices: random ones of every density, with
+    duplicates, a zero mask and nested chains mixed in."""
+    out = [[], [0], [0, 0]]
+    for _ in range(40):
+        size = rng.randint(1, 60)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(size)]
+        masks += rng.sample(masks, len(masks) // 3)
+        if rng.random() < 0.3:
+            masks.append(0)
+        chain = rng.getrandbits(n)
+        for _ in range(rng.randint(0, 5)):
+            masks.append(chain)
+            chain |= rng.getrandbits(n)
+        rng.shuffle(masks)
+        out.append(masks)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 22, 40])
+def test_prepare_matches_the_reference_reduction_and_columns(n):
+    # at n = 40 the packed fields of many masks span several machine words
+    rng = random.Random(3300 + n)
+    for masks in _mask_sets(rng, n):
+        prepared = kernel.prepare(masks, n)
+        kept = _reduce(masks)
+        assert prepared.masks == tuple(kept)
+        if n:
+            assert prepared.cols == tuple(_columns(kept, n))
+        else:
+            # one column per vertex; the reference's transpose gives a zero
+            # mask over no vertices the one digit "0", so a column too
+            assert prepared.cols == ()
 
 
 def test_greedy_cover_breaks_ties_to_the_lowest_index():

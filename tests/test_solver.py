@@ -46,10 +46,13 @@ from adimlab.solver import (
     enumerate_bases,
     greedy_bound,
     is_k_generator,
+    ladder_covers,
+    minimum_cover,
     minimum_size,
     solve_adim,
     solve_dim,
     solve_table,
+    table_ladder,
 )
 
 from conftest import random_graph
@@ -111,6 +114,7 @@ def test_every_table_query_refuses_one_vertex_with_one_message():
     queries = _table_level_queries(g, 2, 1)
     queries["adim_ladder"] = lambda: adim_ladder(g)
     queries["dim_ladder"] = lambda: dim_ladder(g)
+    queries["ladder_covers"] = lambda: ladder_covers(build_table(g, 2))
     for query in queries.values():
         with pytest.raises(TooSmall, match=r"^need at least 2 vertices, got 1$"):
             query()
@@ -348,6 +352,28 @@ def test_budget_env_bounds_every_ladder(monkeypatch):
             adim_ladder(g)
         monkeypatch.setenv("ADIMLAB_BUDGET", str(need))
         assert adim_ladder(g) == solved
+
+
+def test_ladder_covers_are_the_ladder_and_its_stored_covers(monkeypatch):
+    # one call gives what table_ladder and minimum_cover give level by level
+    rng = random.Random(3301)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 12))
+        table = DistinguishTable(g, rng.choice((2, 3)))
+        sizes, covers = ladder_covers(table)
+        assert sizes == table_ladder(table)
+        levels = range(1, len(sizes) + 1)
+        assert covers == [minimum_cover(table, k).mask for k in levels]
+        for k, (size, cover) in enumerate(zip(sizes, covers), start=1):
+            assert cover.bit_count() == size
+            assert is_k_generator(table, k, VertexSet(g.n, cover))
+    # ADIMLAB_BUDGET bounds each level, as it does the ladder's: the
+    # largest level of cycle(12) takes 51 nodes
+    monkeypatch.setenv("ADIMLAB_BUDGET", "50")
+    with pytest.raises(BudgetExhausted):
+        ladder_covers(DistinguishTable(cycle(12), 2))
+    monkeypatch.setenv("ADIMLAB_BUDGET", "51")
+    assert ladder_covers(DistinguishTable(cycle(12), 2))[0] == adim_ladder(cycle(12))
 
 
 def test_budget_bounds_the_whole_basis_enumeration(monkeypatch):

@@ -27,6 +27,7 @@ from adimlab.errors import (
     MalformedHeader,
     TooLarge,
     UnknownTheorem,
+    WorkerLost,
 )
 from adimlab.formulas import cone_equality_criterion, full_dimension_criteria
 from adimlab.graph import (
@@ -738,14 +739,20 @@ def test_graph6_corpus_uses_the_pool(monkeypatch):
 
 def test_pool_shards_carry_the_corpus_and_a_slice_not_graphs(monkeypatch):
     # each worker takes its slice of units from the corpus itself, so a
-    # shard holds no graph; run here, the shards report on one queue
+    # shard holds no graph; run here, the shards report on one queue, the
+    # kind the pool's workers share, before the sweep reads it
     asked, shards = [], []
-    reports = SimpleQueue()
+    reports = multiprocessing.SimpleQueue()
+
+    class Done:
+        def wait(self, timeout):
+            pass
 
     class InProcessPool:
         def apply_async(self, fn, args, error_callback):
             shards.append(args[0])
             fn(*args)
+            return Done()
 
     def in_process_pool(jobs, checker):
         asked.append(jobs)
@@ -865,7 +872,9 @@ def test_each_shard_starts_from_an_empty_table_cache(monkeypatch):
     shard = (_table_was_cached, Corpus(graph6_lines=(to_graph6(g),)), 1, 0, 1)
     for _ in range(2):
         verify._sweep_slice(shard)
-        assert reports.get_nowait() == 1 and reports.empty()
+        assert reports.get_nowait() == verify._Shard(0, os.getpid())
+        assert reports.get_nowait() == verify._Shard(0, os.getpid(), 1)
+        assert reports.empty()
 
 
 def test_a_kept_pool_follows_the_budget_variable(monkeypatch):
@@ -928,6 +937,42 @@ def test_an_error_the_pool_cannot_send_drops_the_pool(monkeypatch):
     with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
         sweep_theorem(corpus, "local-checker", jobs=2)
     assert _worker_pids() == set()
+
+
+def _dies_on_three_vertices(g):
+    if g.n == 3:
+        os._exit(1)
+    return []
+
+
+def test_a_pooled_sweep_whose_worker_dies_raises(monkeypatch):
+    # the worker exits without a word, so its shard never reports a count:
+    # the sweep names the lost shard instead of waiting for it, drops the
+    # pool, and the next pooled sweep gets new workers
+    monkeypatch.setitem(THEOREMS, "dies", _dies_on_three_vertices)
+    monkeypatch.setitem(THEOREMS, "edges-mod-3", _edge_count_mod3)
+    corpus = Corpus(min_n=2, max_n=4)
+    serial = sweep_theorem(corpus, "edges-mod-3")
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep still waits for its dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        start = time.monotonic()
+        lost = r"^the pool worker \(pid \d+\) checking shard [01] of 2 exited"
+        with pytest.raises(WorkerLost, match=lost):
+            sweep_theorem(corpus, "dies", jobs=2)
+        elapsed = time.monotonic() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # the loss is seen one poll of the queue after the exit
+    assert elapsed < 10
+    assert _worker_pids() == set()
+    pooled = sweep_theorem(corpus, "edges-mod-3", jobs=2)
+    assert (pooled.checked, pooled.violations) == (serial.checked, serial.violations)
 
 
 LATE_CHECKER = """
