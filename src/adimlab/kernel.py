@@ -49,13 +49,26 @@ greedy incumbent, finds the minimum size and one cover of that size
 to list the minimum covers lexicographically, asking the same branch and
 bound, bounded by that size, whether a cover agrees with each new decision.
 
+The lex pass needs only the table, k, the size and a cover of that size,
+so it can run beside the proof that the size is minimal.  A minimum search
+that a solve or a basis list starts offers its incumbent to the
+``witness`` helper process once it has entered ``HANDOFF_NODES`` nodes,
+and again at each later improvement (the helper takes an offer only when
+idle).  When the search ends, the helper's covers are taken if it started
+from the final size and cover; otherwise the pass runs here.  The helper
+runs ``lex_pass`` too, so the covers, node counts and budget outcomes are
+those of the pass run here.  The hand-off costs a node nothing: a node
+compares its count with one ``stop``, the budget or the hand-off node,
+whichever comes first.
+
 The kernel owns the minimum search's record: a ``Prepared`` table keeps one
 per k in ``searches``, so the records live exactly as long as the table.
 ``minimum_search`` returns the stored record when there is one, charged its
 nodes, so a budget has the outcome it would have on a cold table.  The lex
 pass of ``solve_min_multicover`` (which keeps the first cover) and of
 ``enumerate_min_covers`` (which lists them all) starts from that record and
-counts its nodes against the budget too.  ``cover_ladder`` is the one
+counts its nodes against the budget too; a record already stored hands
+nothing over, so its pass runs here.  ``cover_ladder`` is the one
 ladder, the minimum size at every level k = 1..C: the minimum search alone
 per level, so it shares its records with solves and basis lists.
 
@@ -190,22 +203,70 @@ def greedy_cover(
     return chosen
 
 
+# a minimum search whose lex pass may run in the ``witness`` helper offers
+# its incumbent there once it has entered this many nodes
+HANDOFF_NODES = 64
+# the node count no search reaches: the stop of a search without a budget
+_NEVER = 1 << 62
+
+
 class _Search:
     """One search over a ``Prepared`` table.  ``best_size``/``best_mask``
     hold the smallest cover found so far; the branch and bound stops as soon
     as it holds one of at most ``floor`` vertices, and every node it enters
-    counts against ``budget``."""
+    counts against ``budget``.
+
+    A node compares its count with ``stop`` alone: the budget, or the
+    hand-off node while that comes first.  ``handoff``, when given, is the
+    (limit, prefix) of the lex pass that will follow the minimum search:
+    from the hand-off node on (``offering``), the incumbent is offered to
+    the ``witness`` helper then and at every improvement, and ``job`` is
+    (ticket, size, cover) of the last offer the helper took."""
 
     __slots__ = ("masks", "cols", "k", "n", "budget", "nodes", "best_size",
-                 "best_mask", "floor")
+                 "best_mask", "floor", "stop", "handoff", "offering", "job")
 
-    def __init__(self, prepared, k, budget):
+    def __init__(self, prepared, k, budget, handoff=None):
         self.masks, self.cols = prepared.masks, prepared.cols
         self.k = k
         self.n = len(self.cols)
         self.budget = budget
         self.nodes = 0
         self.floor = 0
+        self.stop = _NEVER if budget is None else budget
+        if handoff is not None:
+            self.stop = min(self.stop, HANDOFF_NODES - 1)
+        self.handoff = handoff
+        self.offering = False
+        self.job = None
+
+    def passed(self):
+        """Called when ``nodes`` passes ``stop``: raise past the budget,
+        start offering at the hand-off node, and return the next stop."""
+        budget = self.budget
+        if budget is not None and self.nodes > budget:
+            raise BudgetExhausted(f"node budget {budget} exhausted")
+        if self.handoff is not None and not self.offering:
+            self.offering = True
+            self.offer()
+        self.stop = _NEVER if budget is None else budget
+        return self.stop
+
+    def offer(self):
+        """Offer the incumbent's lex pass to the ``witness`` helper, with
+        what is left of the budget; it takes it when idle."""
+        # imported here, so a process whose searches all stay below the
+        # hand-off node never loads it
+        from . import witness
+
+        limit, prefix = self.handoff
+        left = None if self.budget is None else self.budget - self.nodes
+        ticket = witness.offer(
+            (self.masks, self.cols, self.k, self.best_size, self.best_mask,
+             limit, prefix, left)
+        )
+        if ticket is not None:
+            self.job = ticket, self.best_size, self.best_mask
 
     def branch_bound(self, chosen, count, avail, planes):
         """Dynamic-order search for any minimum cover extending ``chosen``.
@@ -213,12 +274,12 @@ class _Search:
         next pass, not a call."""
         masks, cols = self.masks, self.cols
         k = self.k
-        budget = self.budget
+        stop = self.stop
         hits = None
         while self.best_size > self.floor:
             self.nodes += 1
-            if budget is not None and self.nodes > budget:
-                raise BudgetExhausted(f"node budget {budget} exhausted")
+            if self.nodes > stop:
+                stop = self.passed()
             while True:
                 # plane k - i holds the masks that still need i or more hits,
                 # and the planes are nested, so the largest residual is the
@@ -230,6 +291,8 @@ class _Search:
                 if not deep:
                     self.best_size = count
                     self.best_mask = chosen
+                    if self.offering:
+                        self.offer()
                     return
                 short = planes[-1]
                 # short only shrinks below this node, so a vertex hitting no
@@ -412,12 +475,19 @@ def minimum_search(prepared, k, budget=None):
     ``prepared.searches`` and a later call for the same k returns it,
     raising ``BudgetExhausted`` exactly when running the search again
     would.  Assumes feasibility (every mask has >= k bits)."""
+    return _minimum(prepared, k, budget)[0]
+
+
+def _minimum(prepared, k, budget, handoff=None):
+    """``minimum_search``'s record and the job its search handed to the
+    ``witness`` helper, or None: a stored record hands none over, and a
+    search does only when ``handoff``, its lex pass, is given."""
     found = prepared.searches.get(k)
     if found is not None:
         if budget is not None and found[2] > budget:
             raise BudgetExhausted(f"node budget {budget} exhausted")
-        return found
-    search = _Search(prepared, k, budget)
+        return found, None
+    search = _Search(prepared, k, budget, handoff)
     seed = forced(search.masks, k) | prepared.prefix
     planes = _planes(search.cols, k, len(search.masks), seed)
     incumbent = greedy_cover(prepared, k, seed, planes)
@@ -427,17 +497,39 @@ def minimum_search(prepared, k, budget=None):
     search.branch_bound(seed, seed.bit_count(), full & ~seed, planes)
     found = search.best_size, search.best_mask, search.nodes, greedy_size
     prepared.searches[k] = found
-    return found
+    return found, search.job
 
 
-def _lex_start(prepared, k, budget):
-    """A search ready for the lex pass, and the minimum search's record it
-    starts from: the search holds the record's cover and counts its nodes,
-    so ``budget`` bounds the two phases together."""
-    found = minimum_search(prepared, k, budget)
+def lex_pass(prepared, k, size, cover, limit, prefix, nodes=0, budget=None):
+    """``_Search.lex_covers`` from ``cover``, a cover of the minimum size
+    ``size``: (covers, nodes), ``nodes`` counting on from the one given,
+    which ``budget`` bounds.  The ``witness`` helper runs it too."""
     search = _Search(prepared, k, budget)
-    search.best_size, search.best_mask, search.nodes, _ = found
-    return search, found
+    search.best_size, search.best_mask, search.nodes = size, cover, nodes
+    return search.lex_covers(size, limit, prefix), search.nodes
+
+
+def _lex_covers(prepared, k, budget, limit, prefix):
+    """The minimum search's record, then its lex pass: (covers, nodes,
+    record), ``nodes`` counting both phases, which ``budget`` bounds
+    together.  The search offers its lex pass to the ``witness`` helper,
+    and the helper's covers are taken when it started from the record's
+    size and cover; otherwise the pass runs here.  Either way the covers,
+    the nodes and the budget outcome are those of the pass run here."""
+    found, job = _minimum(prepared, k, budget, (limit, prefix))
+    size, cover, search_nodes, _ = found
+    if job is not None and job[1:] == (size, cover):
+        from . import witness
+
+        done = witness.collect(job[0])
+        if done is not None:
+            covers, nodes = done
+            nodes += search_nodes
+            if budget is not None and nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted")
+            return covers, nodes, found
+    covers, nodes = lex_pass(prepared, k, size, cover, limit, prefix, search_nodes, budget)
+    return covers, nodes, found
 
 
 def solve_min_multicover(prepared, k, budget=None):
@@ -450,9 +542,9 @@ def solve_min_multicover(prepared, k, budget=None):
     lex pass spent the rest.  Assumes feasibility (every mask has >= k
     bits).
     """
-    search, (size, _, search_nodes, greedy_size) = _lex_start(prepared, k, budget)
-    witnesses = search.lex_covers(size, 1, prepared.prefix)
-    return size, witnesses[0], search.nodes, (greedy_size, search_nodes)
+    witnesses, nodes, found = _lex_covers(prepared, k, budget, 1, prepared.prefix)
+    size, _, search_nodes, greedy_size = found
+    return size, witnesses[0], nodes, (greedy_size, search_nodes)
 
 
 def enumerate_min_covers(prepared, k, limit=None, budget=None):
@@ -463,11 +555,10 @@ def enumerate_min_covers(prepared, k, limit=None, budget=None):
     with a ``limit``, at most that many covers are returned and
     ``truncated`` reports whether more exist.
     """
-    search, (size, _, search_nodes, _) = _lex_start(prepared, k, budget)
     cap = 1 << 62 if limit is None else limit + 1
-    covers = search.lex_covers(size, cap, 0)
+    covers, nodes, found = _lex_covers(prepared, k, budget, cap, 0)
     truncated = limit is not None and len(covers) > limit
-    return covers[:limit], search.nodes - search_nodes, truncated
+    return covers[:limit], nodes - found[2], truncated
 
 
 def cover_ladder(prepared, budget=None):

@@ -10,7 +10,13 @@ its first pooled sweep and kept for the next ones, so only a process that
 runs several pooled sweeps (a script, a notebook, the test suite) saves
 the start-up; a CLI ``sweep`` or ``conjecture`` runs one sweep and forks
 its workers once.  ``multiprocessing`` is imported by that first pooled
-sweep, so a serial sweep and every other command never load it.  The pool
+sweep, so a serial sweep and every other command never load it.  The
+other process a run may start is the ``witness`` helper, which the first
+solve or basis list whose minimum search reaches ``kernel.HANDOFF_NODES``
+nodes starts with ``os.posix_spawn`` (the ``cone-equality`` checker lists
+bases); ladders and size reads never start it, and no pool worker does.
+Importing ``adimlab``, ``adimlab.cli`` or this module, or a serial sweep
+of ladders, loads neither ``multiprocessing`` nor ``witness``.  The pool
 is kept under the key (process id, ``jobs``, ``ADIMLAB_BUDGET``, checker),
 everything its workers were forked with, and replaced when the key
 differs: a checker defined or redefined since gets new workers, and a
@@ -595,17 +601,12 @@ def _sweep(
     """The one sweep path.  A unit is a multiset of ``arity`` corpus
     entries, counted with the number of labeled multisets it stands for;
     units run serially or, as ``jobs`` interleaved slices that each worker
-    cuts from the corpus itself, in the kept pool.  A corpus the filters
-    leave empty raises ``BadParameter``."""
+    cuts from the corpus itself, in the kept pool, so a pooled sweep reads
+    no entry here.  A corpus the filters leave empty raises
+    ``BadParameter`` once its units are counted: none were checked."""
     if jobs < 1:
         raise BadParameter(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
-    entries = corpus.entries()
-    if not entries:
-        raise BadParameter(
-            f"no corpus graph passes connected={corpus.connected}, "
-            f"min_degree={corpus.min_degree}: nothing to check"
-        )
     violations: list[Violation] = []
 
     def emit(v: Violation) -> None:
@@ -658,8 +659,16 @@ def _sweep(
             _close_pool()
             raise
     else:
-        units = combinations_with_replacement(entries, arity)
+        units = combinations_with_replacement(corpus.entries(), arity)
         checked = _check_units(checker, units, emit)
+    # every unit stands for at least one labeled multiset, so a sweep that
+    # checked none had no entry: the workers' summed count tells, and the
+    # parent never decodes a graph6 corpus only to refuse an empty one
+    if not checked:
+        raise BadParameter(
+            f"no corpus graph passes connected={corpus.connected}, "
+            f"min_degree={corpus.min_degree}: nothing to check"
+        )
     violations.sort(key=lambda v: (v.graph6, v.k))
     return SweepReport(theorem, checked, violations, time.perf_counter() - start)
 

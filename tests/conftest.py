@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from adimlab import verify
+from adimlab import verify, witness
 from adimlab.graph import Graph, from_pair_mask
 
 
@@ -12,7 +12,9 @@ from adimlab.graph import Graph, from_pair_mask
 def no_process_left_running():
     yield
     verify._close_pool()
+    witness.stop()
     assert multiprocessing.active_children() == []
+    assert witness.helper_pid() is None
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
