@@ -49,17 +49,34 @@ greedy incumbent, finds the minimum size and one cover of that size
 to list the minimum covers lexicographically, asking the same branch and
 bound, bounded by that size, whether a cover agrees with each new decision.
 
-The lex pass needs only the table, k, the size and a cover of that size,
-so it can run beside the proof that the size is minimal.  A minimum search
-that a solve or a basis list starts offers its incumbent to the
-``witness`` helper process once it has entered ``HANDOFF_NODES`` nodes,
-and again at each later improvement (the helper takes an offer only when
-idle).  When the search ends, the helper's covers are taken if it started
-from the final size and cover; otherwise the pass runs here.  The helper
-runs ``lex_pass`` too, so the covers, node counts and budget outcomes are
-those of the pass run here.  The hand-off costs a node nothing: a node
-compares its count with one ``stop``, the budget or the hand-off node,
-whichever comes first.
+Both phases run through one ``_Search.branch_bound``, and both can be
+shared with a peer, the ``witness`` helper process.  A frame's exclude
+branch is the next pass of its loop, so at any node the frames below it
+hold open branches, each fully described by the frame's locals (chosen,
+count, avail, planes).  ``split`` gives away the oldest one, the last part
+of the search in depth-first order, and its frame then ends after its
+include call.  The search that started it (the owner) keeps the pieces as
+``Segments`` in depth-first order and merges them back (``verdict``): the
+incumbent passes through them as through the serial search; a piece's
+nodes and covers depend only on the size it starts from, so it stands when
+it ran from the size handed to it and otherwise runs its whole branch
+again from that incumbent; once a probe holds its first cover, the pieces
+after it are dropped.  Node counts are summed over the pieces that stand,
+so the best cover, the covers of the lex pass, ``nodes`` and the stored
+record are those of the serial search.
+
+A minimum search that a solve or a basis list starts shares from
+``HANDOFF_NODES`` nodes on, on a table of at least that many reduced
+masks; below that a round trip costs more than it saves.  It hands the
+helper the lex pass of its incumbent, and the helper takes branches of the
+search while the caller takes branches of the helper's probes, each side
+polling the other every ``POLL_NODES`` nodes (``witness`` has the
+protocol).  The search stays serial where no helper runs and under a node
+budget, where the lex pass is still handed over whole.  Sharing costs a
+node nothing it did not cost before: a node compares its count with one
+``stop``, the budget, the hand-off node or the next poll, whichever comes
+first, and a frame compares its count with ``cut`` after its include
+call.
 
 The kernel owns the minimum search's record: a ``Prepared`` table keeps one
 per k in ``searches``, so the records live exactly as long as the table.
@@ -67,8 +84,8 @@ per k in ``searches``, so the records live exactly as long as the table.
 nodes, so a budget has the outcome it would have on a cold table.  The lex
 pass of ``solve_min_multicover`` (which keeps the first cover) and of
 ``enumerate_min_covers`` (which lists them all) starts from that record and
-counts its nodes against the budget too; a record already stored hands
-nothing over, so its pass runs here.  ``cover_ladder`` is the one
+counts its nodes against the budget too; a record already stored shares
+nothing, so its pass runs here alone.  ``cover_ladder`` is the one
 ladder, the minimum size at every level k = 1..C: the minimum search alone
 per level, so it shares its records with solves and basis lists.
 
@@ -88,6 +105,7 @@ the prefix too, so its probes search only covers that hold it;
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .bitset import bits_of
@@ -203,11 +221,104 @@ def greedy_cover(
     return chosen
 
 
-# a minimum search whose lex pass may run in the ``witness`` helper offers
-# its incumbent there once it has entered this many nodes
+# a minimum search whose lex pass may run in the ``witness`` helper hands
+# it off once it has entered this many nodes, on a table of at least this
+# many reduced masks: below that a round trip costs more than it saves (the
+# join-pairs tables that reach the node have at most 54 masks, the
+# solve-random ones at least 134)
 HANDOFF_NODES = 64
+# a shared search reads its peer's messages once per this many nodes
+POLL_NODES = 32
 # the node count no search reaches: the stop of a search without a budget
 _NEVER = 1 << 62
+# where a segment of a shared search runs: here, at the peer, or nowhere
+# yet, since it must run (again) from the incumbent the serial search
+# hands it
+HERE, THERE, TODO = "here", "there", "todo"
+
+
+class PeerLost(Exception):
+    """The peer of a shared search is gone; the search is run again
+    alone."""
+
+
+class Segment:
+    """One piece of a shared search: ``state``, the ``branch_bound``
+    arguments of its first node; the incumbent (``size``, ``mask``) it runs
+    from; ``where`` it runs; ``result``, (size, mask, nodes) once done;
+    ``parent``, the segment it was split from; and ``name``, the peer's
+    name for it once it is given away."""
+
+    __slots__ = ("state", "size", "mask", "where", "result", "parent", "name")
+
+    def __init__(self, state, size, mask, where, parent=None):
+        self.state, self.size, self.mask, self.where = state, size, mask, where
+        self.parent = parent
+        self.result = self.name = None
+
+
+class Segments:
+    """The segments of one shared search (a minimum search, or one probe of
+    a lex pass) in depth-first order.  The search itself runs the first,
+    and the exclude branch a split gives away is inserted right after the
+    segment it was taken from.  ``ctx`` is the peer's name for the search
+    once it has given part of it away, and ``dropped`` holds the segments
+    replaced since the peer last looked."""
+
+    __slots__ = ("search", "start", "items", "ctx", "dropped")
+
+    def __init__(self, search, state):
+        self.search = search
+        self.start = search.best_size, search.best_mask
+        self.items = [Segment(state, *self.start, HERE)]
+        self.ctx = None
+        self.dropped = []
+
+    def add(self, after, state, size, mask, where):
+        """A new segment split from ``after``, right after it."""
+        item = Segment(state, size, mask, where, after)
+        self.items.insert(self.items.index(after) + 1, item)
+        return item
+
+    def redo(self, item, size, mask):
+        """Replace ``item`` and the segments split from it (those after it
+        that descend from it) by one that runs its whole branch again from
+        (size, mask); the replaced ones go to ``dropped``."""
+        items = self.items
+        start = items.index(item)
+        end = start + 1
+        family = {item}
+        while end < len(items) and items[end].parent in family:
+            family.add(items[end])
+            end += 1
+        self.dropped += items[start:end]
+        items[start:end] = [Segment(item.state, size, mask, TODO, item.parent)]
+
+    def verdict(self):
+        """The merged (size, mask, nodes), or None while a segment it needs
+        is not done.  The incumbent passes through the segments in order,
+        as through the serial search.  A segment's nodes and covers depend
+        only on the size it starts from, so it stands when it ran from the
+        size handed to it.  Otherwise it runs its whole branch again from
+        that incumbent (``redo``), and answers to the replaced segments are
+        dropped.  Once the incumbent reaches the floor (a probe's first
+        cover), the segments after it are dropped, uncounted."""
+        size, mask = self.start
+        nodes = 0
+        floor = self.search.floor
+        for item in self.items:
+            if size <= floor:
+                break
+            if item.size != size:
+                self.redo(item, size, mask)
+                return None
+            if item.result is None:
+                return None
+            got, cover, spent = item.result
+            nodes += spent
+            if got < size:
+                size, mask = got, cover
+        return size, mask, nodes
 
 
 class _Search:
@@ -216,17 +327,20 @@ class _Search:
     as it holds one of at most ``floor`` vertices, and every node it enters
     counts against ``budget``.
 
-    A node compares its count with ``stop`` alone: the budget, or the
-    hand-off node while that comes first.  ``handoff``, when given, is the
-    (limit, prefix) of the lex pass that will follow the minimum search:
-    from the hand-off node on (``offering``), the incumbent is offered to
-    the ``witness`` helper then and at every improvement, and ``job`` is
-    (ticket, size, cover) of the last offer the helper took."""
+    A node compares its count with ``stop`` alone: the budget, the hand-off
+    node or the next poll, whichever comes first.  ``handoff``, when given,
+    is the (limit, prefix) of the lex pass that will follow this minimum
+    search: from the hand-off node on, ``peer`` is the ``witness`` link,
+    polled once per ``POLL_NODES`` nodes.  A shared search (one with a
+    ``peer``) keeps its ``segments`` from its root and ``seg``, the segment
+    it runs; ``cut`` is the count of the deepest frame whose exclude branch
+    it gave away (``split``), -1 when none."""
 
     __slots__ = ("masks", "cols", "k", "n", "budget", "nodes", "best_size",
-                 "best_mask", "floor", "stop", "handoff", "offering", "job")
+                 "best_mask", "floor", "stop", "handoff", "peer", "segments",
+                 "seg", "cut")
 
-    def __init__(self, prepared, k, budget, handoff=None):
+    def __init__(self, prepared, k, budget, handoff=None, peer=None):
         self.masks, self.cols = prepared.masks, prepared.cols
         self.k = k
         self.n = len(self.cols)
@@ -234,39 +348,100 @@ class _Search:
         self.nodes = 0
         self.floor = 0
         self.stop = _NEVER if budget is None else budget
+        if handoff is not None and len(self.masks) < HANDOFF_NODES:
+            handoff = None
         if handoff is not None:
             self.stop = min(self.stop, HANDOFF_NODES - 1)
+        if peer is not None:
+            self.stop = min(self.stop, POLL_NODES)
         self.handoff = handoff
-        self.offering = False
-        self.job = None
+        self.peer = peer
+        self.segments = self.seg = None
+        self.cut = -1
 
     def passed(self):
-        """Called when ``nodes`` passes ``stop``: raise past the budget,
-        start offering at the hand-off node, and return the next stop."""
+        """Called when ``nodes`` passes a frame's ``stop``: raise past the
+        budget, poll the peer (from the hand-off node on, the ``witness``
+        link), and return the next stop.  A frame that resumes with an
+        older stop only reads the current one."""
+        if self.nodes <= self.stop:
+            return self.stop
         budget = self.budget
         if budget is not None and self.nodes > budget:
             raise BudgetExhausted(f"node budget {budget} exhausted")
-        if self.handoff is not None and not self.offering:
-            self.offering = True
-            self.offer()
-        self.stop = _NEVER if budget is None else budget
-        return self.stop
+        if self.handoff is not None and self.peer is None:
+            # imported here, so a process whose searches all stay below the
+            # hand-off node never loads it
+            from . import witness
 
-    def offer(self):
-        """Offer the incumbent's lex pass to the ``witness`` helper, with
-        what is left of the budget; it takes it when idle."""
-        # imported here, so a process whose searches all stay below the
-        # hand-off node never loads it
-        from . import witness
+            self.peer = witness.caller()
+            if self.peer is None:
+                self.handoff = None
+        stop = _NEVER if budget is None else budget
+        if self.peer is not None:
+            self.peer.poll(self)
+            stop = min(stop, self.nodes + POLL_NODES)
+        self.stop = stop
+        return stop
 
-        limit, prefix = self.handoff
-        left = None if self.budget is None else self.budget - self.nodes
-        ticket = witness.offer(
-            (self.masks, self.cols, self.k, self.best_size, self.best_mask,
-             limit, prefix, left)
-        )
-        if ticket is not None:
-            self.job = ticket, self.best_size, self.best_mask
+    def split(self):
+        """Give away the exclude branch of this search's oldest frame that
+        still has its own: (chosen, count, avail, planes) of that branch's
+        first node, or None when no frame below the current node has one.
+        The frames' own locals record the branches: a frame in its include
+        call holds chosen, count, avail, planes and bit, and its exclude
+        branch is the next pass of its loop with bit dropped from avail.
+        The frame then ends after its include call: ``cut`` takes its
+        count, and a frame's count exceeds every caller's.  The branch
+        given away is the last part of this search in depth-first order."""
+        code = _Search.branch_bound.__code__
+        frame = sys._getframe(1)
+        while frame.f_code is not code or frame.f_locals["self"] is not self:
+            frame = frame.f_back
+        # the newest frame is at a node, not in an include call
+        frame = frame.f_back
+        frames = []
+        while frame.f_code is code:
+            frames.append(frame)
+            frame = frame.f_back
+        for frame in reversed(frames):
+            at = frame.f_locals
+            if at["count"] > self.cut:
+                self.cut = at["count"]
+                return at["chosen"], at["count"], at["avail"] & ~at["bit"], at["planes"]
+        return None
+
+    def root(self, chosen, count, avail, planes):
+        """Branch and bound from the root of a search.  A search that may
+        be shared keeps its segments; once its own part has ended, the
+        peer's segments are merged back in depth-first order (a stale one
+        runs again here), so that the best cover and the node count are
+        those of the serial search."""
+        self.cut = -1
+        if self.peer is None and self.handoff is None:
+            self.branch_bound(chosen, count, avail, planes)
+            return
+        base = self.nodes
+        segments = self.segments = Segments(self, (chosen, count, avail, planes))
+        first = self.seg = segments.items[0]
+        self.branch_bound(chosen, count, avail, planes)
+        if len(segments.items) == 1:
+            return
+        first.result = self.best_size, self.best_mask, self.nodes - base
+        while (merged := segments.verdict()) is None:
+            for item in segments.items:
+                if item.where is TODO:
+                    item.where = HERE
+                    item.result = segment(
+                        self, self.k, self.floor, item.state, item.size, item.mask,
+                        self.peer, segments, item,
+                    )
+                    break
+            else:
+                self.peer.wait(segments)
+        self.peer.close(segments)
+        self.best_size, self.best_mask = merged[:2]
+        self.nodes = base + merged[2]
 
     def branch_bound(self, chosen, count, avail, planes):
         """Dynamic-order search for any minimum cover extending ``chosen``.
@@ -291,8 +466,6 @@ class _Search:
                 if not deep:
                     self.best_size = count
                     self.best_mask = chosen
-                    if self.offering:
-                        self.offer()
                     return
                 short = planes[-1]
                 # short only shrinks below this node, so a vertex hitting no
@@ -393,6 +566,9 @@ class _Search:
                     best, bit = s, low
             self.branch_bound(chosen | bit, count + 1, avail & ~bit,
                               _pick(planes, cols[bit.bit_length() - 1]))
+            # a frame whose exclude branch was given away ends here
+            if count <= self.cut:
+                return
             # the exclude branch keeps the planes, so its hits are these
             # without the one of ``bit``
             del hits[(avail & (bit - 1)).bit_count()]
@@ -442,7 +618,7 @@ class _Search:
                 if planes[k - i] & ~here[i - 1]:
                     return None
             self.best_size = size + 1
-            self.branch_bound(chosen, count, (1 << n) - (1 << v) & ~more, planes)
+            self.root(chosen, count, (1 << n) - (1 << v) & ~more, planes)
             return self.best_mask if self.best_size == size else None
 
         def rec(v, chosen, count, planes, witness):
@@ -478,57 +654,88 @@ def minimum_search(prepared, k, budget=None):
     return _minimum(prepared, k, budget)[0]
 
 
-def _minimum(prepared, k, budget, handoff=None):
-    """``minimum_search``'s record and the job its search handed to the
-    ``witness`` helper, or None: a stored record hands none over, and a
-    search does only when ``handoff``, its lex pass, is given."""
+def _minimum(prepared, k, budget, handoff=None, peer=None):
+    """``minimum_search``'s record and the search that found it, None for
+    a stored record: a record already stored hands nothing over.  The
+    search shares its work with ``peer`` from its first node, or with the
+    ``witness`` helper from the hand-off node when ``handoff`` is given."""
     found = prepared.searches.get(k)
     if found is not None:
         if budget is not None and found[2] > budget:
             raise BudgetExhausted(f"node budget {budget} exhausted")
         return found, None
-    search = _Search(prepared, k, budget, handoff)
+    search = _Search(prepared, k, budget, handoff, peer)
     seed = forced(search.masks, k) | prepared.prefix
     planes = _planes(search.cols, k, len(search.masks), seed)
     incumbent = greedy_cover(prepared, k, seed, planes)
     greedy_size = search.best_size = incumbent.bit_count()
     search.best_mask = incumbent
     full = (1 << search.n) - 1
-    search.branch_bound(seed, seed.bit_count(), full & ~seed, planes)
+    search.root(seed, seed.bit_count(), full & ~seed, planes)
     found = search.best_size, search.best_mask, search.nodes, greedy_size
     prepared.searches[k] = found
-    return found, search.job
+    return found, search
 
 
-def lex_pass(prepared, k, size, cover, limit, prefix, nodes=0, budget=None):
-    """``_Search.lex_covers`` from ``cover``, a cover of the minimum size
-    ``size``: (covers, nodes), ``nodes`` counting on from the one given,
-    which ``budget`` bounds.  The ``witness`` helper runs it too."""
-    search = _Search(prepared, k, budget)
+def segment(table, k, floor, state, size, mask, peer, segments, seg):
+    """Run one segment of a shared search over ``table`` (its reduced
+    masks and columns) from the incumbent (size, mask): (size, mask,
+    nodes).  ``segments`` and ``seg`` are as on ``_Search``."""
+    part = _Search(table, k, None, peer=peer)
+    part.floor = floor
+    part.best_size, part.best_mask = size, mask
+    part.segments, part.seg = segments, seg
+    part.branch_bound(*state)
+    return part.best_size, part.best_mask, part.nodes
+
+
+def lex_pass(prepared, k, size, cover, limit, prefix, nodes=0, budget=None, peer=None):
+    """``_Search.lex_covers`` from ``cover``: (covers, nodes), ``nodes``
+    counting on from the one given, which ``budget`` bounds.  With a
+    ``peer`` its probes are shared, and the covers and nodes are still
+    those of the pass run alone.  The ``witness`` helper runs it too, on
+    marshalled input.
+
+    Precondition, not checked: ``size`` is the least size of a cover that
+    holds ``prefix``, and ``cover`` is such a cover.  A prefix implied by
+    minimality (a table's twin prefix, or none) makes that the minimum
+    size.  Otherwise the pass lists wrong covers: none at all when
+    ``size`` is below that least size, and ``cover`` itself when it misses
+    the prefix (pinned in ``tests/test_kernel.py``)."""
+    search = _Search(prepared, k, budget, peer=peer)
     search.best_size, search.best_mask, search.nodes = size, cover, nodes
     return search.lex_covers(size, limit, prefix), search.nodes
 
 
-def _lex_covers(prepared, k, budget, limit, prefix):
+def _lex_covers(prepared, k, budget, limit, prefix, handoff=True):
     """The minimum search's record, then its lex pass: (covers, nodes,
     record), ``nodes`` counting both phases, which ``budget`` bounds
-    together.  The search offers its lex pass to the ``witness`` helper,
-    and the helper's covers are taken when it started from the record's
-    size and cover; otherwise the pass runs here.  Either way the covers,
-    the nodes and the budget outcome are those of the pass run here."""
-    found, job = _minimum(prepared, k, budget, (limit, prefix))
-    size, cover, search_nodes, _ = found
-    if job is not None and job[1:] == (size, cover):
-        from . import witness
-
-        done = witness.collect(job[0])
-        if done is not None:
-            covers, nodes = done
-            nodes += search_nodes
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted(f"node budget {budget} exhausted")
-            return covers, nodes, found
-    covers, nodes = lex_pass(prepared, k, size, cover, limit, prefix, search_nodes, budget)
+    together.  From the hand-off node on, the search shares its work with
+    the ``witness`` helper and hands it the lex pass of its incumbent.  The
+    helper's covers are taken when it started from the record's size and
+    cover; otherwise the pass runs here, shared with the helper when no
+    budget bounds it.  Either way the covers, the nodes and the budget
+    outcome are those of the pass run alone.  When the helper is lost, the
+    solve runs again without it."""
+    try:
+        found, search = _minimum(prepared, k, budget, (limit, prefix) if handoff else None)
+        size, cover, search_nodes, _ = found
+        peer = None if search is None else search.peer
+        if peer is not None:
+            done = peer.collect(size, cover)
+            if done is not None:
+                covers, nodes = done
+                nodes += search_nodes
+                if budget is not None and nodes > budget:
+                    raise BudgetExhausted(f"node budget {budget} exhausted")
+                return covers, nodes, found
+            if budget is not None or not peer.shares():
+                peer = None
+        covers, nodes = lex_pass(
+            prepared, k, size, cover, limit, prefix, search_nodes, budget, peer
+        )
+    except PeerLost:
+        return _lex_covers(prepared, k, budget, limit, prefix, handoff=False)
     return covers, nodes, found
 
 

@@ -11,10 +11,11 @@ runs several pooled sweeps (a script, a notebook, the test suite) saves
 the start-up; a CLI ``sweep`` or ``conjecture`` runs one sweep and forks
 its workers once.  ``multiprocessing`` is imported by that first pooled
 sweep, so a serial sweep and every other command never load it.  The
-other process a run may start is the ``witness`` helper, which the first
-solve or basis list whose minimum search reaches ``kernel.HANDOFF_NODES``
-nodes starts with ``os.posix_spawn`` (the ``cone-equality`` checker lists
-bases); ladders and size reads never start it, and no pool worker does.
+other process a run may start is the ``witness`` helper, which solves and
+basis lists start with ``os.posix_spawn`` once their minimum searches have
+run ``witness.SPAWN_NODES`` nodes past ``kernel.HANDOFF_NODES`` (the
+``cone-equality`` checker lists bases); ladders and size reads never
+start it, and no pool worker does.
 Importing ``adimlab``, ``adimlab.cli`` or this module, or a serial sweep
 of ladders, loads neither ``multiprocessing`` nor ``witness``.  The pool
 is kept under the key (process id, ``jobs``, ``ADIMLAB_BUDGET``, checker),

@@ -441,3 +441,17 @@ def test_a_stored_minimum_search_gives_the_answers_of_a_full_solve():
         with pytest.raises(BudgetExhausted):
             kernel.minimum_search(prepared, k, search_nodes - 1)
         assert prepared.searches == {k: found} and prepared.searches[k] is found
+
+
+def test_lex_pass_needs_the_least_size_of_a_cover_holding_the_prefix():
+    # vertex 1 hits both masks, so {1} is the minimum cover; the covers that
+    # hold the prefix {0} have two vertices.  Given that size, the pass
+    # lists them; given the minimum over all covers, it lists none
+    prepared = kernel.prepare([0b011, 0b110], 3)
+    assert kernel.minimum_search(prepared, 1)[:2] == (1, 0b010)
+    assert kernel.lex_pass(prepared, 1, 2, 0b011, 5, 0b001) == ([0b011, 0b101], 1)
+    assert kernel.lex_pass(prepared, 1, 1, 0b010, 5, 0b001) == ([], 0)
+    # and from a cover that misses the prefix, it lists that cover, prefix
+    # or not: the pass takes the size and the cover as given
+    prepared = kernel.prepare([0b01], 2)
+    assert kernel.lex_pass(prepared, 1, 1, 0b01, 5, 0b10) == ([0b01], 0)

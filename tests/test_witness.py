@@ -38,40 +38,56 @@ def _problems(n):
 
 
 def _warm():
-    """Start the helper if it is not running and wait until it answers:
-    offers made while it starts run their pass in the caller."""
-    prepared = kernel.prepare([0b11], 2)
-    job = (prepared.masks, prepared.cols, 1, 1, 0b01, 1, 0, None)
+    """Start the helper if it is not running and wait until it is ready:
+    a search started before then runs alone."""
+    peer = witness.caller()
+    if peer.pid is None:
+        peer.start()
     deadline = time.monotonic() + 60
-    while (ticket := witness.offer(job)) is None:
+    while not peer.ready:
         assert time.monotonic() < deadline, "the helper never got ready"
         time.sleep(0.01)
-    assert witness.collect(ticket) == kernel.lex_pass(prepared, 1, 1, 0b01, 1, 0)
+        peer.read()
 
 
-def _both_paths(monkeypatch, run):
-    """``run()`` with every pass run here, then with every search offering
-    its pass from its first node on; the second returns the number of
-    passes the helper answered too."""
-    answered = []
-    collect = witness.collect
+def _both_paths(monkeypatch, run, took=False):
+    """``run()`` with every search alone, then with every search shared
+    from its first node on, polling the helper at every node; the second
+    also returns how many passes the helper answered, how many branches
+    the caller gave and how many it took.  With ``took``, the shared run
+    is repeated (up to five times, each equal to the first) until the
+    caller took a branch: whether it waits for the helper depends on
+    timing."""
+    seen = {"answer": 0, "gave": 0, "took": 0}
+    send, handle = witness._Caller.send, witness._Caller.handle
 
-    def counting(ticket):
-        done = collect(ticket)
-        answered.append(done is not None)
-        return done
+    def counting_send(self, message):
+        seen["gave"] += message[0] == "give"
+        send(self, message)
 
-    monkeypatch.setattr(witness, "collect", counting)
+    def counting_handle(self, message):
+        seen["answer"] += message[0] == "answer" and message[3] is not None
+        seen["took"] += message[0] == "give"
+        handle(self, message)
+
+    monkeypatch.setattr(witness._Caller, "send", counting_send)
+    monkeypatch.setattr(witness._Caller, "handle", counting_handle)
     monkeypatch.setattr(kernel, "HANDOFF_NODES", 1 << 40)
     build_table.cache_clear()
     local = run()
     monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    monkeypatch.setattr(kernel, "POLL_NODES", 1)
     if SEVERAL_CPUS:
         _warm()
+    for _ in range(5 if took and SEVERAL_CPUS else 1):
+        build_table.cache_clear()
+        helper = run()
+        assert helper == local
+        if seen["took"]:
+            break
     build_table.cache_clear()
-    helper = run()
-    build_table.cache_clear()
-    return local, helper, sum(answered)
+    monkeypatch.setattr(kernel, "POLL_NODES", 32)
+    return local, helper, seen
 
 
 def _outcome(call):
@@ -97,9 +113,12 @@ def test_the_helper_solves_as_the_caller_does(monkeypatch, n):
             out.append(_outcome(lambda: solve_table(build_table(g, t), k)))
         return out
 
-    local, helper, answered = _both_paths(monkeypatch, solves)
+    # the solves below n = 18 are often too short for the caller to wait
+    # on the helper
+    local, helper, seen = _both_paths(monkeypatch, solves, took=n >= 18)
     assert helper == local
-    assert answered or not SEVERAL_CPUS
+    # the helper answered passes, and branches went both ways
+    assert seen["answer"] and seen["gave"] and (seen["took"] or n < 18) or not SEVERAL_CPUS
     # a budget of the serial node count passes, one node less runs out
     for budget, fails in ((0, False), (-1, True)):
 
@@ -129,9 +148,9 @@ def test_the_helper_lists_bases_as_the_caller_does(monkeypatch, n):
                 out.append(_outcome(lambda: enumerate_bases(g, k, limit, t=t)))
         return out
 
-    local, helper, answered = _both_paths(monkeypatch, lists)
+    local, helper, seen = _both_paths(monkeypatch, lists, took=True)
     assert helper == local
-    assert answered or not SEVERAL_CPUS
+    assert all(seen.values()) or not SEVERAL_CPUS
     assert any(type(r) is tuple for r in local) and any(type(r) is list for r in local)
     # the nodes of a whole list: its minimum search and its lex pass
     totals = []
@@ -161,18 +180,18 @@ def test_a_killed_helper_costs_its_job_alone(monkeypatch):
     build_table.cache_clear()
     serial = _outcome(lambda: solve_table(build_table(g, 2), 2))
     monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    monkeypatch.setattr(witness, "SPAWN_NODES", 0)
     _warm()
-    offer = witness.offer
+    offer = witness._Caller.offer
     killed = []
 
-    def offer_then_kill(job):
-        ticket = offer(job)
-        if ticket is not None and not killed:
-            killed.append(witness.helper_pid())
-            os.kill(killed[0], 9)
-        return ticket
+    def offer_then_kill(self, search):
+        offer(self, search)
+        if not killed:
+            killed.append(self.pid)
+            os.kill(self.pid, 9)
 
-    monkeypatch.setattr(witness, "offer", offer_then_kill)
+    monkeypatch.setattr(witness._Caller, "offer", offer_then_kill)
     for _ in range(2):
         build_table.cache_clear()
         assert _outcome(lambda: solve_table(build_table(g, 2), 2)) == serial
@@ -187,6 +206,7 @@ def test_a_killed_helper_costs_its_job_alone(monkeypatch):
 @pytest.mark.skipif(not SEVERAL_CPUS, reason="no helper runs on one CPU")
 def test_a_forked_child_leaves_its_parents_helper_alone(monkeypatch):
     monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    monkeypatch.setattr(witness, "SPAWN_NODES", 0)
     g = from_pair_mask(12, random.Random(12).getrandbits(66))
     build_table.cache_clear()
     solve_table(build_table(g, 2), 1)
@@ -246,18 +266,23 @@ import sys
 from adimlab import cli
 from adimlab.verify import Corpus, check_cone_conjecture
 check_cone_conjecture(Corpus(2, 4), jobs=1)
-code = cli.main(["compute", "--g6", sys.argv[1], "--k", "1"])
-print(code, "adimlab.witness" in sys.modules)
+code = cli.main(["compute", "--g6", sys.argv[1], "--k", sys.argv[2]])
+witness = sys.modules.get("adimlab.witness")
+print(code, witness is not None, witness is not None and witness.helper_pid() is not None)
 """
+
+# the solve-random graph of order 22: its three minimum searches run some
+# 4,400 nodes past the hand-off node, more than ``witness.SPAWN_NODES``
+LONG = "UBBEPIgYPA?cRdeH?SCM`CcI@C`Ho?dLBNGPEfO?"
 
 
 def test_a_command_starts_a_helper_only_past_the_handoff_and_leaves_nothing_running():
     src = str(Path(adimlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     seen = []
-    for g6 in (BELOW_HANDOFF, PAST_HANDOFF):
+    for g6, k in ((BELOW_HANDOFF, "1"), (PAST_HANDOFF, "1"), (LONG, "1..3")):
         proc = subprocess.Popen(
-            [sys.executable, "-c", COMPUTE, g6], env=env, stdout=subprocess.PIPE,
+            [sys.executable, "-c", COMPUTE, g6, k], env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True,
         )
         out, err = proc.communicate(timeout=60)
@@ -265,7 +290,9 @@ def test_a_command_starts_a_helper_only_past_the_handoff_and_leaves_nothing_runn
         # nothing of the session is left: neither the command nor a helper
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
-        seen.append(out.split()[-2:])
-    # the witness module, which starts the helper, loads only past the
-    # hand-off node: a serial sweep of ladders never loads it
-    assert seen == [["0", "False"], ["0", "True"]]
+        seen.append(out.split()[-3:])
+    # the witness module loads only past the hand-off node (a serial sweep
+    # of ladders never loads it), and the helper is spawned only once the
+    # searches past it have run long enough to pay for its start-up
+    spawned = "True" if SEVERAL_CPUS else "False"
+    assert seen == [["0", "False", "False"], ["0", "True", "False"], ["0", "True", spawned]]
