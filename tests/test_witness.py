@@ -1,5 +1,5 @@
-"""The witness pass in the helper process: the same answers, node counts
-and budget outcomes as the pass run in the caller, and no process left
+"""Searches shared with the helper process: the same answers, node counts
+and budget outcomes as the searches run alone, and no process left
 behind."""
 
 import os
@@ -86,7 +86,6 @@ def _both_paths(monkeypatch, run, took=False):
         if seen["took"]:
             break
     build_table.cache_clear()
-    monkeypatch.setattr(kernel, "POLL_NODES", 32)
     return local, helper, seen
 
 
