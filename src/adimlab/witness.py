@@ -486,16 +486,15 @@ class _Caller(Peer):
         cover), taking branches of its probes while it runs; None when the
         pass must run here.  A shared pass from another incumbent is
         cancelled; a budgeted one runs on, and its answer is dropped."""
-        job, self.job = self.job, None
-        if job is None or self.pid is None:
+        if self.job is None or self.pid is None:
             return None
-        ticket, *start, shared = job
-        if tuple(start) != (size, cover):
+        ticket, *start, shared = self.job
+        if start != [size, cover]:
+            self.job = None
             if shared and self.answer is None:
                 self.send(("cancel", ("job", ticket)))
                 self.idle = True
             return None
-        self.job = job
         while self.answer is None:
             if shared:
                 self.wait()
