@@ -66,12 +66,12 @@ so the best cover, the covers of the lex pass, ``nodes`` and the stored
 record are those of the serial search.
 
 A minimum search that a solve or a basis list starts shares from
-``HANDOFF_NODES`` nodes on, on a table of at least that many reduced
-masks; below that a round trip costs more than it saves.  It hands the
-helper the lex pass of its incumbent, and the helper takes branches of the
-search while the caller takes branches of the helper's probes, each side
-polling the other every ``POLL_NODES`` nodes (``witness`` has the
-protocol).  The search stays serial where no helper runs and under a node
+``HANDOFF_NODES`` nodes on, on a table of at least ``HANDOFF_MASKS``
+reduced masks; below that a round trip costs more than it saves.  It
+hands the helper the lex pass of its incumbent, and the helper takes
+branches of the search while the caller takes branches of the helper's
+probes, each side polling the other every ``POLL_NODES`` nodes
+(``witness`` has the protocol).  The search stays serial where no helper runs and under a node
 budget, where the lex pass is still handed over whole.  Sharing costs a
 node nothing it did not cost before: a node compares its count with one
 ``stop``, the budget, the hand-off node or the next poll, whichever comes
@@ -222,11 +222,12 @@ def greedy_cover(
 
 
 # a minimum search whose lex pass may run in the ``witness`` helper hands
-# it off once it has entered this many nodes, on a table of at least this
-# many reduced masks: below that a round trip costs more than it saves (the
-# join-pairs tables that reach the node have at most 54 masks, the
-# solve-random ones at least 134)
+# it off once it has entered this many nodes
 HANDOFF_NODES = 64
+# and only on a table of at least this many reduced masks: below that a
+# round trip costs more than it saves (the join-pairs tables that reach the
+# hand-off node have at most 54 masks, the solve-random ones at least 134)
+HANDOFF_MASKS = 64
 # a shared search reads its peer's messages once per this many nodes
 POLL_NODES = 32
 # the node count no search reaches: the stop of a search without a budget
@@ -348,7 +349,7 @@ class _Search:
         self.nodes = 0
         self.floor = 0
         self.stop = _NEVER if budget is None else budget
-        if handoff is not None and len(self.masks) < HANDOFF_NODES:
+        if handoff is not None and len(self.masks) < HANDOFF_MASKS:
             handoff = None
         if handoff is not None:
             self.stop = min(self.stop, HANDOFF_NODES - 1)

@@ -3,16 +3,17 @@
 A solve or basis list is a minimum search followed by the lex pass, and
 both run through ``kernel._Search.branch_bound``.  Once a minimum search
 for a pass has entered ``kernel.HANDOFF_NODES`` nodes (on a table of at
-least as many reduced masks), it reads the link to a helper process once
-per ``kernel.POLL_NODES`` nodes.  Whichever end is idle takes the other's
-oldest open branch: at a poll, a busy end that knows the other waits gives
-it the exclude branch of its oldest open frame (``_Search.split``), and
-keeps the rest.
+least ``kernel.HANDOFF_MASKS`` reduced masks), it reads the link to a
+helper process once per ``kernel.POLL_NODES`` nodes.  Whichever end is
+idle takes the other's oldest open branch: at a poll, a busy end that
+knows the other waits gives it the exclude branch of its oldest open
+frame (``_Search.split``), and keeps the rest.
 
 - The caller hands the helper the lex pass of its incumbent when the
   helper is idle and holds no pass for that incumbent (the helper takes
-  one job at a time); otherwise the idle helper takes branches of the
-  minimum search.
+  one job at a time, and a pass it holds for an older incumbent is
+  cancelled); otherwise the idle helper takes branches of the minimum
+  search.
 - Once its search ends, the caller takes the helper's covers if the
   helper started from the final size and cover, and takes branches of the
   helper's lex probes while it waits.  A pass from another incumbent is
@@ -25,7 +26,11 @@ and merges them in depth-first order (``Segments.verdict``): the
 incumbent passes through them as through the serial search, a segment
 that ran from a stale incumbent runs again, the first cover of a probe
 drops the segments after it (still running ones are cancelled), and the
-nodes are summed over the segments that stand.  So dimensions, witnesses,
+nodes are summed over the segments that stand.  Work nests: an end that
+polls inside a segment of the other's may be handed more.  A cancel
+unwinds its target only once the work handed over inside it has run and
+answered, since its owner waits for that; and the helper, between
+messages, says that it waits whenever it dropped work unanswered.  So dimensions, witnesses,
 basis lists, stored records, ``nodes``, ``search_nodes`` and
 ``greedy_size`` are those of the serial solve.  The search stays serial
 where no helper runs (a sweep's pool worker, one CPU) and under a node
@@ -117,20 +122,24 @@ class Peer:
 
     ``idle``: the other end waits for work.  ``wanted``: this end has said
     that it waits.  ``records``: the segments, by ``ctx``, of this end's
-    searches that gave part of themselves away.  ``tables``: the table,
-    with its k, that the ends name by one key (the caller's), and
-    ``known``, the keys the other end holds.  ``active``: the targets a
-    cancel may name that run here, the job's and the other end's
-    segments'."""
+    searches that gave part of themselves away.  ``table``: (key,
+    prepared, k) of the one table the ends share, named by the end that
+    sent it first, and ``known``, the key of the table the other end
+    holds.  ``active``: the targets a cancel may name that run here, the
+    job's and the other end's segments', innermost last, and
+    ``cancelled``, those of them that the other end dropped.  Only the
+    innermost unwinds: one that runs inside it was handed over since, and
+    its owner waits for it, so an outer target unwinds once the work
+    inside it is done."""
 
     def __init__(self, side: int):
         self.side = side  # 0 the caller, 1 the helper
         self.idle = self.wanted = False
         self.names = 0
         self.records: dict = {}
-        self.tables: dict = {}
-        self.known: set = set()
-        self.active: set = set()
+        self.table = self.known = None
+        self.active: list = []
+        self.cancelled: set = set()
 
     def attach(self, read_fd: int, write_fd: int) -> None:
         self.r, self.w = read_fd, write_fd
@@ -234,22 +243,22 @@ class Peer:
     def key(self, search):
         """The key of ``search``'s table, and the table itself, (masks,
         columns, k), when the other end does not hold it."""
-        for key, (prepared, k) in self.tables.items():
-            if prepared.masks is search.masks and k == search.k:
-                break
-        else:
-            key = self.side, self.name()
-            self.tables = {key: (Prepared(search.masks, search.cols, 0, {}), search.k)}
-        if key in self.known:
+        table = self.table
+        if table is None or table[1].masks is not search.masks or table[2] != search.k:
+            table = self.table = (
+                (self.side, self.name()), Prepared(search.masks, search.cols, 0, {}), search.k
+            )
+        key = table[0]
+        if key == self.known:
             return key, None
-        self.known = {key}
+        self.known = key
         return key, (search.masks, search.cols, search.k)
 
     def learn(self, key, table) -> None:
         if table is not None:
             masks, cols, k = table
-            self.tables = {key: (Prepared(masks, cols, 0, {}), k)}
-            self.known = {key}
+            self.table = key, Prepared(masks, cols, 0, {}), k
+            self.known = key
 
     def handle(self, message) -> None:
         kind = message[0]
@@ -267,18 +276,20 @@ class Peer:
                     item.result = size, mask, nodes
         elif kind == "cancel":
             if message[1] in self.active:
-                raise _Cancelled(message[1])
+                self.cancelled.add(message[1])
         elif kind == "job":
             self.idle = self.wanted = False
             self.job(*message[1:])
+        if self.active and self.active[-1] in self.cancelled:
+            raise _Cancelled(self.active[-1])
 
     def run(self, ctx, name, key, table, floor, state, size, mask) -> None:
         """Run a segment given by the other end: a branch of one of this
         end's searches, given back, or one of the other end's."""
         self.learn(key, table)
-        if key not in self.tables:
+        if self.table is None or self.table[0] != key:
             return
-        prepared, k = self.tables[key]
+        _, prepared, k = self.table
         segments = self.records.get(ctx)
         if segments is not None:
             after = next((item for item in segments.items if item.name == name), None)
@@ -289,7 +300,7 @@ class Peer:
         if ctx[0] == self.side:
             return  # of a search of this end that has settled
         target = ctx, name
-        self.active.add(target)
+        self.active.append(target)
         try:
             done = segment(prepared, k, floor, state, size, mask, self, None, target)
         except _Cancelled as exc:
@@ -297,7 +308,8 @@ class Peer:
                 raise
             return
         finally:
-            self.active.discard(target)
+            self.active.pop()
+            self.cancelled.discard(target)
         self.send(("result", ctx, name, *done))
         self.wanted = True
 
@@ -307,9 +319,10 @@ class Peer:
         nodes then past it too, and both None when it failed otherwise,
         so the caller runs it.  Without a budget its probes are shared."""
         self.learn(key, table)
-        prepared, k = self.tables[key]
+        _, prepared, k = self.table
         target = "job", ticket
-        self.active.add(target)
+        self.active.append(target)
+        before = set(self.records)
         try:
             covers, nodes = lex_pass(
                 prepared, k, size, cover, limit, prefix, budget=budget,
@@ -324,20 +337,30 @@ class Peer:
         except Exception:
             covers = nodes = None
         finally:
-            self.active.discard(target)
+            self.active.pop()
+            self.cancelled.discard(target)
+            # searches of the pass that a cancel or an error unwound
+            # before they closed: their segments still running at the
+            # other end are cancelled too
+            for ctx in self.records.keys() - before:
+                self.close(self.records[ctx])
         self.send(("answer", ticket, covers, nodes))
         self.wanted = True
 
 
 def serve() -> None:
     """The helper's program: say it is ready, then act on the caller's
-    messages until its standard input closes."""
+    messages until its standard input closes.  Between messages it waits
+    for work, and says so again after work that it dropped unanswered (a
+    branch of a search that has settled): the caller takes it for busy
+    until it hears from it."""
     peer = Peer(1)
     peer.attach(0, 1)
     try:
         peer.send(("ready",))
+        peer.wanted = True
         while True:
-            peer.handle(peer.receive())
+            peer.wait()
     finally:
         # the caller is gone (end of file, broken pipe) or killed it
         os._exit(0)
@@ -471,6 +494,10 @@ class _Caller(Peer):
             Peer.handle(self, message)
 
     def offer(self, search) -> None:
+        """Hand the idle helper the lex pass of ``search``'s incumbent; a
+        shared pass it still holds for an older incumbent is cancelled."""
+        if self.job is not None and self.job[3] and self.answer is None:
+            self.send(("cancel", ("job", self.job[0])))
         limit, prefix = search.handoff
         left = None if search.budget is None else search.budget - search.nodes
         key, table = self.key(search)

@@ -14,7 +14,7 @@ import pytest
 import adimlab
 from adimlab import kernel, witness
 from adimlab.errors import BasisCountExceeded, BudgetExhausted
-from adimlab.graph import from_pair_mask
+from adimlab.graph import from_graph6, from_pair_mask
 from adimlab.metric import build_table, dimensionality
 from adimlab.solver import enumerate_bases, solve_table
 from adimlab.verify import THEOREMS, Corpus, sweep_theorem
@@ -50,14 +50,21 @@ def _warm():
         peer.read()
 
 
-def _both_paths(monkeypatch, run, took=False):
+def _share_from_the_first_node(monkeypatch):
+    """Let every solve's minimum search share from its first node on, on a
+    table of any size."""
+    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    monkeypatch.setattr(kernel, "HANDOFF_MASKS", 0)
+
+
+def _both_paths(monkeypatch, run, want=()):
     """``run()`` with every search alone, then with every search shared
     from its first node on, polling the helper at every node; the second
     also returns how many passes the helper answered, how many branches
-    the caller gave and how many it took.  With ``took``, the shared run
-    is repeated (up to five times, each equal to the first) until the
-    caller took a branch: whether it waits for the helper depends on
-    timing."""
+    the caller gave and how many it took, over its runs.  The shared run
+    is repeated (up to ten times, each equal to the first) until each
+    count named in ``want`` is above 0: whether the helper waits for the
+    caller, or the caller for the helper, depends on timing."""
     seen = {"answer": 0, "gave": 0, "took": 0}
     send, handle = witness._Caller.send, witness._Caller.handle
 
@@ -75,15 +82,15 @@ def _both_paths(monkeypatch, run, took=False):
     monkeypatch.setattr(kernel, "HANDOFF_NODES", 1 << 40)
     build_table.cache_clear()
     local = run()
-    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    _share_from_the_first_node(monkeypatch)
     monkeypatch.setattr(kernel, "POLL_NODES", 1)
     if SEVERAL_CPUS:
         _warm()
-    for _ in range(5 if took and SEVERAL_CPUS else 1):
+    for _ in range(10 if want and SEVERAL_CPUS else 1):
         build_table.cache_clear()
         helper = run()
         assert helper == local
-        if seen["took"]:
+        if all(seen[count] for count in want):
             break
     build_table.cache_clear()
     return local, helper, seen
@@ -112,12 +119,12 @@ def test_the_helper_solves_as_the_caller_does(monkeypatch, n):
             out.append(_outcome(lambda: solve_table(build_table(g, t), k)))
         return out
 
-    # the solves below n = 18 are often too short for the caller to wait
-    # on the helper
-    local, helper, seen = _both_paths(monkeypatch, solves, took=n >= 18)
+    # the helper answered passes, and branches went both ways; the solves
+    # below n = 18 are often too short for the caller to wait on the helper
+    want = ("answer", "gave", "took") if n >= 18 else ("answer", "gave")
+    local, helper, seen = _both_paths(monkeypatch, solves, want)
     assert helper == local
-    # the helper answered passes, and branches went both ways
-    assert seen["answer"] and seen["gave"] and (seen["took"] or n < 18) or not SEVERAL_CPUS
+    assert all(seen[count] for count in want) or not SEVERAL_CPUS
     # a budget of the serial node count passes, one node less runs out
     for budget, fails in ((0, False), (-1, True)):
 
@@ -147,7 +154,7 @@ def test_the_helper_lists_bases_as_the_caller_does(monkeypatch, n):
                 out.append(_outcome(lambda: enumerate_bases(g, k, limit, t=t)))
         return out
 
-    local, helper, seen = _both_paths(monkeypatch, lists, took=True)
+    local, helper, seen = _both_paths(monkeypatch, lists, ("answer", "gave", "took"))
     assert helper == local
     assert all(seen.values()) or not SEVERAL_CPUS
     assert any(type(r) is tuple for r in local) and any(type(r) is list for r in local)
@@ -178,7 +185,7 @@ def test_a_killed_helper_costs_its_job_alone(monkeypatch):
     monkeypatch.setattr(kernel, "HANDOFF_NODES", 1 << 40)
     build_table.cache_clear()
     serial = _outcome(lambda: solve_table(build_table(g, 2), 2))
-    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    _share_from_the_first_node(monkeypatch)
     monkeypatch.setattr(witness, "SPAWN_NODES", 0)
     _warm()
     offer = witness._Caller.offer
@@ -204,7 +211,7 @@ def test_a_killed_helper_costs_its_job_alone(monkeypatch):
 
 @pytest.mark.skipif(not SEVERAL_CPUS, reason="no helper runs on one CPU")
 def test_a_forked_child_leaves_its_parents_helper_alone(monkeypatch):
-    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    _share_from_the_first_node(monkeypatch)
     monkeypatch.setattr(witness, "SPAWN_NODES", 0)
     g = from_pair_mask(12, random.Random(12).getrandbits(66))
     build_table.cache_clear()
@@ -235,7 +242,9 @@ def test_a_forked_child_leaves_its_parents_helper_alone(monkeypatch):
 
 
 def test_no_helper_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    # the search would spawn a helper at its first poll on several CPUs
+    _share_from_the_first_node(monkeypatch)
+    monkeypatch.setattr(witness, "SPAWN_NODES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(witness, "_allowed", {})
     witness.stop()
@@ -245,6 +254,120 @@ def test_no_helper_on_one_cpu(monkeypatch):
     assert witness.helper_pid() is None
 
 
+def test_a_table_of_few_masks_never_asks_for_the_helper(monkeypatch):
+    # the hand-off node at the first node, the table gate at its own value
+    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    asked = []
+
+    def no_caller():
+        asked.append(True)
+        return None
+
+    monkeypatch.setattr(witness, "caller", no_caller)
+    for g6, large in ((BELOW_HANDOFF, False), (PAST_HANDOFF, True)):
+        g = from_graph6(g6)
+        build_table.cache_clear()
+        table = build_table(g, 2)
+        assert (len(table.prepared.masks) >= kernel.HANDOFF_MASKS) == large
+        asked.clear()
+        solve_table(table, 1)
+        assert asked == [True] * large
+
+
+def test_a_cancelled_pass_forgets_the_branches_it_gave(monkeypatch):
+    # the helper's end runs here; the test holds the caller's ends of the
+    # pipes, says the caller waits, and cancels the pass at the poll where
+    # a probe of it gave a branch away
+    monkeypatch.setattr(kernel, "POLL_NODES", 1)
+    g = from_pair_mask(18, random.Random(18).getrandbits(153))
+    prepared = kernel.prepare(build_table(g, 2).pair_masks, g.n)
+    size, cover, _, _ = kernel.minimum_search(prepared, 1)
+    to_helper, from_helper = os.pipe(), os.pipe()
+    helper, other = witness.Peer(1), witness.Peer(0)
+    helper.attach(to_helper[0], from_helper[1])
+    other.attach(from_helper[0], to_helper[1])
+    give = witness.Peer.give
+
+    def give_then_cancel(self, search):
+        give(self, search)
+        if self.records:
+            other.send(("cancel", ("job", 1)))
+            self.read()
+
+    monkeypatch.setattr(witness.Peer, "give", give_then_cancel)
+    other.send(("want",))
+    try:
+        helper.handle(("job", 1, (0, 1), (prepared.masks, prepared.cols, 1), size, cover,
+                       1 << 62, 0, None))
+        sent = []
+        while other.poller.poll(0):
+            sent.append(other.receive())
+    finally:
+        for fd in (*to_helper, *from_helper):
+            os.close(fd)
+    # the branch given away is cancelled at the caller's end, no answer
+    # comes, and the helper keeps nothing of the pass
+    assert [m[0] for m in sent] == ["give", "cancel"]
+    assert sent[1][1] == sent[0][1:3]
+    assert helper.records == {} and helper.active == [] and helper.cancelled == set()
+
+
+def test_a_cancel_waits_for_the_branch_handed_over_inside_its_target(monkeypatch):
+    # the helper's end runs here.  A branch given to it while it runs an
+    # older one is still owed to the caller when the older one is
+    # cancelled: it runs to its end and answers, then the older one unwinds
+    monkeypatch.setattr(kernel, "POLL_NODES", 1)
+    g = from_pair_mask(18, random.Random(18).getrandbits(153))
+    prepared = kernel.prepare(build_table(g, 2).pair_masks, g.n)
+    seed = kernel.forced(prepared.masks, 1)
+    planes = kernel._planes(prepared.cols, 1, len(prepared.masks), seed)
+    state = seed, seed.bit_count(), (1 << g.n) - 1 & ~seed, planes
+    incumbent = g.n, (1 << g.n) - 1
+    to_helper, from_helper = os.pipe(), os.pipe()
+    helper, other = witness.Peer(1), witness.Peer(0)
+    helper.attach(to_helper[0], from_helper[1])
+    other.attach(from_helper[0], to_helper[1])
+    ctx, key = (0, 1), (0, 2)
+    # read at the older branch's first poll, then at the newer one's
+    other.send(("give", ctx, 2, key, None, 0, state, *incumbent))
+    other.send(("cancel", (ctx, 1)))
+    try:
+        helper.handle(("give", ctx, 1, key, (prepared.masks, prepared.cols, 1), 0, state,
+                       *incumbent))
+        sent = []
+        while other.poller.poll(0):
+            sent.append(other.receive())
+    finally:
+        for fd in (*to_helper, *from_helper):
+            os.close(fd)
+    alone = kernel.segment(prepared, 1, 0, state, *incumbent, None, None, None)
+    assert sent == [("result", ctx, 2, *alone)]
+    assert helper.active == [] and helper.cancelled == set()
+
+
+@pytest.mark.skipif(not SEVERAL_CPUS, reason="no helper runs on one CPU")
+def test_a_helper_that_drops_a_branch_says_it_waits():
+    # a branch of a helper's search that settled before the branch came
+    # back: the helper drops it, and must say that it waits, or the caller
+    # takes it for busy for good and shares nothing more with it
+    _warm()
+    peer = witness.caller()
+    prepared = build_table(from_pair_mask(12, random.Random(12).getrandbits(66)), 2).prepared
+    state = 0, 0, (1 << 12) - 1, kernel._planes(prepared.cols, 1, len(prepared.masks), 0)
+    peer.send(("give", (1, 1 << 30), 1, (0, 1 << 30), (prepared.masks, prepared.cols, 1),
+               0, state, 13, (1 << 12) - 1))
+    peer.idle = False
+    deadline = time.monotonic() + 10
+    try:
+        while not peer.idle:
+            assert time.monotonic() < deadline, "the helper never said that it waits"
+            time.sleep(0.01)
+            peer.read()
+    finally:
+        # the helper now holds a table the caller's end did not name
+        witness.stop()
+
+
 def _helper_in_a_worker(g):
     solve_table(build_table(g, 2), 1)
     pid = witness.helper_pid()
@@ -252,9 +375,10 @@ def _helper_in_a_worker(g):
 
 
 def test_no_helper_in_a_sweeps_pool_worker(monkeypatch):
-    # the workers are forked with the hand-off at the first node, and
-    # every solve they run offers its pass
-    monkeypatch.setattr(kernel, "HANDOFF_NODES", 0)
+    # the workers are forked sharing from the first node on and spawning
+    # at the first poll, so any solve they run would start a helper
+    _share_from_the_first_node(monkeypatch)
+    monkeypatch.setattr(witness, "SPAWN_NODES", 0)
     monkeypatch.setitem(THEOREMS, "helper-in-a-worker", _helper_in_a_worker)
     report = sweep_theorem(Corpus(2, 5), "helper-in-a-worker", jobs=2)
     assert report.checked == 2 + 8 + 64 + 1024 and report.violations == []
