@@ -71,12 +71,12 @@ reduced masks; below that a round trip costs more than it saves.  It
 hands the helper the lex pass of its incumbent, and the helper takes
 branches of the search while the caller takes branches of the helper's
 probes, each side polling the other every ``POLL_NODES`` nodes
-(``witness`` has the protocol).  The search stays serial where no helper runs and under a node
-budget, where the lex pass is still handed over whole.  Sharing costs a
-node nothing it did not cost before: a node compares its count with one
-``stop``, the budget, the hand-off node or the next poll, whichever comes
-first, and a frame compares its count with ``cut`` after its include
-call.
+(``witness`` has the protocol).  The search stays serial where no helper
+runs and under a node budget, where the lex pass is still handed over
+whole.  Sharing costs a node nothing it did not cost before: a node
+compares its count with one ``stop``, the budget, the hand-off node or
+the next poll, whichever comes first, and a frame compares its count
+with ``cut`` after its include call.
 
 The kernel owns the minimum search's record: a ``Prepared`` table keeps one
 per k in ``searches``, so the records live exactly as long as the table.

@@ -30,12 +30,12 @@ nodes are summed over the segments that stand.  Work nests: an end that
 polls inside a segment of the other's may be handed more.  A cancel
 unwinds its target only once the work handed over inside it has run and
 answered, since its owner waits for that; and the helper, between
-messages, says that it waits whenever it dropped work unanswered.  So dimensions, witnesses,
-basis lists, stored records, ``nodes``, ``search_nodes`` and
-``greedy_size`` are those of the serial solve.  The search stays serial
-where no helper runs (a sweep's pool worker, one CPU) and under a node
-budget, where the lex pass is still handed over whole, with the budget
-left, and the caller waits for it.
+messages, says that it waits whenever it dropped work unanswered.  So
+dimensions, witnesses, basis lists, stored records, ``nodes``,
+``search_nodes`` and ``greedy_size`` are those of the serial solve.  The
+search stays serial where no helper runs (a sweep's pool worker, one
+CPU) and under a node budget, where the lex pass is still handed over
+whole, with the budget left, and the caller waits for it.
 
 The helper is a fresh interpreter started with ``os.posix_spawn`` and
 kept for the process, running ``serve`` on a pipe pair: messages to it on
